@@ -20,11 +20,16 @@ regime to a representative with small base, and the two sporadic orbifolds
 fibering over both S2(2,2) and D2 connect the sphere and disk classes.
 Every rule applies from either side of the displayed relation and is
 closed under simultaneous orientation reversal of both sides.
+
+Each public function validates its arguments once, through
+`_require_normal_spherical`, and hands the normal form to a private core
+(`_fibration_class`, `_enumerate_fibrations`, `_diffeo_key`, ...).  The
+cores trust their argument and call only other cores; the values the
+rules and bridges build are still checked as they are made.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,6 +39,7 @@ from .core import (
     Surface,
     check_valid,
     is_spherical,
+    max_b_cap,
     normalize,
 )
 from .lens import (
@@ -79,12 +85,7 @@ class InfiniteClassError(Exception):
     admits infinitely many fibrations."""
 
 
-def _max_b_cap() -> int:
-    return int(os.environ.get("SEIFERT_ATLAS_MAX_B", "10000"))
-
-
-def _check_cap(f: FiberedOrbifold) -> None:
-    cap = _max_b_cap()
+def _check_cap(f: FiberedOrbifold, cap: int) -> None:
     labels = f.base.cone_labels + f.base.corner_labels
     if labels and max(labels) > cap:
         raise ValueError(
@@ -92,12 +93,15 @@ def _check_cap(f: FiberedOrbifold) -> None:
         )
 
 
-def _require_normal_spherical(f: FiberedOrbifold) -> FiberedOrbifold:
+def _require_normal_spherical(f: FiberedOrbifold, cap: int | None = None) -> FiberedOrbifold:
+    """The guard of the public functions: the normal form of f, checked
+    valid, spherical and within the parameter cap (read from the
+    environment unless given)."""
     f = normalize(f)
     check_valid(f)
     if not is_spherical(f):
         raise ValueError("operation requires a spherical fibered orbifold: %s" % f)
-    _check_cap(f)
+    _check_cap(f, max_b_cap() if cap is None else cap)
     return f
 
 
@@ -365,20 +369,24 @@ def _inverse_candidates(f: FiberedOrbifold) -> list[FiberedOrbifold]:
     return [c for c in cands if c is not None]
 
 
-def single_step(f: FiberedOrbifold) -> set[FiberedOrbifold]:
-    """All fibrations one displayed move away from f (finite class only)."""
-    f = _require_normal_spherical(f)
-    if fibration_class(f) is not FibrationClass.FINITE:
-        raise InfiniteClassError("single_step requires a finite-class fibration")
+def _single_step(f: FiberedOrbifold) -> set[FiberedOrbifold]:
     out = set(_forward(f))
     for cand in _inverse_candidates(f):
         if f in _forward(cand):
             out.add(cand)
     out.discard(f)
     for g in out:
-        if fibration_class(g) is not FibrationClass.FINITE:
+        if _fibration_class(g) is not FibrationClass.FINITE:
             raise AssertionError("rewrite left the finite class: %s -> %s" % (f, g))
     return out
+
+
+def single_step(f: FiberedOrbifold) -> set[FiberedOrbifold]:
+    """All fibrations one displayed move away from f (finite class only)."""
+    f = _require_normal_spherical(f)
+    if _fibration_class(f) is not FibrationClass.FINITE:
+        raise InfiniteClassError("single_step requires a finite-class fibration")
+    return _single_step(f)
 
 
 # -- bridges for the infinite regime ----------------------------------------
@@ -390,7 +398,10 @@ def enumerate_bridges(f: FiberedOrbifold):
     Returns the partner fibration displayed for f (for any parameter and
     either orientation), or None when f matches no exceptional pattern.
     """
-    f = _require_normal_spherical(f)
+    return _enumerate_bridges(_require_normal_spherical(f))
+
+
+def _enumerate_bridges(f: FiberedOrbifold):
     surface, ncones, ncorners = _shape(f)
     e = f.euler
     S, D, RP = Surface.SPHERE, Surface.DISK, Surface.PROJECTIVE_PLANE
@@ -474,7 +485,10 @@ def enumerate_bridges(f: FiberedOrbifold):
 
 def fibration_class(f: FiberedOrbifold) -> FibrationClass:
     """Finite count, or infinitely many on the sphere or on the disk side."""
-    f = _require_normal_spherical(f)
+    return _fibration_class(_require_normal_spherical(f))
+
+
+def _fibration_class(f: FiberedOrbifold) -> FibrationClass:
     surface, ncones, ncorners = _shape(f)
     if surface is Surface.SPHERE and ncones <= 2:
         return FibrationClass.INFINITE_SPHERE_SIDE
@@ -484,10 +498,10 @@ def fibration_class(f: FiberedOrbifold) -> FibrationClass:
         if abs(f.euler) == 1:
             return FibrationClass.INFINITE_SPHERE_SIDE
         return FibrationClass.FINITE
-    bridge = enumerate_bridges(f)
+    bridge = _enumerate_bridges(f)
     if bridge is None:
         return FibrationClass.FINITE
-    side = fibration_class(bridge)
+    side = _fibration_class(bridge)
     if side is FibrationClass.FINITE:
         raise AssertionError("bridge of %s landed in the finite class" % (f,))
     return side
@@ -497,15 +511,19 @@ def enumerate_fibrations(f: FiberedOrbifold) -> set[FiberedOrbifold]:
     """The complete set of inequivalent fibrations of a finite-class
     orbifold (including f itself), each normalized."""
     f = _require_normal_spherical(f)
-    if fibration_class(f) is not FibrationClass.FINITE:
+    if _fibration_class(f) is not FibrationClass.FINITE:
         raise InfiniteClassError(
             "%s admits infinitely many fibrations; see diffeo_key" % (f,)
         )
+    return _enumerate_fibrations(f)
+
+
+def _enumerate_fibrations(f: FiberedOrbifold) -> set[FiberedOrbifold]:
     seen = {f}
     frontier = [f]
     while frontier:
         g = frontier.pop()
-        for h in single_step(g):
+        for h in _single_step(g):
             if h not in seen:
                 seen.add(h)
                 frontier.append(h)
@@ -516,9 +534,9 @@ def enumerate_fibrations(f: FiberedOrbifold) -> set[FiberedOrbifold]:
 
 def fibration_count(f: FiberedOrbifold) -> FibrationCount:
     f = _require_normal_spherical(f)
-    if fibration_class(f) is not FibrationClass.FINITE:
+    if _fibration_class(f) is not FibrationClass.FINITE:
         return FibrationCount.INFINITE
-    return FibrationCount(len(enumerate_fibrations(f)))
+    return FibrationCount(len(_enumerate_fibrations(f)))
 
 
 def double_cover(f: FiberedOrbifold) -> FiberedOrbifold:
@@ -528,14 +546,15 @@ def double_cover(f: FiberedOrbifold) -> FiberedOrbifold:
     invariants unchanged, the Euler class doubles and the boundary bit is
     dropped.
     """
-    f = normalize(f)
-    check_valid(f)
+    f = check_valid(normalize(f))
     if f.base.surface is not Surface.DISK or f.base.cone_labels:
         raise ValueError("double_cover requires a disk base without cone points")
+    return _double_cover(f)
+
+
+def _double_cover(f: FiberedOrbifold) -> FiberedOrbifold:
     pairs = [(i.a, i.b) for i in f.corner_invariants]
-    return check_valid(
-        normalize(FiberedOrbifold.from_data(Surface.SPHERE, pairs, [], 2 * f.euler))
-    )
+    return _mk(Surface.SPHERE, pairs, [], 2 * f.euler)
 
 
 def diffeo_key(f: FiberedOrbifold) -> DiffeoKey:
@@ -548,9 +567,14 @@ def diffeo_key(f: FiberedOrbifold) -> DiffeoKey:
     differ.
     """
     f = _require_normal_spherical(f)
-    cls = fibration_class(f)
+    cls = _fibration_class(f)
     if cls is FibrationClass.FINITE:
         raise ValueError("diffeo_key is defined for infinite-class orbifolds only")
+    return _diffeo_key(f, cls)
+
+
+def _diffeo_key(f: FiberedOrbifold, cls: FibrationClass) -> DiffeoKey:
+    """Key of the normal form f, whose infinite class cls is known."""
     side = (
         OrbifoldClass.SPHERE_CLASS
         if cls is FibrationClass.INFINITE_SPHERE_SIDE
@@ -563,17 +587,26 @@ def diffeo_key(f: FiberedOrbifold) -> DiffeoKey:
             break
         if surface is Surface.DISK and ncones == 0 and ncorners <= 2:
             break
-        g = enumerate_bridges(g)
+        g = _enumerate_bridges(g)
         if g is None:
             raise AssertionError("no bridge found for infinite-class %s" % (f,))
     else:
         raise AssertionError("bridging did not terminate for %s" % (f,))
     if g.base.surface is Surface.DISK:
-        g = double_cover(g)
+        g = _double_cover(g)
     data, i1, i2 = classical_from_fibration(g)
     lens = lens_from_classical(data)
     mode = Mode.ORIENTED if i1 == i2 else Mode.FIXED_CORES
     return DiffeoKey(side, lens, (i1, i2), mode)
+
+
+def _invariant(f: FiberedOrbifold):
+    """Fibration set (finite class) or DiffeoKey (infinite class) of the
+    normal form f."""
+    cls = _fibration_class(f)
+    if cls is FibrationClass.FINITE:
+        return _enumerate_fibrations(f)
+    return _diffeo_key(f, cls)
 
 
 # The two orbifolds fibered over both S2(2,2) and D2, as (sphere key
@@ -599,14 +632,16 @@ def _cross_index(key: DiffeoKey):
 
 def are_diffeomorphic(f: FiberedOrbifold, g: FiberedOrbifold) -> bool:
     """Orientation-preserving diffeomorphism of the underlying orbifolds."""
-    f = _require_normal_spherical(f)
-    g = _require_normal_spherical(g)
-    cf, cg = fibration_class(f), fibration_class(g)
+    return _are_diffeomorphic(_require_normal_spherical(f), _require_normal_spherical(g))
+
+
+def _are_diffeomorphic(f: FiberedOrbifold, g: FiberedOrbifold) -> bool:
+    cf, cg = _fibration_class(f), _fibration_class(g)
     if (cf is FibrationClass.FINITE) != (cg is FibrationClass.FINITE):
         return False
     if cf is FibrationClass.FINITE:
-        return g in enumerate_fibrations(f)
-    kf, kg = diffeo_key(f), diffeo_key(g)
+        return g in _enumerate_fibrations(f)
+    kf, kg = _diffeo_key(f, cf), _diffeo_key(g, cg)
     if kf.orbifold_class is kg.orbifold_class:
         if kf.iota != kg.iota:
             return False
@@ -622,10 +657,14 @@ def diffeo_signature(f: FiberedOrbifold):
     key with q canonicalized under the allowed torus exchange, the two
     sphere/disk crossover orbifolds folded onto one value.
     """
-    f = _require_normal_spherical(f)
-    if fibration_class(f) is FibrationClass.FINITE:
-        return frozenset(enumerate_fibrations(f))
-    k = diffeo_key(f)
+    return _signature(_invariant(_require_normal_spherical(f)))
+
+
+def _signature(invariant):
+    """diffeo_signature from a fibration set or a DiffeoKey."""
+    if not isinstance(invariant, DiffeoKey):
+        return frozenset(invariant)
+    k = invariant
     idx = _cross_index(k)
     if idx is not None:
         return ("cross", idx)

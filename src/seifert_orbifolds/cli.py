@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from .core import (
     euler_characteristic,
     format_rational,
     is_spherical,
+    max_b_cap,
     normalize,
     solve_xi,
     validate,
@@ -42,20 +44,28 @@ from .groups import (
     quotient_hopf,
 )
 from .classify import (
+    DiffeoKey,
     FibrationClass,
-    FibrationCount,
-    diffeo_key,
-    diffeo_signature,
-    are_diffeomorphic,
-    enumerate_fibrations,
-    fibration_class,
-    fibration_count,
+    _are_diffeomorphic,
+    _check_cap,
+    _diffeo_key,
+    _fibration_class,
+    _invariant,
+    _require_normal_spherical,
+    _signature,
 )
 from .groups import enumerate_quotient_groups
 
 
 class ParseError(ValueError):
     pass
+
+
+# Numbers are ASCII digits only: str.isdigit, int() and Fraction() also
+# read other scripts' digits, underscores and exponents.
+_NATURAL = re.compile(r"[0-9]+")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _split_top(text: str) -> list[tuple[str, int]]:
@@ -86,7 +96,7 @@ def _parse_labels(text: str, offset: int) -> list[int]:
     out = []
     for piece in text.split(","):
         piece = piece.strip()
-        if not piece.isdigit():
+        if not _NATURAL.fullmatch(piece):
             raise ParseError("position %d: expected a label, got %r" % (offset, piece))
         out.append(int(piece))
     return out
@@ -125,23 +135,25 @@ def _parse_invariants(text: str, offset: int) -> list[tuple[int, int]]:
     out = []
     for piece in text.split(","):
         piece = piece.strip()
-        num, slash, den = piece.partition("/")
+        num, slash, den = (part.strip() for part in piece.partition("/"))
         if not slash:
             raise ParseError(
                 "position %d: local invariant must be written a/b, got %r"
                 % (offset, piece)
             )
-        try:
-            out.append((int(num), int(den)))
-        except ValueError as exc:
-            raise ParseError("position %d: bad invariant %r" % (offset, piece)) from exc
+        if not (_INTEGER.fullmatch(num) and _NATURAL.fullmatch(den)):
+            raise ParseError("position %d: bad invariant %r" % (offset, piece))
+        out.append((int(num), int(den)))
     return out
 
 
 def _parse_rational(text: str, offset: int) -> Fraction:
+    compact = text.strip().replace(" ", "")
+    if not _RATIONAL.fullmatch(compact):
+        raise ParseError("position %d: bad rational %r" % (offset, text))
     try:
-        return Fraction(text.strip().replace(" ", ""))
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(compact)
+    except ZeroDivisionError as exc:
         raise ParseError("position %d: bad rational %r" % (offset, text)) from exc
 
 
@@ -230,11 +242,6 @@ def parse_fibration(text: str) -> FiberedOrbifold:
 # -- reports ----------------------------------------------------------------
 
 
-def _count_value(f):
-    c = fibration_count(f)
-    return "infinite" if c is FibrationCount.INFINITE else c.value
-
-
 def _key_json(k):
     return {
         "class": k.orbifold_class.value,
@@ -262,13 +269,15 @@ def expression_report(f: FiberedOrbifold) -> dict:
         return report
     if not report["spherical"]:
         return report
-    report["count"] = _count_value(g)
-    if report["count"] == "infinite":
-        k = diffeo_key(g)
-        report["diffeo_key"] = _key_json(k)
-        report["lens"] = {"p": k.lens.p, "q": k.lens.q}
+    _check_cap(g, max_b_cap())
+    invariant = _invariant(g)
+    if isinstance(invariant, DiffeoKey):
+        report["count"] = "infinite"
+        report["diffeo_key"] = _key_json(invariant)
+        report["lens"] = {"p": invariant.lens.p, "q": invariant.lens.q}
     else:
-        report["fibrations"] = sorted(str(x) for x in enumerate_fibrations(g))
+        report["count"] = len(invariant)
+        report["fibrations"] = sorted(str(x) for x in invariant)
     return report
 
 
@@ -280,22 +289,20 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_validate(args):
-    f = parse_fibration(args.expr)
-    res = validate(normalize(f))
-    payload = expression_report(f)
-    if res.ok:
-        _emit(args, payload, "ok: %s" % normalize(f))
+    payload = expression_report(parse_fibration(args.expr))
+    if payload["valid"]:
+        _emit(args, payload, "ok: %s" % payload["normalized"])
         return 0
-    lines = ["invalid: %s" % f]
-    for p in res.problems:
+    lines = ["invalid: %s" % payload["input"]]
+    for p in payload["problems"]:
         lines.append("  " + p)
     _emit(args, payload, "\n".join(lines))
     return 1
 
 
 def _cmd_normalize(args):
-    f = parse_fibration(args.expr)
-    _emit(args, expression_report(f), str(normalize(f)))
+    payload = expression_report(parse_fibration(args.expr))
+    _emit(args, payload, payload["normalized"])
     return 0
 
 
@@ -307,13 +314,19 @@ def _cmd_chi(args):
     return 0
 
 
+_NOT_SPHERICAL = "not spherical: chi(base) <= 0 or e = 0"
+
+
 def _require_spherical(f):
+    """Normal form of f, checked as the classify guard checks it, with the
+    messages of this command line."""
     g = normalize(f)
     res = validate(g)
     if not res.ok:
         raise ValueError("invalid fibration: %s" % "; ".join(res.problems))
     if not is_spherical(g):
-        raise ValueError("not spherical: chi(base) <= 0 or e = 0")
+        raise ValueError(_NOT_SPHERICAL)
+    _check_cap(g, max_b_cap())
     return g
 
 
@@ -331,10 +344,12 @@ def _cmd_classify(args):
 
 
 def _cmd_fibrations(args):
-    f = parse_fibration(args.expr)
-    g = _require_spherical(f)
-    payload = expression_report(f)
-    if fibration_class(g) is FibrationClass.FINITE:
+    payload = expression_report(parse_fibration(args.expr))
+    if not payload["valid"]:
+        raise ValueError("invalid fibration: %s" % "; ".join(payload["problems"]))
+    if not payload["spherical"]:
+        raise ValueError(_NOT_SPHERICAL)
+    if payload["count"] != "infinite":
         text = "\n".join(payload["fibrations"])
     else:
         k = payload["diffeo_key"]
@@ -352,7 +367,7 @@ def _cmd_fibrations(args):
 def _cmd_diffeo(args):
     f = _require_spherical(parse_fibration(args.expr1))
     g = _require_spherical(parse_fibration(args.expr2))
-    same = are_diffeomorphic(f, g)
+    same = _are_diffeomorphic(f, g)
     payload = {"left": str(f), "right": str(g), "diffeomorphic": bool(same)}
     _emit(args, payload, "diffeomorphic" if same else "not diffeomorphic")
     return 0 if same else 3
@@ -374,17 +389,25 @@ def _cmd_quotient(args):
 
 def _cmd_lens(args):
     f = _require_spherical(parse_fibration(args.expr))
-    if fibration_class(f) is FibrationClass.FINITE:
+    cls = _fibration_class(f)
+    if cls is FibrationClass.FINITE:
         raise ValueError(
             "lens data applies to orbifolds with infinitely many fibrations"
         )
-    k = diffeo_key(f)
+    k = _diffeo_key(f, cls)
     _emit(args, {"input": str(f), "lens": {"p": k.lens.p, "q": k.lens.q},
                  "iota": list(k.iota), "mode": k.mode.value}, str(k.lens))
     return 0
 
 
 def _atlas_rows(max_order: int):
+    """One row per quotient fibration, with its diffeo_signature.
+
+    Each finite class is enumerated once: `finite` maps every member of an
+    enumerated fibration set to that set, for this sweep only.
+    """
+    cap = max_b_cap()
+    finite = {}
     rows = []
     for g in enumerate_quotient_groups(max_order):
         h = quotient_hopf(g)
@@ -397,12 +420,17 @@ def _atlas_rows(max_order: int):
         for side, f in (("hopf", h), ("anti-hopf", a)):
             if f is None:
                 continue
-            if fibration_class(f) is FibrationClass.FINITE:
-                fibs = sorted(str(x) for x in enumerate_fibrations(f))
-                key = None
+            n = _require_normal_spherical(f, cap)
+            invariant = finite.get(n)
+            if invariant is None:
+                invariant = _invariant(n)
+                if not isinstance(invariant, DiffeoKey):
+                    invariant = frozenset(invariant)
+                    finite.update(dict.fromkeys(invariant, invariant))
+            if isinstance(invariant, DiffeoKey):
+                fibs, key = None, _key_json(invariant)
             else:
-                fibs = None
-                key = _key_json(diffeo_key(f))
+                fibs, key = sorted(str(x) for x in invariant), None
             rows.append({
                 "group": str(g),
                 "order": group_order(g),
@@ -410,13 +438,16 @@ def _atlas_rows(max_order: int):
                 "quotient": str(f),
                 "fibrations": fibs,
                 "diffeo_key": key,
-                "signature": diffeo_signature(f),
+                "signature": _signature(invariant),
             })
     return rows
 
 
 def _cmd_atlas(args):
-    rows = _atlas_rows(args.max_order)
+    bound = args.max_order.strip()
+    if not _NATURAL.fullmatch(bound) or int(bound) < 1:
+        raise ValueError("--max-order must be a positive integer, got %r" % args.max_order)
+    rows = _atlas_rows(int(bound))
     class_ids = {}
     for row in rows:
         sig = row.pop("signature")
@@ -501,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.set_defaults(fn=_cmd_lens)
     p = sub.add_parser("atlas", help="catalog of quotient orbifolds up to a group order")
-    p.add_argument("--max-order", type=int, required=True)
+    p.add_argument("--max-order", required=True)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_atlas)
     return top

@@ -25,13 +25,12 @@ fibrations of opposite flow chirality are mixed).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .core import FiberedOrbifold, Surface, is_spherical, validate
+from .core import FiberedOrbifold, Surface, is_spherical, max_b_cap, validate
 
 
 class Mode(Enum):
@@ -185,7 +184,7 @@ def _lens_label(cores, euler: Fraction) -> LensSpace:
     p = pf.numerator
     if p == 1:
         return LensSpace(1, 0)
-    cap = int(os.environ.get("SEIFERT_ATLAS_MAX_B", "10000"))
+    cap = max_b_cap()
     if p > cap:
         raise ValueError(
             "lens order %d exceeds the sweep cap SEIFERT_ATLAS_MAX_B = %d" % (p, cap)

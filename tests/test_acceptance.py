@@ -7,6 +7,7 @@ summary lines.
 
 import io
 import contextlib
+import hashlib
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -46,6 +47,9 @@ from seifert_orbifolds.cli import run_command
 S2, RP2, D2 = Surface.SPHERE, Surface.PROJECTIVE_PLANE, Surface.DISK
 
 ATLAS_CLASSES_ORDER_200 = 1380  # frozen regression value from the first verified run
+# sha256 of the atlas-200 stdout, --json and text, pinned in ROADMAP.md
+ATLAS_200_JSON_SHA256 = "f6fe62956e97bef42dcaad3f88e80782dba3574565f63cd71aa63b6db836ebae"
+ATLAS_200_TEXT_SHA256 = "a50c44ac21bbfb224edfc038b3b5e6641206f6e28ee8b1a0f8f5934033d7dd5a"
 
 
 def mk(surface, cones, corners, e, xi=None):
@@ -314,20 +318,31 @@ def test_criterion_8_diffeo_properties_on_corpus():
     report(8, "reflexivity, symmetry and orientation equivariance (500 corpus)", ok)
 
 
-def _atlas_json(max_order):
+def _atlas(max_order, *flags):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = run_command(["--json", "atlas", "--max-order", str(max_order)])
+        code = run_command([*flags, "atlas", "--max-order", str(max_order)])
     assert code == 0
     return buf.getvalue()
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def test_criterion_9_atlas_determinism():
-    first = _atlas_json(200)
-    second = _atlas_json(200)
+    first = _atlas(200, "--json")
+    second = _atlas(200, "--json")
     ok = first == second
     classes = len(first.splitlines())
     if classes != ATLAS_CLASSES_ORDER_200:
         print("  atlas classes:", classes, "expected:", ATLAS_CLASSES_ORDER_200)
         ok = False
-    report(9, "atlas --max-order 200 determinism and frozen class count", ok)
+    for name, text, want in (
+        ("--json", first, ATLAS_200_JSON_SHA256),
+        ("text", _atlas(200), ATLAS_200_TEXT_SHA256),
+    ):
+        if _sha256(text) != want:
+            print("  atlas-200 %s sha256:" % name, _sha256(text), "expected:", want)
+            ok = False
+    report(9, "atlas --max-order 200 determinism, frozen class count and sha256", ok)

@@ -64,6 +64,32 @@ class TestParser:
         g = parse_fibration("S2(2,2); 1/2,1/2; -1")
         assert normalize(f) == normalize(g)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "S2(\u0663,2,2); 0/2,0/2,1/3; ; -1/3",  # Arabic-Indic label digit
+            "S2(2,2,3); 0/2,0/2,\u0661/3; ; -1/3",  # Arabic-Indic invariant digit
+            "S2(2,2,3); 0/2,0/2,1/\uff13; ; -1/3",  # fullwidth invariant digit
+            "S2(2,2,3); 0/2,0/2,1/3; ; -1/\u0663",  # Arabic-Indic Euler class digit
+            "S2(2,2); 0/2,0/2; ; -1e3",  # exponent
+            "S2(2,2); 0/2,0/2; ; -1_000",  # digit separator
+            "S2(2,2); 0/2,0/2; ; -1.0",  # decimal point
+            "S2(2,2,3); 0/2,0/2,1/3_0; ; -1/3",  # separator in an invariant
+            "S2(2,2,3); 0/2,0/2,1/-3; ; -1/3",  # signed invariant order
+        ],
+        ids=["label", "invariant", "fullwidth", "euler", "exponent", "separator",
+             "decimal", "invariant-separator", "signed-order"],
+    )
+    def test_non_ascii_integer_forms_rejected(self, text):
+        with pytest.raises(ParseError, match="position"):
+            parse_fibration(text)
+        code, out, err = run("classify", text)
+        assert code == 1 and not out and "position" in err
+
+    def test_signs_and_spaces_accepted(self):
+        f = parse_fibration("S2(2,2,3); +1/2, 1 / 2 ,1/3; ; - 4 / 3")
+        assert str(normalize(f)) == "(S2(2,2,3); 1/2,1/2,1/3; -4/3)"
+
     def test_base_only(self):
         assert parse_base("D2(;2,2,4)").corner_labels == (2, 2, 4)
         assert parse_base("RP2(3)").cone_labels == (3,)
@@ -234,6 +260,25 @@ def test_parameter_cap_env(monkeypatch):
     monkeypatch.delenv("SEIFERT_ATLAS_MAX_B")
     code, out, _ = run("classify", "S2(2,2,97); 0/2,0/2,1/97; ; -1/97")
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "abc", "\u0663"])
+def test_bad_max_order_exits_1(value):
+    code, out, err = run("atlas", "--max-order", value)
+    assert code == 1 and not out and "--max-order must be a positive integer" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1e4"])
+def test_bad_parameter_cap_env_exits_1(monkeypatch, value):
+    monkeypatch.setenv("SEIFERT_ATLAS_MAX_B", value)
+    for argv in (
+        ("classify", "S2(2,2,3); 0/2,0/2,1/3; ; -1/3"),
+        ("lens", "S2(4,4); 2/4,2/4; ; -1"),
+        ("atlas", "--max-order", "10"),
+    ):
+        code, out, err = run(*argv)
+        assert code == 1 and not out, argv
+        assert "SEIFERT_ATLAS_MAX_B must be a positive integer" in err, argv
 
 
 def test_validate_flags_order_mismatch():
