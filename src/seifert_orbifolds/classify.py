@@ -39,7 +39,6 @@ from .core import (
     Surface,
     check_valid,
     is_spherical,
-    max_b_cap,
     normalize,
 )
 from .lens import (
@@ -85,23 +84,13 @@ class InfiniteClassError(Exception):
     admits infinitely many fibrations."""
 
 
-def _check_cap(f: FiberedOrbifold, cap: int) -> None:
-    labels = f.base.cone_labels + f.base.corner_labels
-    if labels and max(labels) > cap:
-        raise ValueError(
-            "base label %d exceeds SEIFERT_ATLAS_MAX_B = %d" % (max(labels), cap)
-        )
-
-
-def _require_normal_spherical(f: FiberedOrbifold, cap: int | None = None) -> FiberedOrbifold:
+def _require_normal_spherical(f: FiberedOrbifold) -> FiberedOrbifold:
     """The guard of the public functions: the normal form of f, checked
-    valid, spherical and within the parameter cap (read from the
-    environment unless given)."""
+    valid and spherical."""
     f = normalize(f)
     check_valid(f)
     if not is_spherical(f):
         raise ValueError("operation requires a spherical fibered orbifold: %s" % f)
-    _check_cap(f, max_b_cap() if cap is None else cap)
     return f
 
 

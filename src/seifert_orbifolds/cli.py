@@ -30,7 +30,6 @@ from .core import (
     euler_characteristic,
     format_rational,
     is_spherical,
-    max_b_cap,
     normalize,
     solve_xi,
     validate,
@@ -47,7 +46,6 @@ from .classify import (
     DiffeoKey,
     FibrationClass,
     _are_diffeomorphic,
-    _check_cap,
     _diffeo_key,
     _fibration_class,
     _invariant,
@@ -143,6 +141,10 @@ def _parse_invariants(text: str, offset: int) -> list[tuple[int, int]]:
             )
         if not (_INTEGER.fullmatch(num) and _NATURAL.fullmatch(den)):
             raise ParseError("position %d: bad invariant %r" % (offset, piece))
+        if int(den) == 0:
+            raise ParseError(
+                "position %d: invariant order must be >= 1, got %r" % (offset, piece)
+            )
         out.append((int(num), int(den)))
     return out
 
@@ -269,7 +271,6 @@ def expression_report(f: FiberedOrbifold) -> dict:
         return report
     if not report["spherical"]:
         return report
-    _check_cap(g, max_b_cap())
     invariant = _invariant(g)
     if isinstance(invariant, DiffeoKey):
         report["count"] = "infinite"
@@ -326,7 +327,6 @@ def _require_spherical(f):
         raise ValueError("invalid fibration: %s" % "; ".join(res.problems))
     if not is_spherical(g):
         raise ValueError(_NOT_SPHERICAL)
-    _check_cap(g, max_b_cap())
     return g
 
 
@@ -406,7 +406,6 @@ def _atlas_rows(max_order: int):
     Each finite class is enumerated once: `finite` maps every member of an
     enumerated fibration set to that set, for this sweep only.
     """
-    cap = max_b_cap()
     finite = {}
     rows = []
     for g in enumerate_quotient_groups(max_order):
@@ -420,7 +419,7 @@ def _atlas_rows(max_order: int):
         for side, f in (("hopf", h), ("anti-hopf", a)):
             if f is None:
                 continue
-            n = _require_normal_spherical(f, cap)
+            n = _require_normal_spherical(f)
             invariant = finite.get(n)
             if invariant is None:
                 invariant = _invariant(n)

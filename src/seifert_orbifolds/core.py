@@ -19,8 +19,6 @@ label/invariant matching.
 
 from __future__ import annotations
 
-import os
-import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -181,18 +179,6 @@ class FiberedOrbifold:
             bits = ",".join(str(x) for x in self.xi)
             return "(%s; %s; %s; %s; %s)" % (self.base, cones, corners, e, bits)
         return "(%s; %s; %s)" % (self.base, cones, e)
-
-
-def max_b_cap() -> int:
-    """The parameter cap SEIFERT_ATLAS_MAX_B (default 10000).
-
-    Raises ValueError naming the variable unless it is a positive integer
-    written in ASCII digits.
-    """
-    text = os.environ.get("SEIFERT_ATLAS_MAX_B", "10000")
-    if not re.fullmatch(r"[0-9]+", text.strip()) or int(text) < 1:
-        raise ValueError("SEIFERT_ATLAS_MAX_B must be a positive integer, got %r" % text)
-    return int(text)
 
 
 def format_rational(q: Fraction) -> str:

@@ -16,6 +16,7 @@ regime handled elsewhere).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -193,6 +194,13 @@ def parse_group(text: str) -> GroupFamily:
                 key, eq, val = piece.partition("=")
                 if not eq:
                     raise ValueError("group parameters must be given as name=value")
+                val = val.strip()
+                # ASCII digits only: int() also reads other scripts' digits
+                if not re.fullmatch("[0-9]+", val):
+                    raise ValueError(
+                        "group parameter %s must be written in ASCII digits, got %r"
+                        % (key.strip(), val)
+                    )
                 params[key.strip()] = int(val)
     else:
         name, params = text, {}

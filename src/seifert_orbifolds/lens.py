@@ -21,6 +21,17 @@ weight lattice.  Matching a given tuple against the candidate q therefore
 recovers the oriented label, consistently across all fibrations of one
 manifold (a consistency that naive gluing-matrix arithmetic loses when
 fibrations of opposite flow chirality are mixed).
+
+The candidate q is solved for, not searched.  Given cores (a1/b1, a2/b2)
+and Euler class e, p = |e|*b1*b2 and the flow vector is pinned to w1 = b1
+= alpha and w2 = -p/(e*b1).  The unimodular solve y*alpha - x*beta = 1
+gives -x = beta^-1 (mod b1), and pole 1 must read a1, so beta = a1^-1
+(mod b1).  With w2 = alpha*q + beta*p this leaves one residue,
+
+    q = (w2 - a1^-1 * p) / b1   (mod p),   a1^-1 taken mod b1 (0 if b1 = 1),
+
+which exists only if b1 divides w2 - a1^-1 * p.  The matcher then checks
+that candidate in full, so the label costs O(log p) rather than O(p).
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .core import FiberedOrbifold, Surface, is_spherical, max_b_cap, validate
+from .core import FiberedOrbifold, Surface, is_spherical, validate
 
 
 class Mode(Enum):
@@ -173,26 +184,27 @@ def _lens_label(cores, euler: Fraction) -> LensSpace:
     the convention that pole 1 is the first core, so fixed-core
     comparisons may use q directly while free comparisons also allow the
     inverse residue.
+
+    q is solved for, not searched (derivation in the module docstring):
+    w2 = -p/(e*b1) and beta = a1^-1 (mod b1) leave the one candidate
+    q = (w2 - a1^-1*p)/b1 (mod p), returned only if the matcher accepts it.
     """
     (a1, b1), (a2, b2) = cores
     e = Fraction(euler)
     if e == 0:
         raise ValueError("p = 0: total space is not spherical")
-    pf = abs(e) * b1 * b2
-    if pf.denominator != 1:
+    p, rem = divmod(abs(e.numerator) * b1 * b2, e.denominator)
+    if rem:
         raise ValueError("inconsistent lens data")
-    p = pf.numerator
     if p == 1:
         return LensSpace(1, 0)
-    cap = max_b_cap()
-    if p > cap:
-        raise ValueError(
-            "lens order %d exceeds the sweep cap SEIFERT_ATLAS_MAX_B = %d" % (p, cap)
-        )
-    for q in range(p):
-        if gcd(q, p) != 1:
-            continue
-        if _match_fibration(p, q, ((a1 % b1, b1), (a2 % b2, b2)), e):
+    w2, rem = divmod(-p * e.denominator, e.numerator * b1)  # w2 = -p/(e*b1)
+    if not rem and gcd(a1, b1) == 1:
+        q, rem = divmod(w2 - pow(a1, -1, b1) * p, b1)
+        q %= p
+        if not rem and gcd(q, p) == 1 and _match_fibration(
+            p, q, ((a1 % b1, b1), (a2 % b2, b2)), e
+        ):
             return LensSpace(p, q)
     raise ValueError(
         "no lens space carries the fibration (%s/%s, %s/%s; %s)" % (a1, b1, a2, b2, e)

@@ -8,6 +8,7 @@ summary lines.
 import io
 import contextlib
 import hashlib
+import json
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -328,6 +329,42 @@ def _atlas(max_order, *flags):
 
 def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _chi(base_text):
+    """Orbifold Euler characteristic of a base written S2(..), RP2(..) or
+    D2(..;..)."""
+    name, _, inner = base_text.partition("(")
+    cones, _, corners = inner.rstrip(")").partition(";")
+    chi = F(2 if name == "S2" else 1)
+    chi -= sum(1 - F(1, int(b)) for b in cones.split(",") if b.strip())
+    chi -= sum((1 - F(1, int(b)) for b in corners.split(",") if b.strip()), F(0)) / 2
+    return chi
+
+
+def test_infinite_class_key_order_matches_orbifold_order():
+    # 4|e|/chi^2 is the order of the orbifold fundamental group; the lens
+    # key holds it as p*iota1*iota2 on the sphere side and as half of it on
+    # the disk side, whose boundary double cover is 2:1.  Read off the
+    # printed quotients, without the lens code.
+    checked = 0
+    for line in _atlas(200, "--json").splitlines():
+        row = json.loads(line)
+        key = row["diffeo_key"]
+        if key is None:
+            continue
+        keyed = key["lens"]["p"] * key["iota"][0] * key["iota"][1]
+        for member in row["members"]:
+            text = member["quotient"][1:-1]
+            head = text.partition(";")[0]
+            base = text[:text.index(")") + 1] if "(" in head else head
+            fields = text[len(base):].split(";")
+            euler = F(fields[-2] if base.startswith("D2") else fields[-1])
+            order = 4 * abs(euler) / _chi(base) ** 2
+            assert order == member["order"], member
+            assert order == (keyed if key["class"] == "sphere" else 2 * keyed), member
+            checked += 1
+    assert checked > 500
 
 
 def test_criterion_9_atlas_determinism():

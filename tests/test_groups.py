@@ -41,6 +41,19 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_group("F35")
 
+    def test_spaces_around_parameters(self):
+        assert parse_group("F2( m = 3 , n = 2 )") == parse_group("F2(m=3,n=2)")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["F2(m=\u0663,n=2)", "F2(m=\uff13,n=2)", "F2(m=+3,n=2)", "F2(m=3_0,n=2)",
+         "F2(m=3.0,n=2)", "F2(m=,n=2)"],
+        ids=["arabic-indic", "fullwidth", "sign", "separator", "decimal", "empty"],
+    )
+    def test_non_ascii_parameter_forms_rejected(self, text):
+        with pytest.raises(ValueError, match="ASCII digits"):
+            parse_group(text)
+
     def test_constraints(self):
         with pytest.raises(ValueError):
             parse_group("F1(m=1,n=1,r=4,s=2)")  # gcd(s, r) != 1

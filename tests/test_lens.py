@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 from math import gcd
 
@@ -20,6 +21,46 @@ S2 = Surface.SPHERE
 
 def mk(cones, e):
     return normalize(FiberedOrbifold.from_data(S2, cones, [], e))
+
+
+def scan_label(cores, euler):
+    """The O(p) search `_lens_label` used to run, kept as its oracle: the
+    first unit q < p that `_match_fibration` accepts, or None.
+
+    The q with w2 != q*b1 (mod p) are passed over before the matcher,
+    which rejects them at its first test; this only keeps the scan fast.
+    """
+    (a1, b1), (a2, b2) = cores
+    e = F(euler)
+    p, rem = divmod(abs(e.numerator) * b1 * b2, e.denominator)
+    if e == 0 or rem:
+        return None
+    if p == 1:
+        return LensSpace(1, 0)
+    w2, rem = divmod(-p * e.denominator, e.numerator * b1)
+    if rem:
+        return None
+    reduced = ((a1 % b1, b1), (a2 % b2, b2))
+    for q in range(p):
+        if (w2 - q * b1) % p == 0 and gcd(q, p) == 1:
+            if _match_fibration(p, q, reduced, e):
+                return LensSpace(p, q)
+    return None
+
+
+def model_fibration(p, q, alpha, beta):
+    """Cores and Euler class of the fibration of L(p, q) by the flow
+    w = (alpha, alpha*q + beta*p), read off the quotient model.
+
+    Pole 1 carries -x/alpha and pole 2 reads x*q + y*p over |w2|, negated
+    when w2 < 0, where y*alpha - x*beta = 1.
+    """
+    w1, w2 = alpha, alpha * q + beta * p
+    x = -pow(beta, -1, alpha) if alpha > 1 else 0
+    y = (1 + x * beta) // alpha
+    t = x * q + y * p
+    a2 = t if w2 > 0 else -t
+    return ((-x % w1, w1), (a2 % abs(w2), abs(w2))), F(-p, w1 * w2)
 
 
 class TestLensSpaceNormalForm:
@@ -147,3 +188,59 @@ class TestRecognizerRoundTrip:
                                 if _match_fibration(p, q, ((a1, w1), (a2, abs(w2))), e):
                                     lab = _lens_label(((a1, w1), (a2, abs(w2))), e)
                                     assert lab == LensSpace(p, q), (p, q, w1, w2)
+
+
+class TestClosedFormLabel:
+    def test_matches_scan_on_every_model_fibration(self):
+        # every unit q of every p <= 200, flows alpha <= 4, |beta| <= 4; the
+        # units mod alpha <= 4 are their own inverses, so alpha from 5 to 9
+        # runs too, over p <= 50
+        cases = 0
+        for p in range(2, 201):
+            for q in range(1, p):
+                if gcd(p, q) != 1:
+                    continue
+                for alpha in range(1, 5 if p > 50 else 10):
+                    for beta in range(-4, 5):
+                        if gcd(alpha, beta) != 1 or alpha * q + beta * p == 0:
+                            continue
+                        cores, e = model_fibration(p, q, alpha, beta)
+                        want = LensSpace(p, q)
+                        assert _lens_label(cores, e) == want, (p, q, alpha, beta)
+                        assert scan_label(cores, e) == want, (p, q, alpha, beta)
+                        cases += 1
+        assert cases > 300000
+
+    def test_raises_where_scan_finds_nothing(self):
+        # small tuples, lens or not: the label agrees with the scan, and
+        # raises exactly where the scan finds no q
+        misses = hits = 0
+        for b1 in range(1, 8):
+            for b2 in range(1, 8):
+                for a1 in range(-1, b1):
+                    for a2 in range(b2):
+                        for m in range(1, 11):
+                            for e in (F(-m, b1 * b2), F(m, b1 * b2), F(-m, b1)):
+                                cores = ((a1, b1), (a2, b2))
+                                want = scan_label(cores, e)
+                                if want is None:
+                                    with pytest.raises(ValueError, match="no lens space"):
+                                        _lens_label(cores, e)
+                                    misses += 1
+                                else:
+                                    assert _lens_label(cores, e) == want, (cores, e)
+                                    hits += 1
+        assert misses > 10000 and hits > 1000
+
+    @pytest.mark.parametrize("p, q, alpha, beta", [
+        (1000000007, 1, 1, 0),
+        (1000000007, 1000000006, 1, -1),
+        (10007, 2, 1, 0),
+        (20011, 10003, 1, 0),
+    ])
+    def test_large_p_in_under_a_second(self, p, q, alpha, beta):
+        cores, e = model_fibration(p, q, alpha, beta)
+        start = time.perf_counter()
+        label = _lens_label(cores, e)
+        assert time.perf_counter() - start < 1.0
+        assert label == LensSpace(p, q)
