@@ -3,23 +3,36 @@ Fibration counting and orientation-preserving diffeomorphism decisions for
 spherical Seifert fibered 3-orbifolds.
 
 Orbifolds whose base is a sphere with at most two cone points or a disk
-with at most two corner reflectors carry infinitely many fibrations; they
-are compared through a lens-space key (underlying lens space plus the
-singularity indices of the two Heegaard cores).  Everything else carries
-one, two or three fibrations, enumerated by a closed set of bidirectional
-rewrite rules, one per displayed diffeomorphism of the classification:
+with no cone points and at most two corner reflectors carry infinitely
+many fibrations; they are compared through a lens-space key (underlying
+lens space plus the singularity indices of the two Heegaard cores).
+Everything else carries one, two or three fibrations, enumerated by
+closing under the displayed diffeomorphisms of the classification, which
+this module holds as data.
 
-  * prism moves on S2(2,2,b) against D2(c;) and RP2(c) bases;
-  * the mirrored moves on D2(;2,2,b) and D2(2;b) bases;
-  * the extra fibrations of the tuples that admit three (the "i and j are
-    conjugate in S3 but not in the Hopf normalizer" phenomenon);
-  * four sporadic pairs on S2(2,3,b) / D2(;2,3,b) / D2(3;2) bases.
+A *pattern* is one side of a display: a family of fibrations in two
+integers (x, y).  It fixes a base surface and invariants 0/2 or 1/2 over
+order-2 labels, and puts one free invariant over the label x, as a cone
+point or a corner reflector (absent when x = 1).  The Euler class is
+y/(k*x), with k in {1, 2, 4} fixed per pattern, and the free invariant is
+-y/x, or ((x-y)/2)/x in the mixed patterns.  `_Pattern.read(f)` returns
+the (x, y) for which `build(x, y)` is f, if any: it checks the fixed
+invariants, that y = k*x*e is an integer, and the free invariant.  On a
+base whose labels are all 2 the free invariant is simply the one left
+over by the fixed ones.
 
-A separate bridge table routes each exceptional tuple of the infinite
-regime to a representative with small base, and the two sporadic orbifolds
+A *rule* pairs a left and a right pattern with a parameter map and its
+inverse (swap (x, y) -> (|y|, -sgn(y)*x), halve y, or halve both) and a
+domain on the left parameters.  `_rewrites` reads f against both sides of
+every rule and builds the other side, so each move applies in both
+directions and rewriting is involutive by construction.  The sporadic
+pairs on S2(2,3,b) / D2(;2,3,b) / D2(3;2) bases are constant data,
+applied both ways in the same loop.  A *bridge* row takes an exceptional
+tuple of the infinite regime (|y| = 1) to a representative over a base
+with at most two cone points or corners; the first row that reads f wins.  The two sporadic orbifolds
 fibering over both S2(2,2) and D2 connect the sphere and disk classes.
-Every rule applies from either side of the displayed relation and is
-closed under simultaneous orientation reversal of both sides.
+Orientation reversal takes build(x, y) to build(x, -y), and every domain
+reads y through |y| only, so the rules and bridges are closed under it.
 
 Each public function validates its arguments once, through
 `_require_normal_spherical`, and hands the normal form to a private core
@@ -33,13 +46,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     FiberedOrbifold,
+    LocalInvariant,
     Surface,
     check_valid,
     is_spherical,
     normalize,
+    validate,
 )
 from .lens import (
     LensSpace,
@@ -84,37 +100,24 @@ class InfiniteClassError(Exception):
     admits infinitely many fibrations."""
 
 
+_NOT_SPHERICAL = "not spherical: chi(base) <= 0 or e = 0"
+
+
 def _require_normal_spherical(f: FiberedOrbifold) -> FiberedOrbifold:
-    """The guard of the public functions: the normal form of f, checked
-    valid and spherical."""
+    """The guard of the public functions and of the command line: the
+    normal form of f, checked valid and spherical."""
     f = normalize(f)
-    check_valid(f)
+    res = validate(f)
+    if not res.ok:
+        raise ValueError("invalid fibration: %s" % "; ".join(res.problems))
     if not is_spherical(f):
-        raise ValueError("operation requires a spherical fibered orbifold: %s" % f)
+        raise ValueError(_NOT_SPHERICAL)
     return f
 
 
-# -- shape helpers ----------------------------------------------------------
+# -- patterns, rules and bridges ---------------------------------------------
 
-
-def _shape(f: FiberedOrbifold):
-    return (f.base.surface, len(f.base.cone_labels), len(f.base.corner_labels))
-
-
-def _assignments_222b(invariants):
-    """Readings of a three-label list with at least two 2s as (m1, m2, b).
-
-    m1 <= m2 are the values over two order-2 labels and b the remaining
-    label; on an all-2s base every distinguished slot is tried.
-    """
-    out = set()
-    invs = list(invariants)
-    for k in range(3):
-        rest = [invs[i] for i in range(3) if i != k]
-        if rest[0].b == 2 and rest[1].b == 2:
-            m1, m2 = sorted(i.a for i in rest)
-            out.add((m1, m2, invs[k].b))
-    return sorted(out)
+_S2, _D2, _RP2 = Surface.SPHERE, Surface.DISK, Surface.PROJECTIVE_PLANE
 
 
 def _mk(surface, cones, corners, e):
@@ -122,247 +125,191 @@ def _mk(surface, cones, corners, e):
     return check_valid(f)
 
 
-def _try_mk(surface, cones, corners, e):
-    try:
-        return _mk(surface, cones, corners, e)
-    except ValueError:
-        return None
+def _twos(*numerators):
+    return tuple(LocalInvariant(a, 2) for a in numerators)
 
 
-def _int_or_none(q: Fraction):
-    q = Fraction(q)
-    return q.numerator if q.denominator == 1 else None
+class _Pattern(NamedTuple):
+    """One side of a displayed diffeomorphism, in the parameters (x, y)."""
+
+    surface: Surface
+    free: str  # "cone" or "corner": where the invariant over x sits
+    k: int  # the Euler class is y/(k*x)
+    cones: tuple = ()  # fixed invariants over order-2 labels
+    corners: tuple = ()
+    mixed: bool = False  # free invariant ((x-y)/2)/x instead of -y/x
+
+    def _numerator(self, x, y):
+        return (x - y) // 2 if self.mixed else -y
+
+    def read(self, f: FiberedOrbifold):
+        """The (x, y) with build(x, y) == f, or None; f is a valid normal form."""
+        if f.base.surface is not self.surface:
+            return None
+        if self.free == "cone":
+            have, fixed = f.cone_invariants, self.cones
+            if f.corner_invariants != self.corners:
+                return None
+        else:
+            have, fixed = f.corner_invariants, self.corners
+            if f.cone_invariants != self.cones:
+                return None
+        if have == fixed:
+            x, a = 1, 0
+        else:
+            for i, free in enumerate(have):
+                if have[:i] + have[i + 1:] == fixed:
+                    break
+            else:
+                return None
+            x, a = free.b, free.a
+        y, rem = divmod(self.k * x * f.euler.numerator, f.euler.denominator)
+        if rem or (self.mixed and (x - y) % 2) or a != self._numerator(x, y) % x:
+            return None
+        return x, y
+
+    def build(self, x: int, y: int) -> FiberedOrbifold:
+        free = ((self._numerator(x, y), x),)
+        if self.free == "cone":
+            return _mk(self.surface, self.cones + free, self.corners, Fraction(y, self.k * x))
+        return _mk(self.surface, self.cones, self.corners + free, Fraction(y, self.k * x))
 
 
-# -- sporadic pairs (bases S2(2,3,b), D2(;2,3,b), D2(3;2)) ------------------
-
-_SPORADIC_CACHE = None
-
-
-def _sporadic():
-    global _SPORADIC_CACHE
-    if _SPORADIC_CACHE is None:
-        S, D = Surface.SPHERE, Surface.DISK
-        pairs = []
-        for s in (1, -1):
-            pairs.append((
-                _mk(S, [(0, 2), (2 * s, 3), (2 * s, 3)], [], Fraction(-s, 3)),
-                _mk(D, [(s, 3)], [(s, 2)], Fraction(-s, 12)),
-            ))
-            pairs.append((
-                _mk(S, [(0, 2), (2 * s, 3), (2 * s, 4)], [], Fraction(-s, 6)),
-                _mk(D, [], [(1, 2), (s, 3), (s, 4)], Fraction(-s, 24)),
-            ))
-            pairs.append((
-                _mk(S, [(0, 2), (s, 3), (3 * s, 4)], [], Fraction(-s, 12)),
-                _mk(D, [], [(1, 2), (s, 3), (s, 3)], Fraction(-s, 12)),
-            ))
-            pairs.append((
-                _mk(S, [(0, 2), (2 * s, 3), (2 * s, 5)], [], Fraction(-s, 15)),
-                _mk(D, [], [(1, 2), (s, 3), (s, 5)], Fraction(-s, 60)),
-            ))
-        _SPORADIC_CACHE = pairs
-    return _SPORADIC_CACHE
+# Each pattern under its display (base; cone invariants; corner invariants;
+# Euler class), with m = (x-y)/2.
+# S2(2,2,x); 0/2,0/2,-y/x; y/x
+_S2_00 = _Pattern(_S2, "cone", 1, cones=_twos(0, 0))
+# S2(2,2,x); 1/2,1/2,-y/x; y/x
+_S2_11 = _Pattern(_S2, "cone", 1, cones=_twos(1, 1))
+# S2(2,2,x); 0/2,1/2,m/x; y/2x
+_S2_01 = _Pattern(_S2, "cone", 2, cones=_twos(0, 1), mixed=True)
+# RP2(x); -y/x; y/x
+_RP2_X = _Pattern(_RP2, "cone", 1)
+# D2(x;); -y/x; ; y/x
+_D2_X = _Pattern(_D2, "cone", 1)
+# D2(x;); m/x; ; y/2x
+_D2_X_MIXED = _Pattern(_D2, "cone", 2, mixed=True)
+# D2(;2,2,x); ; 0/2,0/2,-y/x; y/2x
+_D2_00 = _Pattern(_D2, "corner", 2, corners=_twos(0, 0))
+# D2(;2,2,x); ; 1/2,1/2,-y/x; y/2x
+_D2_11 = _Pattern(_D2, "corner", 2, corners=_twos(1, 1))
+# D2(;2,2,x); ; 0/2,1/2,m/x; y/4x
+_D2_01 = _Pattern(_D2, "corner", 4, corners=_twos(0, 1), mixed=True)
+# D2(2;x); 0/2; -y/x; y/2x
+_D2_2_0 = _Pattern(_D2, "corner", 2, cones=_twos(0))
+# D2(2;x); 1/2; -y/x; y/2x
+_D2_2_1 = _Pattern(_D2, "corner", 2, cones=_twos(1))
 
 
-# -- forward rules ----------------------------------------------------------
+def _swap(x, y):
+    """(x, y) -> (|y|, -sgn(y)*x), an involution for x > 0."""
+    return (y, -x) if y > 0 else (-y, x)
 
 
-def _forward(f: FiberedOrbifold) -> list[FiberedOrbifold]:
-    """Single applications of the displayed moves with f as the left side.
+# Parameter maps as (left to right, right to left).
+_SWAP = (_swap, _swap)
+_HALVE_Y = (lambda x, y: (x, y // 2), lambda x, y: (x, 2 * y))
+_HALVE_BOTH = (lambda x, y: (x // 2, y // 2), lambda x, y: (2 * x, 2 * y))
 
-    f must be normalized, valid, spherical and of finite class; the guards
-    that keep exceptional (infinite-class) instances out are built in.
-    """
-    out = []
-    surface, ncones, ncorners = _shape(f)
-    e = f.euler
-    S, D, RP = Surface.SPHERE, Surface.DISK, Surface.PROJECTIVE_PLANE
+# (name, left, right, maps, domain): left(x, y) and right(maps[0](x, y)) are
+# two fibrations of one orbifold for every (x, y) in the domain.
+_RULES = (
+    ("S2(2,2,x) ~ D2(|y|;)", _S2_00, _D2_X, _SWAP,
+     lambda x, y: x >= 2 and abs(y) >= 2),
+    ("S2(2,2,x) ~ D2(;2,2,x), x even", _S2_00, _D2_11, _HALVE_Y,
+     lambda x, y: x % 2 == 0 and abs(y) == 2),
+    ("S2(2,2,x) ~ D2(2;x), x odd", _S2_00, _D2_2_1, _HALVE_Y,
+     lambda x, y: x % 2 == 1 and x >= 3 and abs(y) == 2),
+    ("S2(2,2,x) ~ RP2(|y|)", _S2_11, _RP2_X, _SWAP,
+     lambda x, y: x >= 2),
+    ("S2(2,2,x) mixed ~ D2(|y|;) mixed", _S2_01, _D2_X_MIXED, _SWAP,
+     lambda x, y: x >= 3 and abs(y) >= 2),
+    ("S2(2,2,x) mixed ~ D2(;2,2,x/2), x/2 odd", _S2_01, _D2_11, _HALVE_BOTH,
+     lambda x, y: x % 4 == 2 and x >= 6 and abs(y) == 2),
+    ("S2(2,2,x) mixed ~ D2(2;x/2), x/2 even", _S2_01, _D2_2_1, _HALVE_BOTH,
+     lambda x, y: x % 4 == 0 and abs(y) == 2),
+    ("D2(;2,2,x) ~ D2(;2,2,|y|)", _D2_00, _D2_00, _SWAP,
+     lambda x, y: x >= 2 and abs(y) >= 2),
+    ("D2(;2,2,x) ~ D2(2;|y|)", _D2_11, _D2_2_0, _SWAP,
+     lambda x, y: x >= 2),
+    ("D2(;2,2,x) mixed ~ D2(;2,2,|y|) mixed", _D2_01, _D2_01, _SWAP,
+     lambda x, y: x >= 2 and abs(y) >= 2),
+    ("D2(2;x) ~ D2(2;|y|)", _D2_2_1, _D2_2_1, _SWAP,
+     lambda x, y: x >= 2),
+)
 
-    if surface is S and ncones == 3:
-        for m1, m2, b in _assignments_222b(f.cone_invariants):
-            if (m1, m2) == (0, 0):
-                c = _int_or_none(b * e)
-                if c is not None and abs(c) >= 2:
-                    # prism move: cone base D2(|c|;) with invariant b/c
-                    sgn = 1 if c > 0 else -1
-                    out.append(_mk(D, [(b * sgn, abs(c))], [], Fraction(-b, c)))
-                if c is not None and abs(c) == 2:
-                    # extra fibration of the three-fibration tuples
-                    s = -c // 2
-                    if b % 2 == 0:
-                        out.append(_mk(D, [], [(1, 2), (1, 2), (s, b)], Fraction(-s, 2 * b)))
-                    else:
-                        out.append(_mk(D, [(1, 2)], [(s, b)], Fraction(-s, 2 * b)))
-            elif (m1, m2) == (1, 1):
-                c = _int_or_none(b * e)
-                if c is not None and c != 0:
-                    sgn = 1 if c > 0 else -1
-                    out.append(_mk(RP, [(b * sgn, abs(c))], [], Fraction(-b, c)))
-            else:  # (m1, m2) == (0, 1)
-                a = _int_or_none(2 * b * e)
-                # the move pairing the mixed pattern with a cone disk exists
-                # for b >= 3 only (its families carry b odd or b even >= 4)
-                if a is not None and abs(a) >= 2 and b >= 3:
-                    sgn = 1 if a > 0 else -1
-                    out.append(
-                        _mk(D, [(sgn * (a + b) // 2, abs(a))], [], Fraction(-b, 2 * a))
-                    )
-                if a is not None and abs(a) == 2 and b % 2 == 0 and b >= 4:
-                    s = -a // 2
-                    h = b // 2
-                    if h % 2 == 1:
-                        out.append(_mk(D, [], [(1, 2), (1, 2), (s, h)], Fraction(-s, 2 * h)))
-                    else:
-                        out.append(_mk(D, [(1, 2)], [(s, h)], Fraction(-s, 2 * h)))
+# The sporadic pairs on S2(2,3,b) / D2(;2,3,b) / D2(3;2) bases, both
+# orientations.
+_SPORADIC = tuple(
+    (_mk(_S2, sphere, [], Fraction(-s, n)), _mk(_D2, cones, corners, Fraction(-s, m)))
+    for s in (1, -1)
+    for sphere, n, cones, corners, m in (
+        ([(0, 2), (2 * s, 3), (2 * s, 3)], 3, [(s, 3)], [(s, 2)], 12),
+        ([(0, 2), (2 * s, 3), (2 * s, 4)], 6, [], [(1, 2), (s, 3), (s, 4)], 24),
+        ([(0, 2), (s, 3), (3 * s, 4)], 12, [], [(1, 2), (s, 3), (s, 3)], 12),
+        ([(0, 2), (2 * s, 3), (2 * s, 5)], 15, [], [(1, 2), (s, 3), (s, 5)], 60),
+    )
+)
 
-    if surface is D and ncones == 0 and ncorners == 3:
-        for m1, m2, b in _assignments_222b(f.corner_invariants):
-            if (m1, m2) == (0, 0):
-                c = _int_or_none(2 * b * e)
-                if c is not None and abs(c) >= 2:
-                    sgn = 1 if c > 0 else -1
-                    out.append(
-                        _mk(D, [], [(0, 2), (0, 2), (b * sgn, abs(c))], Fraction(-b, 2 * c))
-                    )
-            elif (m1, m2) == (1, 1):
-                c = _int_or_none(2 * b * e)
-                if c is not None and abs(c) >= 2:
-                    sgn = 1 if c > 0 else -1
-                    out.append(_mk(D, [(0, 2)], [(b * sgn, abs(c))], Fraction(-b, 2 * c)))
-                if c is not None and abs(c) == 1:
-                    # lands on the cone-only base D2(2;)
-                    out.append(_mk(D, [(0, 2)], [], Fraction(-b, 2 * c)))
-            else:  # (m1, m2) == (0, 1)
-                a = _int_or_none(4 * b * e)
-                if a is not None and abs(a) >= 2:
-                    sgn = 1 if a > 0 else -1
-                    out.append(
-                        _mk(
-                            D,
-                            [],
-                            [(0, 2), (1, 2), (sgn * (a + b) // 2, abs(a))],
-                            Fraction(-b, 4 * a),
-                        )
-                    )
 
-    if surface is D and ncones == 1 and ncorners == 1:
-        (cone,) = f.cone_invariants
-        (corner,) = f.corner_invariants
-        b = corner.b
-        if cone.b == 2 and cone.a == 1:
-            a = _int_or_none(2 * b * e)
-            if a is not None and abs(a) >= 2:
-                sgn = 1 if a > 0 else -1
-                out.append(_mk(D, [(1, 2)], [(b * sgn, abs(a))], Fraction(-b, 2 * a)))
-            if a is not None and abs(a) == 1:
-                out.append(_mk(D, [(1, 2)], [], Fraction(-b, 2 * a)))
+# (name, source, domain, target): an f that source reads with (x, y) in the
+# domain is bridged to the fibration target(x, y, e); the first row wins.
+_BRIDGES = (
+    ("S2(2,2,x) to D2(;x,x)", _S2_00, lambda x, y: x >= 2 and abs(y) == 1,
+     lambda x, y, e: (_D2, [], [(-y, x)] * 2, e)),
+    ("S2(2,2,x) mixed to D2(;x,x)", _S2_01, lambda x, y: x >= 2 and abs(y) == 1,
+     lambda x, y, e: (_D2, [], [(-y * (1 + x) // 2, x)] * 2, e)),
+    ("D2(x;) to S2(x,x) or S2(2x,2x)", _D2_X, lambda x, y: abs(y) == 1,
+     lambda x, y, e: (_S2, [(-2 * y, x)] * 2, [], 4 * e) if x % 2 == 0
+     else (_S2, [(-y * (1 + x), 2 * x)] * 2, [], e)),
+    ("D2(x;) mixed to S2(2x,2x)", _D2_X_MIXED, lambda x, y: abs(y) == 1,
+     lambda x, y, e: (_S2, [(-y * (1 + x) // 2, 2 * x), (-y * (1 + 3 * x) // 2, 2 * x)], [], e)),
+    ("RP2(x) to S2(x,x) or S2(2x,2x)", _RP2_X, lambda x, y: x >= 2 and abs(y) == 1,
+     lambda x, y, e: (_S2, [(-2 * y, x)] * 2, [], 4 * e) if x % 2 == 1
+     else (_S2, [(-y * (1 + x), 2 * x)] * 2, [], e)),
+    ("RP2 to S2(2,2)", _RP2_X, lambda x, y: x == 1 and abs(y) == 1,
+     lambda x, y, e: (_S2, [(1, 2), (1, 2)], [], -e)),
+    ("D2(2;x) to D2(;2x,2x) or D2(;2,2)", _D2_2_0, lambda x, y: x >= 2 and abs(y) == 1,
+     lambda x, y, e: (_D2, [], [(-y * (1 + x), 2 * x)] * 2, e) if x % 2 == 0
+     else (_D2, [], [(1, 2), (1, 2)], Fraction(-x, 2 * y))),
+    ("D2(;2,2,x) to D2(;2x,2x) or D2(;2,2)", _D2_00, lambda x, y: x >= 2 and abs(y) == 1,
+     lambda x, y, e: (_D2, [], [(-y * (1 + x), 2 * x)] * 2, e) if x % 2 == 1
+     else (_D2, [], [(0, 2), (0, 2)], Fraction(-x, 2 * y))),
+    ("D2(;2,2,x) mixed to D2(;2x,2x)", _D2_01, lambda x, y: x >= 2 and abs(y) == 1,
+     lambda x, y, e: (_D2, [], [(-y * (1 + 3 * x) // 2, 2 * x), (-y * (1 + x) // 2, 2 * x)], e)),
+)
 
-    for left, right in _sporadic():
+
+def _small_base(f: FiberedOrbifold) -> bool:
+    """Sphere with at most two cone points, or disk with no cone points and
+    at most two corners: the bases of the lens-space representatives."""
+    base = f.base
+    if base.surface is _S2:
+        return len(base.cone_labels) <= 2
+    return base.surface is _D2 and not base.cone_labels and len(base.corner_labels) <= 2
+
+
+# -- the matcher -------------------------------------------------------------
+
+
+def _rewrites(f: FiberedOrbifold):
+    """(rule name, fibration) for each displayed move with f on one side."""
+    for name, left, right, (there, back), domain in _RULES:
+        xy = left.read(f)
+        if xy is not None and domain(*xy):
+            yield name, right.build(*there(*xy))
+        xy = right.read(f)
+        if xy is not None and domain(*back(*xy)):
+            yield name, left.build(*back(*xy))
+    for left, right in _SPORADIC:
         if f == left:
-            out.append(right)
+            yield "sporadic", right
         elif f == right:
-            out.append(left)
-
-    return out
-
-
-# -- inverse candidates ------------------------------------------------------
-
-
-def _inverse_candidates(f: FiberedOrbifold) -> list[FiberedOrbifold]:
-    """Possible left sides whose forward move could produce f.
-
-    The caller keeps a candidate P exactly when f appears in _forward(P),
-    so these only have to be generous enough, never exact.
-    """
-    cands = []
-    surface, ncones, ncorners = _shape(f)
-    e = f.euler
-    S, D, RP = Surface.SPHERE, Surface.DISK, Surface.PROJECTIVE_PLANE
-
-    if surface is D and ncorners == 0 and ncones == 1:
-        b = f.cone_invariants[0].b
-        for c in (b, -b):
-            bt = _int_or_none(-c * e)
-            if bt is not None and bt >= 2:
-                cands.append(_try_mk(S, [(0, 2), (0, 2), (-c, bt)], [], Fraction(c, bt)))
-        for a in (b, -b):
-            bt = _int_or_none(-2 * a * e)
-            if bt is not None and bt >= 2 and (bt - a) % 2 == 0:
-                m3 = -(a + bt) // 2
-                cands.append(_try_mk(S, [(0, 2), (1, 2), (m3, bt)], [], Fraction(a, 2 * bt)))
-        if b == 2:
-            # back out of the degenerate D2(;2,2,bt) and D2(2;bt) moves
-            for c in (1, -1):
-                bt = _int_or_none(-2 * c * e)
-                if bt is not None and bt >= 2:
-                    cands.append(
-                        _try_mk(D, [], [(1, 2), (1, 2), (-c, bt)], Fraction(c, 2 * bt))
-                    )
-            for a in (1, -1):
-                bt = _int_or_none(-2 * a * e)
-                if bt is not None and bt >= 2:
-                    cands.append(_try_mk(D, [(1, 2)], [(-a, bt)], Fraction(a, 2 * bt)))
-
-    if surface is RP and ncones <= 1:
-        cs = (f.cone_invariants[0].b, -f.cone_invariants[0].b) if ncones else (1, -1)
-        for c in cs:
-            bt = _int_or_none(-c * e)
-            if bt is not None and bt >= 2:
-                cands.append(_try_mk(S, [(1, 2), (1, 2), (-c, bt)], [], Fraction(c, bt)))
-
-    if surface is D and ncones == 0 and ncorners == 3:
-        for m1, m2, b in _assignments_222b(f.corner_invariants):
-            if (m1, m2) == (1, 1):
-                c = _int_or_none(2 * b * e)
-                if c is not None and abs(c) == 1:
-                    # sources of the phenomenon moves landing here
-                    cands.append(
-                        _try_mk(S, [(0, 2), (0, 2), (-2 * c, b)], [], Fraction(2 * c, b))
-                    )
-                    if b % 2 == 1:
-                        cands.append(
-                            _try_mk(
-                                S,
-                                [(0, 2), (1, 2), (-c * (1 + b), 2 * b)],
-                                [],
-                                Fraction(c, 2 * b),
-                            )
-                        )
-
-    if surface is D and ncones == 1 and ncorners == 1:
-        (cone,) = f.cone_invariants
-        (corner,) = f.corner_invariants
-        b = corner.b
-        if cone.b == 2 and cone.a == 1:
-            c = _int_or_none(2 * b * e)
-            if c is not None and abs(c) == 1:
-                cands.append(
-                    _try_mk(S, [(0, 2), (0, 2), (-2 * c, b)], [], Fraction(2 * c, b))
-                )
-                if b % 2 == 0:
-                    cands.append(
-                        _try_mk(
-                            S, [(0, 2), (1, 2), (-c * (1 + b), 2 * b)], [], Fraction(c, 2 * b)
-                        )
-                    )
-        if cone.b == 2 and cone.a == 0:
-            for c in (b, -b):
-                bt = _int_or_none(-2 * c * e)
-                if bt is not None and bt >= 2:
-                    cands.append(
-                        _try_mk(D, [], [(1, 2), (1, 2), (-c, bt)], Fraction(c, 2 * bt))
-                    )
-
-    return [c for c in cands if c is not None]
+            yield "sporadic", left
 
 
 def _single_step(f: FiberedOrbifold) -> set[FiberedOrbifold]:
-    out = set(_forward(f))
-    for cand in _inverse_candidates(f):
-        if f in _forward(cand):
-            out.add(cand)
+    out = {g for _, g in _rewrites(f)}
     out.discard(f)
     for g in out:
         if _fibration_class(g) is not FibrationClass.FINITE:
@@ -378,7 +325,13 @@ def single_step(f: FiberedOrbifold) -> set[FiberedOrbifold]:
     return _single_step(f)
 
 
-# -- bridges for the infinite regime ----------------------------------------
+def _bridge(f: FiberedOrbifold):
+    """(row name, target) of the first bridge row that reads f, or None."""
+    for name, source, domain, target in _BRIDGES:
+        xy = source.read(f)
+        if xy is not None and domain(*xy):
+            return name, _mk(*target(*xy, f.euler))
+    return None
 
 
 def enumerate_bridges(f: FiberedOrbifold):
@@ -387,89 +340,8 @@ def enumerate_bridges(f: FiberedOrbifold):
     Returns the partner fibration displayed for f (for any parameter and
     either orientation), or None when f matches no exceptional pattern.
     """
-    return _enumerate_bridges(_require_normal_spherical(f))
-
-
-def _enumerate_bridges(f: FiberedOrbifold):
-    surface, ncones, ncorners = _shape(f)
-    e = f.euler
-    S, D, RP = Surface.SPHERE, Surface.DISK, Surface.PROJECTIVE_PLANE
-
-    if surface is S and ncones == 3:
-        for m1, m2, b in _assignments_222b(f.cone_invariants):
-            if (m1, m2) == (0, 0):
-                c = _int_or_none(b * e)
-                if c is not None and abs(c) == 1:
-                    return _mk(D, [], [(-c, b), (-c, b)], e)
-            if (m1, m2) == (0, 1):
-                a = _int_or_none(2 * b * e)
-                if a is not None and abs(a) == 1:
-                    return _mk(D, [], [(-a * (1 + b) // 2, b)] * 2, e)
-
-    if surface is D and ncorners == 0 and ncones == 1:
-        (cone,) = f.cone_invariants
-        b = cone.b
-        c = _int_or_none(b * e)
-        # the invariant check matters: for even b the shape also carries a
-        # non-exceptional tuple with the same Euler class but boundary bit 1
-        if c is not None and abs(c) == 1 and cone.a == (-c) % b:
-            if b % 2 == 0:
-                return _mk(S, [(-2 * c, b), (-2 * c, b)], [], 4 * e)
-            return _mk(S, [(-c * (1 + b), 2 * b)] * 2, [], e)
-        a = _int_or_none(2 * b * e)
-        if a is not None and abs(a) == 1:
-            return _mk(
-                S, [(-a * (1 + b) // 2, 2 * b), (-a * (1 + 3 * b) // 2, 2 * b)], [], e
-            )
-
-    if surface is RP:
-        if ncones == 1:
-            (cone,) = f.cone_invariants
-            b = cone.b
-            c = _int_or_none(b * e)
-            if c is not None and abs(c) == 1:
-                if b % 2 == 1:
-                    return _mk(S, [(-2 * c, b), (-2 * c, b)], [], 4 * e)
-                return _mk(S, [(-c * (1 + b), 2 * b)] * 2, [], e)
-        elif ncones == 0 and abs(e) == 1:
-            return _mk(S, [(1, 2), (1, 2)], [], -e)
-
-    if surface is D and ncones == 1 and ncorners == 1:
-        (cone,) = f.cone_invariants
-        (corner,) = f.corner_invariants
-        b = corner.b
-        if cone.b == 2 and cone.a == 0:
-            c = _int_or_none(2 * b * e)
-            if c is not None and abs(c) == 1:
-                if b % 2 == 0:
-                    return _mk(D, [], [(-c * (1 + b), 2 * b)] * 2, e)
-                return _mk(D, [], [(1, 2), (1, 2)], Fraction(-b, 2 * c))
-
-    if surface is D and ncones == 0 and ncorners == 3:
-        for m1, m2, b in _assignments_222b(f.corner_invariants):
-            if (m1, m2) == (0, 0):
-                c = _int_or_none(2 * b * e)
-                if c is not None and abs(c) == 1:
-                    if b % 2 == 1:
-                        return _mk(D, [], [(-c * (b + 1), 2 * b)] * 2, e)
-                    return _mk(D, [], [(0, 2), (0, 2)], Fraction(-b, 2 * c))
-            if (m1, m2) == (0, 1):
-                a = _int_or_none(4 * b * e)
-                if a is not None and abs(a) == 1:
-                    return _mk(
-                        D,
-                        [],
-                        [(-a * (3 * b + 1) // 2, 2 * b), (-a * (b + 1) // 2, 2 * b)],
-                        e,
-                    )
-
-    if surface is D and ncones == 0 and ncorners == 0:
-        if abs(e) == 1:
-            return _mk(S, [(0, 2), (0, 2)], [], e)
-        if abs(e) == Fraction(1, 2):
-            return _mk(S, [(0, 2), (1, 2)], [], e)
-
-    return None
+    hit = _bridge(_require_normal_spherical(f))
+    return None if hit is None else hit[1]
 
 
 def fibration_class(f: FiberedOrbifold) -> FibrationClass:
@@ -478,19 +350,18 @@ def fibration_class(f: FiberedOrbifold) -> FibrationClass:
 
 
 def _fibration_class(f: FiberedOrbifold) -> FibrationClass:
-    surface, ncones, ncorners = _shape(f)
-    if surface is Surface.SPHERE and ncones <= 2:
-        return FibrationClass.INFINITE_SPHERE_SIDE
-    if surface is Surface.DISK and ncones == 0 and ncorners <= 2:
+    if _small_base(f):
+        if f.base.surface is _S2:
+            return FibrationClass.INFINITE_SPHERE_SIDE
         return FibrationClass.INFINITE_DISK_SIDE
-    if surface is Surface.PROJECTIVE_PLANE and ncones == 0:
+    if f.base.surface is _RP2 and not f.base.cone_labels:
         if abs(f.euler) == 1:
             return FibrationClass.INFINITE_SPHERE_SIDE
         return FibrationClass.FINITE
-    bridge = _enumerate_bridges(f)
-    if bridge is None:
+    hit = _bridge(f)
+    if hit is None:
         return FibrationClass.FINITE
-    side = _fibration_class(bridge)
+    side = _fibration_class(hit[1])
     if side is FibrationClass.FINITE:
         raise AssertionError("bridge of %s landed in the finite class" % (f,))
     return side
@@ -571,14 +442,12 @@ def _diffeo_key(f: FiberedOrbifold, cls: FibrationClass) -> DiffeoKey:
     )
     g = f
     for _ in range(4):
-        surface, ncones, ncorners = _shape(g)
-        if surface is Surface.SPHERE and ncones <= 2:
+        if _small_base(g):
             break
-        if surface is Surface.DISK and ncones == 0 and ncorners <= 2:
-            break
-        g = _enumerate_bridges(g)
-        if g is None:
+        hit = _bridge(g)
+        if hit is None:
             raise AssertionError("no bridge found for infinite-class %s" % (f,))
+        g = hit[1]
     else:
         raise AssertionError("bridging did not terminate for %s" % (f,))
     if g.base.surface is Surface.DISK:

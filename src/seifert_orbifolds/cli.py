@@ -43,6 +43,7 @@ from .groups import (
     quotient_hopf,
 )
 from .classify import (
+    _NOT_SPHERICAL,
     DiffeoKey,
     FibrationClass,
     _are_diffeomorphic,
@@ -315,21 +316,6 @@ def _cmd_chi(args):
     return 0
 
 
-_NOT_SPHERICAL = "not spherical: chi(base) <= 0 or e = 0"
-
-
-def _require_spherical(f):
-    """Normal form of f, checked as the classify guard checks it, with the
-    messages of this command line."""
-    g = normalize(f)
-    res = validate(g)
-    if not res.ok:
-        raise ValueError("invalid fibration: %s" % "; ".join(res.problems))
-    if not is_spherical(g):
-        raise ValueError(_NOT_SPHERICAL)
-    return g
-
-
 def _cmd_classify(args):
     f = parse_fibration(args.expr)
     payload = expression_report(f)
@@ -365,8 +351,8 @@ def _cmd_fibrations(args):
 
 
 def _cmd_diffeo(args):
-    f = _require_spherical(parse_fibration(args.expr1))
-    g = _require_spherical(parse_fibration(args.expr2))
+    f = _require_normal_spherical(parse_fibration(args.expr1))
+    g = _require_normal_spherical(parse_fibration(args.expr2))
     same = _are_diffeomorphic(f, g)
     payload = {"left": str(f), "right": str(g), "diffeomorphic": bool(same)}
     _emit(args, payload, "diffeomorphic" if same else "not diffeomorphic")
@@ -388,7 +374,7 @@ def _cmd_quotient(args):
 
 
 def _cmd_lens(args):
-    f = _require_spherical(parse_fibration(args.expr))
+    f = _require_normal_spherical(parse_fibration(args.expr))
     cls = _fibration_class(f)
     if cls is FibrationClass.FINITE:
         raise ValueError(

@@ -447,7 +447,7 @@ def quotient_antihopf(g: GroupFamily):
             "F12bis is reserved; its quotient data is not tabulated"
         )
     swapped = _swap(g)
-    if swapped is NO_INVARIANT_FIBRATION or isinstance(swapped, NoInvariantFibration):
+    if swapped is NO_INVARIANT_FIBRATION:
         return NO_INVARIANT_FIBRATION
     return reverse_orientation(quotient_hopf(swapped))
 
@@ -466,47 +466,38 @@ def quotient_families() -> tuple[Family, ...]:
 def enumerate_parameters(family: Family, max_order: int):
     """All parameter assignments for `family` with group order <= max_order.
 
-    Only assignments accepted by both the table constraints and the
-    quotient-range checks are yielded, in lexicographic parameter order.
+    Families with no parameter, with m, or with (m, n) are enumerated, in
+    lexicographic parameter order.  Only assignments accepted by the table
+    constraints and, for families with quotient data, by the quotient-range
+    checks are yielded.
     """
     names = _PARAMS[family]
-    if not names:
-        try:
-            g = GroupFamily(family, {})
-        except ValueError:
-            return
-        if group_order(g) <= max_order:
-            yield g
-        return
-    if names != ("m", "n"):
-        raise ValueError("parameter enumeration is only provided for (m, n) families")
+    if len(names) > 2:
+        raise ValueError("parameter enumeration is only provided for up to two parameters")
+    has_quotient = family in quotient_families()
+
+    def order(m, n=1):
+        if not names:
+            return _FIXED_ORDER[family]
+        return _ORDER[family](dict(zip(names, (m, n))))
+
     m = 1
-    while True:
-        if _ORDER[family]({"m": m, "n": 1}) > max_order:
-            break
+    while order(m) <= max_order:
         n = 1
-        while _ORDER[family]({"m": m, "n": n}) <= max_order:
+        while order(m, n) <= max_order:
             try:
-                g = GroupFamily(family, {"m": m, "n": n})
-                _hopf_row(g)
+                g = GroupFamily(family, dict(zip(names, (m, n))))
+                if has_quotient:
+                    _hopf_row(g)
             except ValueError:
                 pass
             else:
                 yield g
+            if len(names) < 2:
+                break
             n += 1
-        m += 1
-
-
-def enumerate_single_parameter(family: Family, max_order: int):
-    m = 1
-    while _ORDER[family]({"m": m}) <= max_order:
-        try:
-            g = GroupFamily(family, {"m": m})
-            _hopf_row(g)
-        except ValueError:
-            pass
-        else:
-            yield g
+        if not names:
+            break
         m += 1
 
 
@@ -514,7 +505,4 @@ def enumerate_quotient_groups(max_order: int):
     """Every (family, parameters) with tabulated quotient data and order
     bounded by max_order, in deterministic order."""
     for family in quotient_families():
-        if _PARAMS[family] == ("m",):
-            yield from enumerate_single_parameter(family, max_order)
-        else:
-            yield from enumerate_parameters(family, max_order)
+        yield from enumerate_parameters(family, max_order)

@@ -129,15 +129,14 @@ def _match_fibration(p, q, cores, euler) -> bool:
     """Whether L(p, q) carries the fibration with the given core data.
 
     cores = ((a1, b1), (a2, b2)) in a fixed order (pole 1, pole 2); the
-    flow vector is pinned by w1 = b1 > 0 and e = -p/(w1*w2).
+    flow vector is pinned by w1 = b1 > 0 and e = -p/(w1*w2).  All checks
+    run in integers, with e = n/d.
     """
     (a1, b1), (a2, b2) = cores
+    n, d = euler.numerator, euler.denominator
     w1 = b1
-    w2f = Fraction(-p, 1) / (euler * w1)
-    if w2f.denominator != 1:
-        return False
-    w2 = w2f.numerator
-    if abs(w2) != b2:
+    w2, rem = divmod(-p * d, n * w1)
+    if rem or abs(w2) != b2:
         return False
     if (w2 - q * w1) % p != 0:
         return False
@@ -156,8 +155,8 @@ def _match_fibration(p, q, cores, euler) -> bool:
     if a2x != a2 % b2:
         return False
     # a realizable reading always satisfies the sum relation
-    s = euler + Fraction((-x) % b1, b1) + Fraction(a2x, b2)
-    return s.denominator == 1
+    # n/d + ((-x) % b1)/b1 + a2x/b2 = 0 (mod 1), here multiplied by d*b1*b2
+    return (n * b1 * b2 + ((-x) % b1) * d * b2 + a2x * d * b1) % (d * b1 * b2) == 0
 
 
 def _solve_unimodular(alpha: int, beta: int) -> tuple[int, int]:

@@ -154,6 +154,20 @@ class TestCommands:
         code, _, _ = run("lens", "S2(2,3,5); 1/2,1/3,1/5; ; -1/30")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["lens", "diffeo"])
+    def test_guard_messages(self, command):
+        # lens and diffeo share the classify guard and its wording
+        good = "S2(2,2); 0/2,0/2; ; -1"
+        for bad, message in (
+            ("S2(2,2,3); 0/2,0/2,1/3; ; -1/2",
+             "invalid fibration: invariant relation fails with residue -1/6"),
+            ("S2(2,3,7); 1/2,1/3,1/7; ; 1/42", "not spherical: chi(base) <= 0 or e = 0"),
+            ("S2; ; 0", "not spherical: chi(base) <= 0 or e = 0"),
+        ):
+            argvs = [(bad,)] if command == "lens" else [(bad, good), (good, bad)]
+            for argv in argvs:
+                assert run(command, *argv) == (1, "", "error: %s\n" % message)
+
     def test_fibrations_infinite_key(self):
         code, out, _ = run("fibrations", "S2(2,2,3); 0/2,0/2,1/3; ; -1/3")
         assert code == 0 and out.startswith("infinitely many fibrations")
@@ -190,31 +204,26 @@ class TestAtlas:
         assert code == 0 and target.read_text().strip()
 
 
-def _schema_check(obj, schema):
-    """Minimal structural validation against the shipped schema."""
-    assert isinstance(obj, dict)
-    for key in schema["required"]:
-        assert key in obj, key
-    props = schema["properties"]
-    for key, val in obj.items():
-        assert key in props, key
-    assert isinstance(obj["input"], str) and isinstance(obj["normalized"], str)
-    assert isinstance(obj["valid"], bool) and isinstance(obj["spherical"], bool)
-    assert obj["count"] in (None, 1, 2, 3, "infinite")
-    assert isinstance(obj["fibrations"], list)
-    if "diffeo_key" in obj:
-        k = obj["diffeo_key"]
-        assert k["class"] in ("sphere", "disk")
-        assert k["mode"] in ("oriented", "fixed-cores")
-        assert k["lens"]["p"] >= 1 and 0 <= k["lens"]["q"] < max(k["lens"]["p"], 1)
+def _schema_check(obj, validator):
+    """The shipped schema, plus the two checks it cannot express: no key
+    outside its properties, and q < p in every lens."""
+    validator.validate(obj)
+    assert set(obj) <= set(validator.schema["properties"]), sorted(obj)
+    for lens in (obj.get("lens"), obj.get("diffeo_key", {}).get("lens")):
+        if lens is not None:
+            assert lens["q"] < lens["p"], lens
 
 
 def test_reports_validate_against_schema():
     import importlib.resources as res
 
+    from jsonschema import Draft202012Validator
+
     schema = json.loads(
         res.files("seifert_orbifolds").joinpath("schema.json").read_text()
     )
+    Draft202012Validator.check_schema(schema)
+    validator = Draft202012Validator(schema)
     exprs = [
         "S2(2,3,5); 1/2,1/3,1/5; ; -1/30",
         "S2(2,2,4); 0/2,0/2,2/4; ; -1/2",
@@ -229,7 +238,7 @@ def test_reports_validate_against_schema():
         exprs.append(str(quotient_hopf(g)))
     for text in exprs:
         obj = expression_report(parse_fibration(text))
-        _schema_check(obj, schema)
+        _schema_check(obj, validator)
 
 
 @settings(max_examples=120, deadline=None)
