@@ -499,13 +499,7 @@ def _are_diffeomorphic(f: FiberedOrbifold, g: FiberedOrbifold) -> bool:
         return False
     if cf is FibrationClass.FINITE:
         return g in _enumerate_fibrations(f)
-    kf, kg = _diffeo_key(f, cf), _diffeo_key(g, cg)
-    if kf.orbifold_class is kg.orbifold_class:
-        if kf.iota != kg.iota:
-            return False
-        return lens_equiv(kf.lens, kg.lens, kf.mode)
-    cf_idx, cg_idx = _cross_index(kf), _cross_index(kg)
-    return cf_idx is not None and cf_idx == cg_idx
+    return _signature(_diffeo_key(f, cf)) == _signature(_diffeo_key(g, cg))
 
 
 def diffeo_signature(f: FiberedOrbifold):

@@ -435,11 +435,7 @@ def _cmd_atlas(args):
     rows = _atlas_rows(int(bound))
     class_ids = {}
     for row in rows:
-        sig = row.pop("signature")
-        key = ("finite", tuple(sorted(str(x) for x in sig))) if isinstance(sig, frozenset) else sig
-        if key not in class_ids:
-            class_ids[key] = len(class_ids)
-        row["class"] = class_ids[key]
+        row["class"] = class_ids.setdefault(row.pop("signature"), len(class_ids))
     lines = []
     if args.json:
         by_class = {}

@@ -6,12 +6,16 @@ anti-Hopf fibrations.
 Families are named F1..F34 with primed and "bis" variants; a bis family is
 the class obtained by exchanging the left and right factors of the defining
 pair, which is orientation-reversingly but not orientation-preservingly
-equivalent to the original.  Parameters (m, n, r, s) follow the family
-tables; `group_order` accepts everything the tables allow, while the
-quotient operations enforce the tighter ranges on which the tabulated
-quotient data is parameterized (degenerate parameters either merge the
-group into another family or fall into the infinitely-many-fibrations
-regime handled elsewhere).
+equivalent to the original.
+
+Each family is one row of `_TABLE`: its parameter letters, its order, its
+Hopf quotient, its anti-Hopf partner and the parameters its quotient data
+does not cover.  `group_order`, the quotient operations and the
+enumerators all read that one row.  `group_order` accepts everything the
+family constraints allow, while the quotient operations also apply the
+row's rejections (degenerate parameters either merge the group into
+another family or fall into the infinitely-many-fibrations regime handled
+elsewhere).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+from typing import Callable, NamedTuple
 
 from .core import FiberedOrbifold, Surface, check_valid, normalize, reverse_orientation
 
@@ -95,31 +100,161 @@ class NoInvariantFibration:
 
 NO_INVARIANT_FIBRATION = NoInvariantFibration()
 
-# Parameter letters used by each family, in order.
-_PARAMS = {}
-for _f in (Family.F1, Family.F1P, Family.F11, Family.F11P):
-    _PARAMS[_f] = ("m", "n", "r", "s")
-for _f in (
-    Family.F2, Family.F2BIS, Family.F3, Family.F3BIS, Family.F4, Family.F4BIS,
-    Family.F10, Family.F12, Family.F12BIS, Family.F13, Family.F13BIS,
-    Family.F33, Family.F33P, Family.F34, Family.F34BIS,
-):
-    _PARAMS[_f] = ("m", "n")
-for _f in (
-    Family.F5, Family.F6, Family.F7, Family.F8, Family.F9,
-    Family.F14, Family.F15, Family.F16, Family.F17, Family.F18, Family.F19,
-):
-    _PARAMS[_f] = ("m",)
 
-_FIXED_ORDER = {
-    Family.F20: 288, Family.F21: 24, Family.F21P: 12, Family.F22: 96,
-    Family.F23: 576, Family.F24: 1440, Family.F25: 1152, Family.F26: 48,
-    Family.F26P: 24, Family.F26PP: 24, Family.F27: 192, Family.F28: 576,
-    Family.F29: 2880, Family.F30: 7200, Family.F31: 120, Family.F31P: 60,
-    Family.F32: 120, Family.F32P: 60,
+class _Row(NamedTuple):
+    params: tuple[str, ...]
+    order: Callable[..., int]
+    hopf: object
+    swap: object = None
+    reject: tuple = ()
+
+
+_S2, _D2, _RP2 = Surface.SPHERE, Surface.DISK, Surface.PROJECTIVE_PLANE
+_MN, _MNRS = ("m", "n"), ("m", "n", "r", "s")
+_EXTERNAL = "quotient invariants for {} are not implemented"
+_LENS = (lambda m, n: n < 2, "n = 1 merges into the lens-space families")
+_M1 = (lambda m, *_: m < 2, "m = 1 is not parameterized by the table")
+
+
+def _platonic_left(k: int, hopf, reject=()) -> _Row:
+    """Families 5-9 and 14-19, of order k*m: the swapped left factor is platonic."""
+    return _Row(("m",), lambda m: k * m, hopf, NO_INVARIANT_FIBRATION, reject)
+
+
+def _platonic_pair(order: int) -> _Row:
+    """Families 20-32': both factors platonic, no invariant fibration."""
+    return _Row((), lambda: order, NO_INVARIANT_FIBRATION, NO_INVARIANT_FIBRATION)
+
+
+# One row per family; every function in a row takes the parameter values
+# in the order of `params`:
+#   - order: the group order (the "order of G" table column);
+#   - hopf: the Hopf quotient as (surface, cone pairs, corner pairs, Euler
+#     class), with invariants as (numerator, order) pairs reduced mod 1 at
+#     construction and the boundary bit solved from the sum relation;
+#     NO_INVARIANT_FIBRATION for the platonic-by-platonic families 20-32';
+#     for 1, 1', 11, 11' (whose quotient tables live outside this module)
+#     and 12bis, the message of the UnsupportedFamilyError raised instead;
+#   - swap: the family whose Hopf quotient, with m and n exchanged and the
+#     orientation reversed, is the anti-Hopf quotient; NO_INVARIANT_FIBRATION
+#     when the swapped left factor is platonic;
+#   - reject: (predicate, reason) pairs, first match wins, for the
+#     parameters the quotient data does not cover.
+# The rejections keep every quotient on the part of the table where the
+# left/right factor pairs are honest representatives of their
+# fibration-preserving class:
+#   - cyclic-versus-binary-dihedral degeneracies (an index-4 "binary
+#     dihedral" factor is cyclic) merge F2/F3/F34-type rows at n = 1 into
+#     the lens-space families, so those parameters are rejected;
+#   - a D*_{8}/D*_{4} kernel pair on the *left* factor (F4bis, F12, F13,
+#     F17 at m = 1) is a class the table does not parameterize, rejected;
+#   - the mirrored degeneracies on the right are duplicates of other rows
+#     and are rejected as well (F4 at n = 1 duplicates F3(m, 2), F12 at
+#     n = 1 duplicates F13(m, 2), F13/F13bis at n = 1 fall into the
+#     infinitely-fibered regime).
+_TABLE = {
+    Family.F1: _Row(_MNRS, lambda m, n, r, s: 2 * m * n * r, _EXTERNAL),
+    Family.F1P: _Row(_MNRS, lambda m, n, r, s: m * n * r // 2, _EXTERNAL),
+    Family.F2: _Row(
+        _MN, lambda m, n: 4 * m * n,
+        lambda m, n: (_S2, [(m, n), (m, 2), (m, 2)], [], Fraction(-m, n)), Family.F2BIS, (_LENS,)),
+    Family.F2BIS: _Row(
+        _MN, lambda m, n: 4 * m * n,
+        lambda m, n: (_D2 if n % 2 == 0 else _RP2, [(m, n)], [], Fraction(-m, n)), Family.F2),
+    Family.F3: _Row(
+        _MN, lambda m, n: 4 * m * n,
+        lambda m, n: (_S2, [(m, n), (m + 1, 2), (m + 1, 2)], [], Fraction(-m, n)),
+        Family.F3BIS, (_LENS,)),
+    Family.F3BIS: _Row(
+        _MN, lambda m, n: 4 * m * n,
+        lambda m, n: (_D2 if n % 2 == 1 else _RP2, [(m, n)], [], Fraction(-m, n)), Family.F3),
+    Family.F4: _Row(
+        _MN, lambda m, n: 8 * m * n,
+        lambda m, n: (_S2, [(m + n, 2 * n), (m, 2), (m + 1, 2)], [], Fraction(-m, 2 * n)),
+        Family.F4BIS, ((lambda m, n: n < 2, "n = 1 duplicates F3(m, 2)"),)),
+    Family.F4BIS: _Row(
+        _MN, lambda m, n: 8 * m * n,
+        lambda m, n: (_D2, [(m + n, 2 * n)], [], Fraction(-m, 2 * n)), Family.F4, (_M1,)),
+    Family.F5: _platonic_left(
+        24, lambda m: (_S2, [(m, 2), (m, 3), (m, 3)], [], Fraction(-m, 6))),
+    Family.F6: _platonic_left(
+        24, lambda m: (_S2, [(m, 2), (m + 1, 3), (m + 2, 3)], [], Fraction(-m, 6))),
+    Family.F7: _platonic_left(
+        48, lambda m: (_S2, [(m, 2), (m, 3), (m, 4)], [], Fraction(-m, 12))),
+    Family.F8: _platonic_left(
+        48, lambda m: (_S2, [(m + 1, 2), (m, 3), (m + 2, 4)], [], Fraction(-m, 12))),
+    Family.F9: _platonic_left(
+        120, lambda m: (_S2, [(m, 2), (m, 3), (m, 5)], [], Fraction(-m, 30))),
+    Family.F10: _Row(
+        _MN, lambda m, n: 8 * m * n,
+        lambda m, n: (_D2, [], [(m, n), (m, 2), (m, 2)], Fraction(-m, 2 * n)) if n % 2 == 0
+        else (_D2, [(m, 2)], [(m, n)], Fraction(-m, 2 * n)), Family.F10),
+    Family.F11: _Row(_MNRS, lambda m, n, r, s: 4 * m * n * r, _EXTERNAL),
+    Family.F11P: _Row(_MNRS, lambda m, n, r, s: m * n * r, _EXTERNAL),
+    Family.F12: _Row(
+        _MN, lambda m, n: 16 * m * n,
+        lambda m, n: (_D2, [], [(m + n, 2 * n), (m, 2), (m + 1, 2)], Fraction(-m, 4 * n)),
+        Family.F12, (
+            (lambda m, n: m < 2 and n < 2, "m = n = 1 falls into the infinitely-fibered regime"),
+            (lambda m, n: n < 2, "n = 1 duplicates F13(m, 2)"))),
+    Family.F12BIS: _Row(
+        _MN, lambda m, n: 16 * m * n, "F12bis is reserved; its quotient data is not tabulated"),
+    Family.F13: _Row(
+        _MN, lambda m, n: 8 * m * n,
+        lambda m, n: (_D2, [], [(m, n), (m + 1, 2), (m + 1, 2)], Fraction(-m, 2 * n)) if n % 2 == 0
+        else (_D2, [(m + 1, 2)], [(m, n)], Fraction(-m, 2 * n)),
+        Family.F13BIS, (_M1, (lambda m, n: n < 2, "n = 1 duplicates F4bis(m, 1)"))),
+    Family.F13BIS: _Row(
+        _MN, lambda m, n: 8 * m * n,
+        lambda m, n: (_D2, [], [(m, n), (m, 2), (m, 2)], Fraction(-m, 2 * n)) if n % 2 == 1
+        else (_D2, [(m, 2)], [(m, n)], Fraction(-m, 2 * n)),
+        Family.F13, ((lambda m, n: n < 2, "n = 1 falls into the infinitely-fibered regime"),)),
+    Family.F14: _platonic_left(
+        48, lambda m: (_D2, [(m, 3)], [(m, 2)], Fraction(-m, 12))),
+    Family.F15: _platonic_left(
+        96, lambda m: (_D2, [], [(m, 2), (m, 3), (m, 4)], Fraction(-m, 24))),
+    Family.F16: _platonic_left(
+        48, lambda m: (_D2, [], [(m, 2), (m, 3), (m, 3)], Fraction(-m, 12))),
+    Family.F17: _platonic_left(
+        96, lambda m: (_D2, [], [(m + 1, 2), (m, 3), (m + 2, 4)], Fraction(-m, 24)), (_M1,)),
+    Family.F18: _platonic_left(
+        48, lambda m: (_D2, [], [(m, 2), (m + 1, 3), (m + 2, 3)], Fraction(-m, 12))),
+    Family.F19: _platonic_left(
+        240, lambda m: (_D2, [], [(m, 2), (m, 3), (m, 5)], Fraction(-m, 60))),
+    Family.F20: _platonic_pair(288),
+    Family.F21: _platonic_pair(24),
+    Family.F21P: _platonic_pair(12),
+    Family.F22: _platonic_pair(96),
+    Family.F23: _platonic_pair(576),
+    Family.F24: _platonic_pair(1440),
+    Family.F25: _platonic_pair(1152),
+    Family.F26: _platonic_pair(48),
+    Family.F26P: _platonic_pair(24),
+    Family.F26PP: _platonic_pair(24),
+    Family.F27: _platonic_pair(192),
+    Family.F28: _platonic_pair(576),
+    Family.F29: _platonic_pair(2880),
+    Family.F30: _platonic_pair(7200),
+    Family.F31: _platonic_pair(120),
+    Family.F31P: _platonic_pair(60),
+    Family.F32: _platonic_pair(120),
+    Family.F32P: _platonic_pair(60),
+    Family.F33: _Row(
+        _MN, lambda m, n: 8 * m * n,
+        lambda m, n: (_D2, [], [(m, n), (m + 1, 2), (m + 1, 2)], Fraction(-m, 2 * n)) if n % 2 == 1
+        else (_D2, [(m + 1, 2)], [(m, n)], Fraction(-m, 2 * n)), Family.F33),
+    Family.F33P: _Row(
+        _MN, lambda m, n: 4 * m * n,
+        lambda m, n: (_D2, [], [((m + n) // 2, n), (m, 2), (m + 1, 2)], Fraction(-m, 4 * n)),
+        Family.F33P),
+    Family.F34: _Row(
+        _MN, lambda m, n: 2 * m * n,
+        lambda m, n: (_S2, [((m + n) // 2, n), (m, 2), (m + 1, 2)], [], Fraction(-m, 2 * n)),
+        Family.F34BIS, (_LENS,)),
+    Family.F34BIS: _Row(
+        _MN, lambda m, n: 2 * m * n,
+        lambda m, n: (_D2, [((m + n) // 2, n)], [], Fraction(-m, 2 * n)), Family.F34),
 }
-for _f in _FIXED_ORDER:
-    _PARAMS[_f] = ()
 
 
 @dataclass(frozen=True)
@@ -128,7 +263,7 @@ class GroupFamily:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        names = _PARAMS[self.family]
+        names = _TABLE[self.family].params
         given = dict(self.params)
         if set(given) != set(names):
             raise ValueError(
@@ -150,7 +285,7 @@ class GroupFamily:
         return hash((self.family, tuple(sorted(self.params.items()))))
 
     def __str__(self):
-        names = _PARAMS[self.family]
+        names = _TABLE[self.family].params
         if not names:
             return self.family.value
         inner = ",".join("%s=%d" % (k, self.params[k]) for k in names)
@@ -211,200 +346,28 @@ def parse_group(text: str) -> GroupFamily:
     raise ValueError("unknown family %r" % name)
 
 
-_ORDER = {
-    Family.F1: lambda p: 2 * p["m"] * p["n"] * p["r"],
-    Family.F1P: lambda p: p["m"] * p["n"] * p["r"] // 2,
-    Family.F2: lambda p: 4 * p["m"] * p["n"],
-    Family.F2BIS: lambda p: 4 * p["m"] * p["n"],
-    Family.F3: lambda p: 4 * p["m"] * p["n"],
-    Family.F3BIS: lambda p: 4 * p["m"] * p["n"],
-    Family.F4: lambda p: 8 * p["m"] * p["n"],
-    Family.F4BIS: lambda p: 8 * p["m"] * p["n"],
-    Family.F5: lambda p: 24 * p["m"],
-    Family.F6: lambda p: 24 * p["m"],
-    Family.F7: lambda p: 48 * p["m"],
-    Family.F8: lambda p: 48 * p["m"],
-    Family.F9: lambda p: 120 * p["m"],
-    Family.F10: lambda p: 8 * p["m"] * p["n"],
-    Family.F11: lambda p: 4 * p["m"] * p["n"] * p["r"],
-    Family.F11P: lambda p: p["m"] * p["n"] * p["r"],
-    Family.F12: lambda p: 16 * p["m"] * p["n"],
-    Family.F12BIS: lambda p: 16 * p["m"] * p["n"],
-    Family.F13: lambda p: 8 * p["m"] * p["n"],
-    Family.F13BIS: lambda p: 8 * p["m"] * p["n"],
-    Family.F14: lambda p: 48 * p["m"],
-    Family.F15: lambda p: 96 * p["m"],
-    Family.F16: lambda p: 48 * p["m"],
-    Family.F17: lambda p: 96 * p["m"],
-    Family.F18: lambda p: 48 * p["m"],
-    Family.F19: lambda p: 240 * p["m"],
-    Family.F33: lambda p: 8 * p["m"] * p["n"],
-    Family.F33P: lambda p: 4 * p["m"] * p["n"],
-    Family.F34: lambda p: 2 * p["m"] * p["n"],
-    Family.F34BIS: lambda p: 2 * p["m"] * p["n"],
-}
+def _values(g: GroupFamily, row: _Row) -> tuple[int, ...]:
+    """g's parameter values in row order (g.params follows the spec text)."""
+    return tuple(g.params[k] for k in row.params)
+
+
+def _rejection(row: _Row, values):
+    """The reason the quotient data does not cover `values`, or None."""
+    return next((why for bad, why in row.reject if bad(*values)), None)
 
 
 def group_order(g: GroupFamily) -> int:
     """Order of the SO(4) subgroup (the "order of G" table column)."""
-    if g.family in _FIXED_ORDER:
-        return _FIXED_ORDER[g.family]
-    return _ORDER[g.family](g.params)
+    row = _TABLE[g.family]
+    return row.order(*_values(g, row))
 
 
-# ---------------------------------------------------------------------------
-# Quotients of the Hopf fibration.
-#
-# Each row maps the family parameters to (surface, cone pairs, corner pairs,
-# Euler class); invariants are (numerator, order) pairs reduced mod 1 at
-# construction, and the boundary bit is solved from the sum relation.  The
-# tighter parameter ranges below keep every emitted row on the part of the
-# table where the left/right factor pairs are honest representatives of
-# their fibration-preserving class:
-#   - cyclic-versus-binary-dihedral degeneracies (an index-4 "binary
-#     dihedral" factor is cyclic) merge F2/F3/F34-type rows at n = 1 into
-#     the lens-space families, so those parameters are rejected;
-#   - a D*_{8}/D*_{4} kernel pair on the *left* factor (F4bis, F12, F13,
-#     F17 at m = 1) is a class the table does not parameterize, rejected;
-#   - the mirrored degeneracies on the right are duplicates of other rows
-#     and are rejected as well (F4 at n = 1 duplicates F3(m, 2), F12 at
-#     n = 1 duplicates F13(m, 2), F13/F13bis at n = 1 fall into the
-#     infinitely-fibered regime).
-# ---------------------------------------------------------------------------
-
-_PLATONIC_SIDED = (
-    Family.F5, Family.F6, Family.F7, Family.F8, Family.F9,
-    Family.F14, Family.F15, Family.F16, Family.F17, Family.F18, Family.F19,
-)
-
-_NO_FIBRATION = (
-    Family.F20, Family.F21, Family.F21P, Family.F22, Family.F23, Family.F24,
-    Family.F25, Family.F26, Family.F26P, Family.F26PP, Family.F27, Family.F28,
-    Family.F29, Family.F30, Family.F31, Family.F31P, Family.F32, Family.F32P,
-)
-
-_EXTERNAL_TABLES = (Family.F1, Family.F1P, Family.F11, Family.F11P)
-
-
-def _reject(g, why):
-    raise ValueError("quotient data is not defined for %s: %s" % (g, why))
-
-
-def _hopf_row(g: GroupFamily):
-    fam, p = g.family, g.params
-    m = p.get("m")
-    n = p.get("n")
-    S, D, RP = Surface.SPHERE, Surface.DISK, Surface.PROJECTIVE_PLANE
-    if fam is Family.F2:
-        if n < 2:
-            _reject(g, "n = 1 merges into the lens-space families")
-        return S, [(m, n), (m, 2), (m, 2)], [], Fraction(-m, n)
-    if fam is Family.F2BIS:
-        if n % 2 == 0:
-            return D, [(m, n)], [], Fraction(-m, n)
-        return RP, [(m, n)], [], Fraction(-m, n)
-    if fam is Family.F3:
-        if n < 2:
-            _reject(g, "n = 1 merges into the lens-space families")
-        return S, [(m, n), (m + 1, 2), (m + 1, 2)], [], Fraction(-m, n)
-    if fam is Family.F3BIS:
-        if n % 2 == 1:
-            return D, [(m, n)], [], Fraction(-m, n)
-        return RP, [(m, n)], [], Fraction(-m, n)
-    if fam is Family.F4:
-        if n < 2:
-            _reject(g, "n = 1 duplicates F3(m, 2)")
-        return S, [(m + n, 2 * n), (m, 2), (m + 1, 2)], [], Fraction(-m, 2 * n)
-    if fam is Family.F4BIS:
-        if m < 2:
-            _reject(g, "m = 1 is not parameterized by the table")
-        return D, [(m + n, 2 * n)], [], Fraction(-m, 2 * n)
-    if fam is Family.F5:
-        return S, [(m, 2), (m, 3), (m, 3)], [], Fraction(-m, 6)
-    if fam is Family.F6:
-        return S, [(m, 2), (m + 1, 3), (m + 2, 3)], [], Fraction(-m, 6)
-    if fam is Family.F7:
-        return S, [(m, 2), (m, 3), (m, 4)], [], Fraction(-m, 12)
-    if fam is Family.F8:
-        return S, [(m + 1, 2), (m, 3), (m + 2, 4)], [], Fraction(-m, 12)
-    if fam is Family.F9:
-        return S, [(m, 2), (m, 3), (m, 5)], [], Fraction(-m, 30)
-    if fam is Family.F10:
-        if n % 2 == 0:
-            return D, [], [(m, n), (m, 2), (m, 2)], Fraction(-m, 2 * n)
-        return D, [(m, 2)], [(m, n)], Fraction(-m, 2 * n)
-    if fam is Family.F12:
-        if m < 2 and n < 2:
-            _reject(g, "m = n = 1 falls into the infinitely-fibered regime")
-        if n < 2:
-            _reject(g, "n = 1 duplicates F13(m, 2)")
-        return D, [], [(m + n, 2 * n), (m, 2), (m + 1, 2)], Fraction(-m, 4 * n)
-    if fam is Family.F13:
-        if m < 2:
-            _reject(g, "m = 1 is not parameterized by the table")
-        if n < 2:
-            _reject(g, "n = 1 duplicates F4bis(m, 1)")
-        if n % 2 == 0:
-            return D, [], [(m, n), (m + 1, 2), (m + 1, 2)], Fraction(-m, 2 * n)
-        return D, [(m + 1, 2)], [(m, n)], Fraction(-m, 2 * n)
-    if fam is Family.F13BIS:
-        if n < 2:
-            _reject(g, "n = 1 falls into the infinitely-fibered regime")
-        if n % 2 == 1:
-            return D, [], [(m, n), (m, 2), (m, 2)], Fraction(-m, 2 * n)
-        return D, [(m, 2)], [(m, n)], Fraction(-m, 2 * n)
-    if fam is Family.F14:
-        return D, [(m, 3)], [(m, 2)], Fraction(-m, 12)
-    if fam is Family.F15:
-        return D, [], [(m, 2), (m, 3), (m, 4)], Fraction(-m, 24)
-    if fam is Family.F16:
-        return D, [], [(m, 2), (m, 3), (m, 3)], Fraction(-m, 12)
-    if fam is Family.F17:
-        if m < 2:
-            _reject(g, "m = 1 is not parameterized by the table")
-        return D, [], [(m + 1, 2), (m, 3), (m + 2, 4)], Fraction(-m, 24)
-    if fam is Family.F18:
-        return D, [], [(m, 2), (m + 1, 3), (m + 2, 3)], Fraction(-m, 12)
-    if fam is Family.F19:
-        return D, [], [(m, 2), (m, 3), (m, 5)], Fraction(-m, 60)
-    if fam is Family.F33:
-        if n % 2 == 1:
-            return D, [], [(m, n), (m + 1, 2), (m + 1, 2)], Fraction(-m, 2 * n)
-        return D, [(m + 1, 2)], [(m, n)], Fraction(-m, 2 * n)
-    if fam is Family.F33P:
-        return D, [], [((m + n) // 2, n), (m, 2), (m + 1, 2)], Fraction(-m, 4 * n)
-    if fam is Family.F34:
-        if n < 2:
-            _reject(g, "n = 1 merges into the lens-space families")
-        return S, [((m + n) // 2, n), (m, 2), (m + 1, 2)], [], Fraction(-m, 2 * n)
-    if fam is Family.F34BIS:
-        return D, [((m + n) // 2, n)], [], Fraction(-m, 2 * n)
-    raise AssertionError(fam)
-
-
-def _swap(g: GroupFamily):
-    """The group with left and right factors exchanged, when representable.
-
-    Returns a GroupFamily, NO_INVARIANT_FIBRATION when the swapped left
-    factor is platonic (no invariant Hopf fibration on that side), or
-    raises ValueError when the swap leaves the parameterized ranges.
-    """
-    fam, p = g.family, g.params
-    mn = {"m": p.get("n"), "n": p.get("m")}
-    pairs = {
-        Family.F2: Family.F2BIS, Family.F2BIS: Family.F2,
-        Family.F3: Family.F3BIS, Family.F3BIS: Family.F3,
-        Family.F4: Family.F4BIS, Family.F4BIS: Family.F4,
-        Family.F13: Family.F13BIS, Family.F13BIS: Family.F13,
-        Family.F34: Family.F34BIS, Family.F34BIS: Family.F34,
-        Family.F10: Family.F10, Family.F12: Family.F12,
-        Family.F33: Family.F33, Family.F33P: Family.F33P,
-    }
-    if fam in _PLATONIC_SIDED:
-        return NO_INVARIANT_FIBRATION
-    if fam in pairs:
-        return GroupFamily(pairs[fam], mn)
-    raise AssertionError(fam)
+def _quotient_row(g: GroupFamily) -> _Row:
+    """The row of g's family, whose quotient data must be tabulated here."""
+    row = _TABLE[g.family]
+    if isinstance(row.hopf, str):
+        raise UnsupportedFamilyError(row.hopf.format(g.family.value))
+    return row
 
 
 def quotient_hopf(g: GroupFamily):
@@ -415,52 +378,34 @@ def quotient_hopf(g: GroupFamily):
     and raises UnsupportedFamilyError for families 1, 1', 11, 11' (their
     quotient tables live outside this module) and for F12bis.
     """
-    if g.family in _NO_FIBRATION:
+    row = _quotient_row(g)
+    if row.hopf is NO_INVARIANT_FIBRATION:
         return NO_INVARIANT_FIBRATION
-    if g.family in _EXTERNAL_TABLES:
-        raise UnsupportedFamilyError(
-            "quotient invariants for %s are not implemented" % g.family.value
-        )
-    if g.family is Family.F12BIS:
-        raise UnsupportedFamilyError(
-            "F12bis is reserved; its quotient data is not tabulated"
-        )
-    surface, cones, corners, e = _hopf_row(g)
-    f = normalize(FiberedOrbifold.from_data(surface, cones, corners, e))
-    return check_valid(f)
+    values = _values(g, row)
+    why = _rejection(row, values)
+    if why is not None:
+        raise ValueError("quotient data is not defined for %s: %s" % (g, why))
+    surface, cones, corners, e = row.hopf(*values)
+    return check_valid(normalize(FiberedOrbifold.from_data(surface, cones, corners, e)))
 
 
 def quotient_antihopf(g: GroupFamily):
     """Invariants induced by the anti-Hopf fibration.
 
     Computed as the orientation reversal of the Hopf quotient of the
-    swapped group; Euler class > 0 when defined.
+    swapped group, so only the swapped group's rejections apply; Euler
+    class > 0 when defined.
     """
-    if g.family in _NO_FIBRATION:
+    row = _quotient_row(g)
+    if row.swap is NO_INVARIANT_FIBRATION:
         return NO_INVARIANT_FIBRATION
-    if g.family in _EXTERNAL_TABLES:
-        raise UnsupportedFamilyError(
-            "quotient invariants for %s are not implemented" % g.family.value
-        )
-    if g.family is Family.F12BIS:
-        raise UnsupportedFamilyError(
-            "F12bis is reserved; its quotient data is not tabulated"
-        )
-    swapped = _swap(g)
-    if swapped is NO_INVARIANT_FIBRATION:
-        return NO_INVARIANT_FIBRATION
+    swapped = GroupFamily(row.swap, {"m": g.params["n"], "n": g.params["m"]})
     return reverse_orientation(quotient_hopf(swapped))
 
 
 def quotient_families() -> tuple[Family, ...]:
     """Families with tabulated quotient data, in table order."""
-    return (
-        Family.F2, Family.F2BIS, Family.F3, Family.F3BIS, Family.F4,
-        Family.F4BIS, Family.F5, Family.F6, Family.F7, Family.F8, Family.F9,
-        Family.F10, Family.F12, Family.F13, Family.F13BIS, Family.F14,
-        Family.F15, Family.F16, Family.F17, Family.F18, Family.F19,
-        Family.F33, Family.F33P, Family.F34, Family.F34BIS,
-    )
+    return tuple(fam for fam in Family if callable(_TABLE[fam].hopf))
 
 
 def enumerate_parameters(family: Family, max_order: int):
@@ -468,35 +413,28 @@ def enumerate_parameters(family: Family, max_order: int):
 
     Families with no parameter, with m, or with (m, n) are enumerated, in
     lexicographic parameter order.  Only assignments accepted by the table
-    constraints and, for families with quotient data, by the quotient-range
-    checks are yielded.
+    constraints and by the row's quotient rejections are yielded.
     """
-    names = _PARAMS[family]
-    if len(names) > 2:
+    row = _TABLE[family]
+    k = len(row.params)
+    if k > 2:
         raise ValueError("parameter enumeration is only provided for up to two parameters")
-    has_quotient = family in quotient_families()
-
-    def order(m, n=1):
-        if not names:
-            return _FIXED_ORDER[family]
-        return _ORDER[family](dict(zip(names, (m, n))))
-
     m = 1
-    while order(m) <= max_order:
+    while row.order(*(m, 1)[:k]) <= max_order:
         n = 1
-        while order(m, n) <= max_order:
+        while row.order(*(m, n)[:k]) <= max_order:
+            values = (m, n)[:k]
             try:
-                g = GroupFamily(family, dict(zip(names, (m, n))))
-                if has_quotient:
-                    _hopf_row(g)
+                g = GroupFamily(family, dict(zip(row.params, values)))
             except ValueError:
                 pass
             else:
-                yield g
-            if len(names) < 2:
+                if _rejection(row, values) is None:
+                    yield g
+            if k < 2:
                 break
             n += 1
-        if not names:
+        if k == 0:
             break
         m += 1
 

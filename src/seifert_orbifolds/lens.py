@@ -146,8 +146,11 @@ def _match_fibration(p, q, cores, euler) -> bool:
         return False
     # Unimodular solve: y*alpha - x*beta = 1 gives the deck transformation
     # generating the local group at each pole.  The pole-2 reading follows
-    # the flow, so it negates when the flow runs backwards in z2.
-    x, y = _solve_unimodular(alpha, beta)
+    # the flow, so it negates when the flow runs backwards in z2.  Any
+    # solution gives the same readings: shifting (x, y) by k*(alpha, beta)
+    # keeps -x mod b1 (alpha = b1) and moves t by k*w2, with |w2| = b2.
+    x = -pow(beta, -1, alpha)
+    y = (1 + x * beta) // alpha
     if (-x) % b1 != a1 % b1:
         return False
     t = x * q + y * p
@@ -157,23 +160,6 @@ def _match_fibration(p, q, cores, euler) -> bool:
     # a realizable reading always satisfies the sum relation
     # n/d + ((-x) % b1)/b1 + a2x/b2 = 0 (mod 1), here multiplied by d*b1*b2
     return (n * b1 * b2 + ((-x) % b1) * d * b2 + a2x * d * b1) % (d * b1 * b2) == 0
-
-
-def _solve_unimodular(alpha: int, beta: int) -> tuple[int, int]:
-    """Some (x, y) with y*alpha - x*beta = 1 (gcd(alpha, beta) = 1)."""
-    # extended gcd: u*alpha + v*beta = 1
-    old_r, r = alpha, beta
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_u, u = u, old_u - quo * u
-        old_v, v = v, old_v - quo * v
-    if old_r < 0:
-        old_u, old_v = -old_u, -old_v
-    # old_u*alpha + old_v*beta = 1  ->  y = old_u, x = -old_v
-    return -old_v, old_u
 
 
 def _lens_label(cores, euler: Fraction) -> LensSpace:

@@ -1,9 +1,13 @@
+import contextlib
+import io
 from fractions import Fraction as F
 
 import pytest
 
+from seifert_orbifolds.cli import run_command
 from seifert_orbifolds.core import FiberedOrbifold, Surface, normalize, validate
 from seifert_orbifolds.groups import (
+    _TABLE,
     Family,
     GroupFamily,
     NoInvariantFibration,
@@ -12,6 +16,7 @@ from seifert_orbifolds.groups import (
     group_order,
     parse_group,
     quotient_antihopf,
+    quotient_families,
     quotient_hopf,
 )
 
@@ -148,11 +153,9 @@ class TestQuotientAntihopf:
 class TestSignsAndValidity:
     def test_exhaustive_small_parameters(self):
         # all rows with 1 <= m, n <= 10 within the tabulated ranges
-        from seifert_orbifolds.groups import _PARAMS
-
         checked = 0
         for family in Family:
-            names = _PARAMS.get(family, ())
+            names = _TABLE[family].params
             if names not in (("m",), ("m", "n")):
                 continue
             if family is Family.F12BIS:
@@ -183,3 +186,72 @@ class TestSignsAndValidity:
         for g in enumerate_quotient_groups(200):
             h = quotient_hopf(g)
             assert euler_characteristic(h.base) > 0
+
+
+def quotient_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(["quotient", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestTable:
+    def test_one_row_per_family(self):
+        assert list(_TABLE) == list(Family)
+
+    def test_quotient_families_in_enum_order(self):
+        assert quotient_families() == (
+            Family.F2, Family.F2BIS, Family.F3, Family.F3BIS, Family.F4,
+            Family.F4BIS, Family.F5, Family.F6, Family.F7, Family.F8, Family.F9,
+            Family.F10, Family.F12, Family.F13, Family.F13BIS, Family.F14,
+            Family.F15, Family.F16, Family.F17, Family.F18, Family.F19,
+            Family.F33, Family.F33P, Family.F34, Family.F34BIS,
+        )
+
+    @pytest.mark.parametrize(
+        "spec, reason",
+        [
+            ("F2(m=1,n=1)", "n = 1 merges into the lens-space families"),
+            ("F4(m=2,n=1)", "n = 1 duplicates F3(m, 2)"),
+            ("F4bis(m=1,n=2)", "m = 1 is not parameterized by the table"),
+            ("F12(m=1,n=1)", "m = n = 1 falls into the infinitely-fibered regime"),
+            ("F12(m=2,n=1)", "n = 1 duplicates F13(m, 2)"),
+            ("F13(m=2,n=1)", "n = 1 duplicates F4bis(m, 1)"),
+            ("F13bis(m=2,n=1)", "n = 1 falls into the infinitely-fibered regime"),
+        ],
+    )
+    def test_rejection_messages(self, spec, reason):
+        assert quotient_cli(spec) == (
+            1, "", "error: quotient data is not defined for %s: %s\n" % (spec, reason)
+        )
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("F12bis(m=2,n=2)", "F12bis is reserved; its quotient data is not tabulated"),
+            ("F1(m=1,n=1,r=3,s=1)", "quotient invariants for F1 are not implemented"),
+            ("F11'(m=1,n=1,r=2,s=1)", "quotient invariants for F11' are not implemented"),
+        ],
+    )
+    def test_unsupported_family_messages(self, spec, message):
+        for side in ((), ("--anti-hopf",)):
+            assert quotient_cli(spec, *side) == (2, "", "error: %s\n" % message)
+
+    @pytest.mark.parametrize(
+        "spec, canonical",
+        [("F2(n=2,m=3)", "F2(m=3,n=2)"), ("F10(n=3,m=1)", "F10(m=1,n=3)"),
+         ("F13(n=3,m=2)", "F13(m=2,n=3)")],
+    )
+    def test_parameters_read_by_name_not_position(self, spec, canonical):
+        g, h = parse_group(spec), parse_group(canonical)
+        assert str(g) == canonical
+        assert group_order(g) == group_order(h)
+        assert quotient_hopf(g) == quotient_hopf(h)
+        assert quotient_antihopf(g) == quotient_antihopf(h)
+
+    def test_antihopf_applies_only_the_swapped_ranges(self):
+        g = parse_group("F2(m=1,n=1)")
+        with pytest.raises(ValueError, match="lens-space families"):
+            quotient_hopf(g)
+        assert str(quotient_antihopf(g)) == "(RP2; ; 1)"
+        assert quotient_cli("F2(m=1,n=1)", "--anti-hopf") == (0, "(RP2; ; 1)\n", "")
