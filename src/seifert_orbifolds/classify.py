@@ -29,14 +29,16 @@ directions and rewriting is involutive by construction.  The sporadic
 pairs on S2(2,3,b) / D2(;2,3,b) / D2(3;2) bases are constant data,
 applied both ways in the same loop.  A *bridge* row takes an exceptional
 tuple of the infinite regime (|y| = 1) to a representative over a base
-with at most two cone points or corners; the first row that reads f wins.  The two sporadic orbifolds
+with at most two cone points or corners; the first row that reads f wins.
+The class, the key and the diffeomorphism decision all read that one
+small-base fibration, `_representative`.  The two sporadic orbifolds
 fibering over both S2(2,2) and D2 connect the sphere and disk classes.
 Orientation reversal takes build(x, y) to build(x, -y), and every domain
 reads y through |y| only, so the rules and bridges are closed under it.
 
 Each public function validates its arguments once, through
 `_require_normal_spherical`, and hands the normal form to a private core
-(`_fibration_class`, `_enumerate_fibrations`, `_diffeo_key`, ...).  The
+(`_fibration_class`, `_enumerate_fibrations`, `_key`, ...).  The
 cores trust their argument and call only other cores; the values the
 rules and bridges build are still checked as they are made.
 """
@@ -57,13 +59,7 @@ from .core import (
     normalize,
     validate,
 )
-from .lens import (
-    LensSpace,
-    Mode,
-    classical_from_fibration,
-    lens_equiv,
-    lens_from_classical,
-)
+from .lens import LensSpace, Mode, _cores, _lens_label
 
 
 class FibrationClass(Enum):
@@ -349,22 +345,26 @@ def fibration_class(f: FiberedOrbifold) -> FibrationClass:
     return _fibration_class(_require_normal_spherical(f))
 
 
-def _fibration_class(f: FiberedOrbifold) -> FibrationClass:
+def _representative(f: FiberedOrbifold):
+    """The small-base fibration of f's infinite class (f itself or its one
+    bridge target), or None when f is in the finite class."""
     if _small_base(f):
-        if f.base.surface is _S2:
-            return FibrationClass.INFINITE_SPHERE_SIDE
-        return FibrationClass.INFINITE_DISK_SIDE
-    if f.base.surface is _RP2 and not f.base.cone_labels:
-        if abs(f.euler) == 1:
-            return FibrationClass.INFINITE_SPHERE_SIDE
-        return FibrationClass.FINITE
+        return f
     hit = _bridge(f)
     if hit is None:
-        return FibrationClass.FINITE
-    side = _fibration_class(hit[1])
-    if side is FibrationClass.FINITE:
+        return None
+    if not _small_base(hit[1]):
         raise AssertionError("bridge of %s landed in the finite class" % (f,))
-    return side
+    return hit[1]
+
+
+def _fibration_class(f: FiberedOrbifold) -> FibrationClass:
+    g = _representative(f)
+    if g is None:
+        return FibrationClass.FINITE
+    if g.base.surface is _S2:
+        return FibrationClass.INFINITE_SPHERE_SIDE
+    return FibrationClass.INFINITE_DISK_SIDE
 
 
 def enumerate_fibrations(f: FiberedOrbifold) -> set[FiberedOrbifold]:
@@ -409,83 +409,41 @@ def double_cover(f: FiberedOrbifold) -> FiberedOrbifold:
     f = check_valid(normalize(f))
     if f.base.surface is not Surface.DISK or f.base.cone_labels:
         raise ValueError("double_cover requires a disk base without cone points")
-    return _double_cover(f)
-
-
-def _double_cover(f: FiberedOrbifold) -> FiberedOrbifold:
-    pairs = [(i.a, i.b) for i in f.corner_invariants]
-    return _mk(Surface.SPHERE, pairs, [], 2 * f.euler)
+    return _mk(Surface.SPHERE, f.corner_invariants, [], 2 * f.euler)
 
 
 def diffeo_key(f: FiberedOrbifold) -> DiffeoKey:
     """Lens key of an infinite-class orbifold.
 
-    Exceptional tuples are first routed through their bridge; a disk-class
-    representative is then doubled, a sphere-class one converted directly,
-    and the lens space of the resulting two-fraction data is computed.  The
-    comparison mode is fixed-cores exactly when the two core indices
-    differ.
+    The key is read from the small-base representative of f's class (f
+    itself or its bridge target).  The comparison mode is fixed-cores
+    exactly when the two core indices differ.
     """
-    f = _require_normal_spherical(f)
-    cls = _fibration_class(f)
-    if cls is FibrationClass.FINITE:
+    g = _representative(_require_normal_spherical(f))
+    if g is None:
         raise ValueError("diffeo_key is defined for infinite-class orbifolds only")
-    return _diffeo_key(f, cls)
+    return _key(g)
 
 
-def _diffeo_key(f: FiberedOrbifold, cls: FibrationClass) -> DiffeoKey:
-    """Key of the normal form f, whose infinite class cls is known."""
-    side = (
-        OrbifoldClass.SPHERE_CLASS
-        if cls is FibrationClass.INFINITE_SPHERE_SIDE
-        else OrbifoldClass.DISK_CLASS
-    )
-    g = f
-    for _ in range(4):
-        if _small_base(g):
-            break
-        hit = _bridge(g)
-        if hit is None:
-            raise AssertionError("no bridge found for infinite-class %s" % (f,))
-        g = hit[1]
+def _key(g: FiberedOrbifold) -> DiffeoKey:
+    """Key of the small-base normal form g: its cones and e on a sphere, its
+    corners and 2e on a disk (the double cover, without building it)."""
+    if g.base.surface is _S2:
+        side, invariants, e = OrbifoldClass.SPHERE_CLASS, g.cone_invariants, g.euler
     else:
-        raise AssertionError("bridging did not terminate for %s" % (f,))
-    if g.base.surface is Surface.DISK:
-        g = _double_cover(g)
-    data, i1, i2 = classical_from_fibration(g)
-    lens = lens_from_classical(data)
-    mode = Mode.ORIENTED if i1 == i2 else Mode.FIXED_CORES
-    return DiffeoKey(side, lens, (i1, i2), mode)
+        side, invariants, e = OrbifoldClass.DISK_CLASS, g.corner_invariants, 2 * g.euler
+    cores, iota = _cores(invariants)
+    mode = Mode.ORIENTED if iota[0] == iota[1] else Mode.FIXED_CORES
+    return DiffeoKey(side, _lens_label(cores, e), iota, mode)
 
 
 def _invariant(f: FiberedOrbifold):
     """Fibration set (finite class) or DiffeoKey (infinite class) of the
     normal form f."""
-    cls = _fibration_class(f)
-    if cls is FibrationClass.FINITE:
+    g = _representative(f)
+    if g is None:
         return _enumerate_fibrations(f)
-    return _diffeo_key(f, cls)
-
-
-# The two orbifolds fibered over both S2(2,2) and D2, as (sphere key
-# data, disk key data); the keys are insensitive to orientation reversal.
-_CROSS_PAIRS = (
-    ((LensSpace(1, 0), (2, 2)), (LensSpace(2, 1), (1, 1))),
-    ((LensSpace(1, 0), (2, 1)), (LensSpace(1, 0), (1, 1))),
-)
-
-
-def _cross_index(key: DiffeoKey):
-    """Index of the sphere/disk crossover orbifold key belongs to, if any."""
-    for idx, ((s_lens, s_iota), (d_lens, d_iota)) in enumerate(_CROSS_PAIRS):
-        if key.orbifold_class is OrbifoldClass.SPHERE_CLASS:
-            mode = Mode.ORIENTED if s_iota[0] == s_iota[1] else Mode.FIXED_CORES
-            if key.iota == s_iota and lens_equiv(key.lens, s_lens, mode):
-                return idx
-        else:
-            if key.iota == d_iota and lens_equiv(key.lens, d_lens, Mode.ORIENTED):
-                return idx
-    return None
+    return _key(g)
 
 
 def are_diffeomorphic(f: FiberedOrbifold, g: FiberedOrbifold) -> bool:
@@ -494,12 +452,12 @@ def are_diffeomorphic(f: FiberedOrbifold, g: FiberedOrbifold) -> bool:
 
 
 def _are_diffeomorphic(f: FiberedOrbifold, g: FiberedOrbifold) -> bool:
-    cf, cg = _fibration_class(f), _fibration_class(g)
-    if (cf is FibrationClass.FINITE) != (cg is FibrationClass.FINITE):
+    rf, rg = _representative(f), _representative(g)
+    if (rf is None) != (rg is None):
         return False
-    if cf is FibrationClass.FINITE:
+    if rf is None:
         return g in _enumerate_fibrations(f)
-    return _signature(_diffeo_key(f, cf)) == _signature(_diffeo_key(g, cg))
+    return _signature(_key(rf)) == _signature(_key(rg))
 
 
 def diffeo_signature(f: FiberedOrbifold):
@@ -512,15 +470,23 @@ def diffeo_signature(f: FiberedOrbifold):
     return _signature(_invariant(_require_normal_spherical(f)))
 
 
+# The two orbifolds fibered over both S2(2,2) and D2: their sphere-side
+# and disk-side signatures fold onto one value each.
+_CROSS = {
+    ("sphere", 1, 0, (2, 2)): ("cross", 0),
+    ("disk", 2, 1, (1, 1)): ("cross", 0),
+    ("sphere", 1, 0, (2, 1)): ("cross", 1),
+    ("disk", 1, 0, (1, 1)): ("cross", 1),
+}
+
+
 def _signature(invariant):
     """diffeo_signature from a fibration set or a DiffeoKey."""
     if not isinstance(invariant, DiffeoKey):
         return frozenset(invariant)
     k = invariant
-    idx = _cross_index(k)
-    if idx is not None:
-        return ("cross", idx)
     q = k.lens.q
     if k.mode is Mode.ORIENTED and q > 1:
         q = min(q, pow(q, -1, k.lens.p))
-    return (k.orbifold_class.value, k.lens.p, q, k.iota)
+    sig = (k.orbifold_class.value, k.lens.p, q, k.iota)
+    return _CROSS.get(sig, sig)

@@ -45,11 +45,10 @@ from .groups import (
 from .classify import (
     _NOT_SPHERICAL,
     DiffeoKey,
-    FibrationClass,
     _are_diffeomorphic,
-    _diffeo_key,
-    _fibration_class,
     _invariant,
+    _key,
+    _representative,
     _require_normal_spherical,
     _signature,
 )
@@ -375,12 +374,10 @@ def _cmd_quotient(args):
 
 def _cmd_lens(args):
     f = _require_normal_spherical(parse_fibration(args.expr))
-    cls = _fibration_class(f)
-    if cls is FibrationClass.FINITE:
-        raise ValueError(
-            "lens data applies to orbifolds with infinitely many fibrations"
-        )
-    k = _diffeo_key(f, cls)
+    g = _representative(f)
+    if g is None:
+        raise ValueError("lens data applies to orbifolds with infinitely many fibrations")
+    k = _key(g)
     _emit(args, {"input": str(f), "lens": {"p": k.lens.p, "q": k.lens.q},
                  "iota": list(k.iota), "mode": k.mode.value}, str(k.lens))
     return 0
@@ -471,8 +468,11 @@ def _cmd_atlas(args):
             )
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError("cannot write %s: %s" % (args.out, exc.strerror or exc)) from exc
     else:
         sys.stdout.write(text)
     return 0

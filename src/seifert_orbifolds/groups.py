@@ -9,9 +9,10 @@ pair, which is orientation-reversingly but not orientation-preservingly
 equivalent to the original.
 
 Each family is one row of `_TABLE`: its parameter letters, its order, its
-Hopf quotient, its anti-Hopf partner and the parameters its quotient data
-does not cover.  `group_order`, the quotient operations and the
-enumerators all read that one row.  `group_order` accepts everything the
+Hopf quotient, its anti-Hopf partner, the parameters its quotient data
+does not cover and the parameters its constraints exclude.  The
+constructor, `group_order`, the quotient operations and the enumerators
+all read that one row.  `group_order` accepts everything the
 family constraints allow, while the quotient operations also apply the
 row's rejections (degenerate parameters either merge the group into
 another family or fall into the infinitely-many-fibrations regime handled
@@ -107,6 +108,7 @@ class _Row(NamedTuple):
     hopf: object
     swap: object = None
     reject: tuple = ()
+    require: tuple = ()
 
 
 _S2, _D2, _RP2 = Surface.SPHERE, Surface.DISK, Surface.PROJECTIVE_PLANE
@@ -114,6 +116,12 @@ _MN, _MNRS = ("m", "n"), ("m", "n", "r", "s")
 _EXTERNAL = "quotient invariants for {} are not implemented"
 _LENS = (lambda m, n: n < 2, "n = 1 merges into the lens-space families")
 _M1 = (lambda m, *_: m < 2, "m = 1 is not parameterized by the table")
+_GCD_SR = (lambda m, n, r, s: gcd(s, r) != 1, "{} requires gcd(s, r) = 1")
+_ODD_MN = (lambda m, n: m * n % 2 == 0, "{} requires m, n odd")
+_ODD_MN_EVEN_R = (lambda m, n, r, s: m * n % 2 == 0 or r % 2, "{} requires m, n odd and r even")
+# F33 and F33' admit m = 1, a class of its own in the fibration-preserving
+# classification although the plain SO(4) table lists them with m != 1.
+_N_NOT_1 = (lambda m, n: n == 1, "{} requires n != 1")
 
 
 def _platonic_left(k: int, hopf, reject=()) -> _Row:
@@ -139,7 +147,9 @@ def _platonic_pair(order: int) -> _Row:
 #     orientation reversed, is the anti-Hopf quotient; NO_INVARIANT_FIBRATION
 #     when the swapped left factor is platonic;
 #   - reject: (predicate, reason) pairs, first match wins, for the
-#     parameters the quotient data does not cover.
+#     parameters the quotient data does not cover;
+#   - require: (predicate, reason) pairs in the same form, for the
+#     parameters the family's constraints exclude ("{}" is the family).
 # The rejections keep every quotient on the part of the table where the
 # left/right factor pairs are honest representatives of their
 # fibration-preserving class:
@@ -153,8 +163,9 @@ def _platonic_pair(order: int) -> _Row:
 #     n = 1 duplicates F13(m, 2), F13/F13bis at n = 1 fall into the
 #     infinitely-fibered regime).
 _TABLE = {
-    Family.F1: _Row(_MNRS, lambda m, n, r, s: 2 * m * n * r, _EXTERNAL),
-    Family.F1P: _Row(_MNRS, lambda m, n, r, s: m * n * r // 2, _EXTERNAL),
+    Family.F1: _Row(_MNRS, lambda m, n, r, s: 2 * m * n * r, _EXTERNAL, require=(_GCD_SR,)),
+    Family.F1P: _Row(
+        _MNRS, lambda m, n, r, s: m * n * r // 2, _EXTERNAL, require=(_GCD_SR, _ODD_MN_EVEN_R)),
     Family.F2: _Row(
         _MN, lambda m, n: 4 * m * n,
         lambda m, n: (_S2, [(m, n), (m, 2), (m, 2)], [], Fraction(-m, n)), Family.F2BIS, (_LENS,)),
@@ -189,8 +200,9 @@ _TABLE = {
         _MN, lambda m, n: 8 * m * n,
         lambda m, n: (_D2, [], [(m, n), (m, 2), (m, 2)], Fraction(-m, 2 * n)) if n % 2 == 0
         else (_D2, [(m, 2)], [(m, n)], Fraction(-m, 2 * n)), Family.F10),
-    Family.F11: _Row(_MNRS, lambda m, n, r, s: 4 * m * n * r, _EXTERNAL),
-    Family.F11P: _Row(_MNRS, lambda m, n, r, s: m * n * r, _EXTERNAL),
+    Family.F11: _Row(_MNRS, lambda m, n, r, s: 4 * m * n * r, _EXTERNAL, require=(_GCD_SR,)),
+    Family.F11P: _Row(
+        _MNRS, lambda m, n, r, s: m * n * r, _EXTERNAL, require=(_GCD_SR, _ODD_MN_EVEN_R)),
     Family.F12: _Row(
         _MN, lambda m, n: 16 * m * n,
         lambda m, n: (_D2, [], [(m + n, 2 * n), (m, 2), (m + 1, 2)], Fraction(-m, 4 * n)),
@@ -242,18 +254,20 @@ _TABLE = {
     Family.F33: _Row(
         _MN, lambda m, n: 8 * m * n,
         lambda m, n: (_D2, [], [(m, n), (m + 1, 2), (m + 1, 2)], Fraction(-m, 2 * n)) if n % 2 == 1
-        else (_D2, [(m + 1, 2)], [(m, n)], Fraction(-m, 2 * n)), Family.F33),
+        else (_D2, [(m + 1, 2)], [(m, n)], Fraction(-m, 2 * n)), Family.F33,
+        require=(_N_NOT_1,)),
     Family.F33P: _Row(
         _MN, lambda m, n: 4 * m * n,
         lambda m, n: (_D2, [], [((m + n) // 2, n), (m, 2), (m + 1, 2)], Fraction(-m, 4 * n)),
-        Family.F33P),
+        Family.F33P, require=(_N_NOT_1, _ODD_MN)),
     Family.F34: _Row(
         _MN, lambda m, n: 2 * m * n,
         lambda m, n: (_S2, [((m + n) // 2, n), (m, 2), (m + 1, 2)], [], Fraction(-m, 2 * n)),
-        Family.F34BIS, (_LENS,)),
+        Family.F34BIS, (_LENS,), require=(_ODD_MN,)),
     Family.F34BIS: _Row(
         _MN, lambda m, n: 2 * m * n,
-        lambda m, n: (_D2, [((m + n) // 2, n)], [], Fraction(-m, 2 * n)), Family.F34),
+        lambda m, n: (_D2, [((m + n) // 2, n)], [], Fraction(-m, 2 * n)), Family.F34,
+        require=(_ODD_MN,)),
 }
 
 
@@ -263,7 +277,8 @@ class GroupFamily:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        names = _TABLE[self.family].params
+        row = _TABLE[self.family]
+        names = row.params
         given = dict(self.params)
         if set(given) != set(names):
             raise ValueError(
@@ -273,7 +288,9 @@ class GroupFamily:
         if any(v < 1 for v in vals.values()):
             raise ValueError("parameters must be positive integers")
         object.__setattr__(self, "params", vals)
-        _check_constraints(self.family, vals)
+        why = _rejection(row.require, _values(self, row))
+        if why is not None:
+            raise ValueError(why.format(self.family.value))
 
     def __getattr__(self, name):
         try:
@@ -292,29 +309,6 @@ class GroupFamily:
         return "%s(%s)" % (self.family.value, inner)
 
 
-def _check_constraints(family: Family, p: dict) -> None:
-    odd = lambda k: p[k] % 2 == 1
-    if family in (Family.F1, Family.F11):
-        if gcd(p["s"], p["r"]) != 1:
-            raise ValueError("%s requires gcd(s, r) = 1" % family.value)
-    elif family in (Family.F1P, Family.F11P):
-        if gcd(p["s"], p["r"]) != 1:
-            raise ValueError("%s requires gcd(s, r) = 1" % family.value)
-        if not odd("m") or not odd("n") or p["r"] % 2 != 0:
-            raise ValueError("%s requires m, n odd and r even" % family.value)
-    elif family in (Family.F33, Family.F33P):
-        if p["n"] == 1:
-            raise ValueError("%s requires n != 1" % family.value)
-        if family is Family.F33P and (not odd("m") or not odd("n")):
-            raise ValueError("F33' requires m, n odd")
-        # m = 1 is admitted: in the fibration-preserving classification it
-        # is a class of its own even though the plain SO(4) table lists the
-        # family with m != 1.
-    elif family in (Family.F34, Family.F34BIS):
-        if not odd("m") or not odd("n"):
-            raise ValueError("%s requires m, n odd" % family.value)
-
-
 def parse_group(text: str) -> GroupFamily:
     """Parse a group spec like ``F2(m=3,n=2)`` or ``F20``."""
     text = text.strip().replace("′", "'")
@@ -329,14 +323,16 @@ def parse_group(text: str) -> GroupFamily:
                 key, eq, val = piece.partition("=")
                 if not eq:
                     raise ValueError("group parameters must be given as name=value")
-                val = val.strip()
+                key, val = key.strip(), val.strip()
+                if key in params:
+                    raise ValueError("group parameter %s is given twice" % key)
                 # ASCII digits only: int() also reads other scripts' digits
                 if not re.fullmatch("[0-9]+", val):
                     raise ValueError(
                         "group parameter %s must be written in ASCII digits, got %r"
-                        % (key.strip(), val)
+                        % (key, val)
                     )
-                params[key.strip()] = int(val)
+                params[key] = int(val)
     else:
         name, params = text, {}
     name = name.strip()
@@ -351,9 +347,10 @@ def _values(g: GroupFamily, row: _Row) -> tuple[int, ...]:
     return tuple(g.params[k] for k in row.params)
 
 
-def _rejection(row: _Row, values):
-    """The reason the quotient data does not cover `values`, or None."""
-    return next((why for bad, why in row.reject if bad(*values)), None)
+def _rejection(pairs, values):
+    """The reason of the first (predicate, reason) pair that `values`
+    satisfy, or None."""
+    return next((why for bad, why in pairs if bad(*values)), None)
 
 
 def group_order(g: GroupFamily) -> int:
@@ -382,7 +379,7 @@ def quotient_hopf(g: GroupFamily):
     if row.hopf is NO_INVARIANT_FIBRATION:
         return NO_INVARIANT_FIBRATION
     values = _values(g, row)
-    why = _rejection(row, values)
+    why = _rejection(row.reject, values)
     if why is not None:
         raise ValueError("quotient data is not defined for %s: %s" % (g, why))
     surface, cones, corners, e = row.hopf(*values)
@@ -424,13 +421,8 @@ def enumerate_parameters(family: Family, max_order: int):
         n = 1
         while row.order(*(m, n)[:k]) <= max_order:
             values = (m, n)[:k]
-            try:
-                g = GroupFamily(family, dict(zip(row.params, values)))
-            except ValueError:
-                pass
-            else:
-                if _rejection(row, values) is None:
-                    yield g
+            if _rejection(row.require + row.reject, values) is None:
+                yield GroupFamily(family, dict(zip(row.params, values)))
             if k < 2:
                 break
             n += 1

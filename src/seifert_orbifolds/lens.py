@@ -2,10 +2,11 @@
 Lens space computation and oriented classification.
 
 A fibered orbifold over a sphere with at most two cone points has a lens
-space as underlying manifold.  `classical_from_fibration` converts the
-orbifold invariants to the classical two-fraction Seifert data of that
-manifold (recording the singularity index carried by each core) and
-`lens_from_classical` identifies the underlying oriented lens space.
+space as underlying manifold.  `_cores` reads its two cores, ordered and
+reduced by their singularity indices, and `_lens_label` names the oriented
+lens space from them and the Euler class, in integers.  The public route
+through two-fraction data (`classical_from_fibration`, then
+`lens_from_classical`) gives the same label.
 
 Lens spaces are named by the quotient model
 
@@ -98,31 +99,33 @@ class LensSpace:
         return "L(%d,%d)" % (self.p, self.q)
 
 
+def _cores(invariants):
+    """The two cores, ordered by descending (index, b, a) and padded with
+    0/1, as the pairs (a/iota, b/iota) and their indices iota = gcd(a, b)."""
+    invs = sorted(invariants, key=lambda i: (i.index, i.b, i.a), reverse=True)
+    pairs = [(i.a, i.b) for i in invs] + [(0, 1)] * (2 - len(invs))
+    iotas = tuple(gcd(a, b) for a, b in pairs)
+    return tuple((a // i, b // i) for (a, b), i in zip(pairs, iotas)), iotas
+
+
 def classical_from_fibration(f: FiberedOrbifold) -> tuple[ClassicalSeifert, int, int]:
     """Classical data and core singularity indices of a sphere-class orbifold.
 
     Requires a normalized spherical fibration over S2 with at most two cone
-    points.  Cores are ordered by descending index iota = gcd(a, b); a
-    missing cone point is padded with invariant 0/1 and iota = 1.  Returns
-    (classical data, iota1, iota2) with iota1 >= iota2, the i-th fraction
-    belonging to the core with index iota_i.
+    points.  The cores are those of `_cores`; the first fraction is shifted
+    by an integer so that -(a1/b1 + a2/b2) is the Euler class.  Returns
+    (classical data, iota1, iota2) with iota1 >= iota2.
     """
     if f.base.surface is not Surface.SPHERE or len(f.base.cone_labels) > 2:
         raise ValueError("base must be a sphere with at most two cone points")
     if not validate(f).ok or not is_spherical(f):
         raise ValueError("expected a valid spherical fibration")
-    invs = sorted(f.cone_invariants, key=lambda i: (i.index, i.b, i.a), reverse=True)
-    pairs = [(i.a, i.b) for i in invs]
-    while len(pairs) < 2:
-        pairs.append((0, 1))
-    iotas = [gcd(a, b) for a, b in pairs]
-    reduced = [Fraction(a, b) for a, b in pairs]  # Fraction reduces by iota
+    cores, (i1, i2) = _cores(f.cone_invariants)
+    reduced = [Fraction(a, b) for a, b in cores]
     shift = -f.euler - reduced[0] - reduced[1]
     if shift.denominator != 1:
         raise ValueError("Euler class inconsistent with the invariants")
-    fr1 = reduced[0] + shift
-    data = ClassicalSeifert((fr1, reduced[1]))
-    return data, iotas[0], iotas[1]
+    return ClassicalSeifert((reduced[0] + shift, reduced[1])), i1, i2
 
 
 def _match_fibration(p, q, cores, euler) -> bool:

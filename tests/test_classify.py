@@ -11,12 +11,15 @@ from seifert_orbifolds.core import (
     validate,
 )
 from seifert_orbifolds.classify import (
+    _CROSS,
+    DiffeoKey,
     FibrationClass,
     FibrationCount,
     InfiniteClassError,
     OrbifoldClass,
     are_diffeomorphic,
     diffeo_key,
+    diffeo_signature,
     double_cover,
     enumerate_bridges,
     enumerate_fibrations,
@@ -24,7 +27,12 @@ from seifert_orbifolds.classify import (
     fibration_count,
     single_step,
 )
-from seifert_orbifolds.lens import LensSpace, Mode
+from seifert_orbifolds.lens import (
+    LensSpace,
+    Mode,
+    classical_from_fibration,
+    lens_from_classical,
+)
 
 S2, RP2, D2 = Surface.SPHERE, Surface.PROJECTIVE_PLANE, Surface.DISK
 
@@ -393,3 +401,59 @@ def test_decorated_core_keys_agree_across_fibrations():
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
                     assert are_diffeomorphic(members[i], members[j])
+
+
+@pytest.fixture(scope="module")
+def two_label_grid():
+    """Every valid spherical S2(b1,b2) and D2(;b1,b2) fibration with labels
+    <= 12 (label 1: no singular point) and 0 < |e| <= 1, a set closed
+    under orientation reversal."""
+    out = set()
+    for b1 in range(1, 13):
+        for b2 in range(b1, 13):
+            for a1 in range(b1):
+                for a2 in range(b2):
+                    pairs, s = [(a1, b1), (a2, b2)], F(a1, b1) + F(a2, b2)
+                    for k in range(-1, 3):
+                        if 0 < abs(k - s) <= 1:
+                            out.add(mk(S2, pairs, [], k - s))
+                        for xi in (0, 1):
+                            e = k - (s + xi) / 2
+                            if 0 < abs(e) <= 1:
+                                out.add(mk(D2, [], pairs, e, xi))
+    return sorted(out, key=str)
+
+
+def test_key_agrees_with_the_two_fraction_route(two_label_grid):
+    # diffeo_key reads the cores in integers; the public route builds the
+    # double cover and the classical fractions, then names the lens space
+    for f in two_label_grid:
+        on_disk = f.base.surface is D2
+        data, i1, i2 = classical_from_fibration(double_cover(f) if on_disk else f)
+        assert diffeo_key(f) == DiffeoKey(
+            OrbifoldClass.DISK_CLASS if on_disk else OrbifoldClass.SPHERE_CLASS,
+            lens_from_classical(data),
+            (i1, i2),
+            Mode.ORIENTED if i1 == i2 else Mode.FIXED_CORES,
+        ), f
+
+
+def test_cross_table_is_reached_by_the_crossover_orbifolds_only(two_label_grid):
+    # (sphere-side, disk-side) fibration of the two orbifolds fibered over
+    # both S2(2,2) and D2, as in TestAreDiffeomorphic.test_case5_crossover
+    crossover = (
+        (mk(S2, [(0, 2), (0, 2)], [], -1), mk(D2, [], [], -1, 0)),
+        (mk(S2, [(0, 2), (1, 2)], [], F(-1, 2)), mk(D2, [], [], F(-1, 2), 1)),
+    )
+    entries, keys = set(), set()
+    for idx, pair in enumerate(crossover):
+        for f in pair + tuple(reverse_orientation(g) for g in pair):
+            k = diffeo_key(f)
+            # p <= 2 here, so q is already the canonical residue
+            entry = (k.orbifold_class.value, k.lens.p, k.lens.q, k.iota)
+            assert _CROSS[entry] == diffeo_signature(f) == ("cross", idx), f
+            entries.add(entry)
+            keys.add(k)
+    assert entries == set(_CROSS)
+    folded = set(_CROSS.values())
+    assert {diffeo_key(f) for f in two_label_grid if diffeo_signature(f) in folded} == keys

@@ -203,6 +203,16 @@ class TestAtlas:
         code, out, _ = run("atlas", "--max-order", "30", "--out", str(target))
         assert code == 0 and target.read_text().strip()
 
+    @pytest.mark.parametrize(
+        "where, reason",
+        [("missing/atlas.txt", "No such file or directory"), (".", "Is a directory")],
+    )
+    def test_unwritable_out_exits_1(self, tmp_path, where, reason):
+        target = str(tmp_path / where)
+        assert run("atlas", "--max-order", "3", "--out", target) == (
+            1, "", "error: cannot write %s: %s\n" % (target, reason)
+        )
+
 
 def _schema_check(obj, validator):
     """The shipped schema, plus the two checks it cannot express: no key

@@ -49,6 +49,12 @@ class TestParsing:
     def test_spaces_around_parameters(self):
         assert parse_group("F2( m = 3 , n = 2 )") == parse_group("F2(m=3,n=2)")
 
+    @pytest.mark.parametrize("text", ["F2(m=1,m=2,n=3)", "F2(m=2,n=3, m = 2)"])
+    def test_repeated_parameter_rejected(self, text):
+        with pytest.raises(ValueError, match="parameter m is given twice"):
+            parse_group(text)
+        assert quotient_cli(text) == (1, "", "error: group parameter m is given twice\n")
+
     @pytest.mark.parametrize(
         "text",
         ["F2(m=\u0663,n=2)", "F2(m=\uff13,n=2)", "F2(m=+3,n=2)", "F2(m=3_0,n=2)",
@@ -224,6 +230,24 @@ class TestTable:
         assert quotient_cli(spec) == (
             1, "", "error: quotient data is not defined for %s: %s\n" % (spec, reason)
         )
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("F1(m=1,n=1,r=4,s=2)", "F1 requires gcd(s, r) = 1"),
+            ("F1'(m=1,n=1,r=3,s=3)", "F1' requires gcd(s, r) = 1"),
+            ("F1'(m=2,n=1,r=2,s=1)", "F1' requires m, n odd and r even"),
+            ("F11(m=1,n=1,r=2,s=2)", "F11 requires gcd(s, r) = 1"),
+            ("F11'(m=1,n=1,r=3,s=1)", "F11' requires m, n odd and r even"),
+            ("F33(m=2,n=1)", "F33 requires n != 1"),
+            ("F33'(m=1,n=1)", "F33' requires n != 1"),
+            ("F33'(m=2,n=3)", "F33' requires m, n odd"),
+            ("F34(m=1,n=2)", "F34 requires m, n odd"),
+            ("F34bis(m=2,n=1)", "F34bis requires m, n odd"),
+        ],
+    )
+    def test_constraint_messages(self, spec, message):
+        assert quotient_cli(spec) == (1, "", "error: %s\n" % message)
 
     @pytest.mark.parametrize(
         "spec, message",
