@@ -12,6 +12,7 @@ from .core import (
     is_bad,
     is_spherical,
     normalize,
+    orbifold_order,
     reverse_orientation,
     s3_fibration,
     solve_xi,

@@ -55,8 +55,10 @@ from .core import (
     LocalInvariant,
     Surface,
     check_valid,
+    is_bad,
     is_spherical,
     normalize,
+    orbifold_order,
     validate,
 )
 from .lens import LensSpace, Mode, _cores, _lens_label
@@ -452,6 +454,8 @@ def are_diffeomorphic(f: FiberedOrbifold, g: FiberedOrbifold) -> bool:
 
 
 def _are_diffeomorphic(f: FiberedOrbifold, g: FiberedOrbifold) -> bool:
+    if not (is_bad(f.base) or is_bad(g.base)) and orbifold_order(f) != orbifold_order(g):
+        return False  # the orders of the fundamental groups differ
     rf, rg = _representative(f), _representative(g)
     if (rf is None) != (rg is None):
         return False

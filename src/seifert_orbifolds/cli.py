@@ -18,6 +18,7 @@ Groups are written family(parameters), e.g. F2(m=3,n=2) or F20.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -386,26 +387,29 @@ def _cmd_lens(args):
 def _atlas_rows(max_order: int):
     """One row per quotient fibration, with its diffeo_signature.
 
-    Each finite class is enumerated once: `finite` maps every member of an
+    Each value is validated once: `quotient_hopf` returns a check_valid
+    normal form, so a Hopf row checks only sphericity, while an anti-Hopf
+    value, built by `reverse_orientation`, passes the full guard.  Each
+    finite class is enumerated once: `finite` maps every member of an
     enumerated fibration set to that set, for this sweep only.
     """
     finite = {}
     rows = []
     for g in enumerate_quotient_groups(max_order):
         h = quotient_hopf(g)
+        if not is_spherical(h):
+            raise ValueError(_NOT_SPHERICAL)
+        sides = [("hopf", h)]
         try:
             a = quotient_antihopf(g)
         except ValueError:
             a = None
-        if isinstance(a, NoInvariantFibration):
-            a = None
-        for side, f in (("hopf", h), ("anti-hopf", a)):
-            if f is None:
-                continue
-            n = _require_normal_spherical(f)
-            invariant = finite.get(n)
+        if a is not None and not isinstance(a, NoInvariantFibration):
+            sides.append(("anti-hopf", _require_normal_spherical(a)))
+        for side, f in sides:
+            invariant = finite.get(f)
             if invariant is None:
-                invariant = _invariant(n)
+                invariant = _invariant(f)
                 if not isinstance(invariant, DiffeoKey):
                     invariant = frozenset(invariant)
                     finite.update(dict.fromkeys(invariant, invariant))
@@ -429,12 +433,25 @@ def _cmd_atlas(args):
     bound = args.max_order.strip()
     if not _NATURAL.fullmatch(bound) or int(bound) < 1:
         raise ValueError("--max-order must be a positive integer, got %r" % args.max_order)
-    rows = _atlas_rows(int(bound))
+    if not args.out:
+        sys.stdout.write(_atlas_text(int(bound), args.json))
+        return 0
+    # Opened before the sweep, so an unwritable path fails at once.
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(_atlas_text(int(bound), args.json))
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s" % (args.out, exc.strerror or exc)) from exc
+    return 0
+
+
+def _atlas_text(max_order: int, as_json: bool) -> str:
+    rows = _atlas_rows(max_order)
     class_ids = {}
     for row in rows:
         row["class"] = class_ids.setdefault(row.pop("signature"), len(class_ids))
     lines = []
-    if args.json:
+    if as_json:
         by_class = {}
         for row in rows:
             by_class.setdefault(row["class"], []).append(row)
@@ -466,19 +483,12 @@ def _cmd_atlas(args):
                 % (row["class"], row["group"], row["order"], row["side"],
                    row["quotient"], extra)
             )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError("cannot write %s: %s" % (args.out, exc.strerror or exc)) from exc
-    else:
-        sys.stdout.write(text)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `seifert` argument parser, built once per process on first use."""
     top = argparse.ArgumentParser(
         prog="seifert",
         description="Exact classification of Seifert fibered spherical 3-orbifolds",

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -136,7 +136,8 @@ class FiberedOrbifold:
     def __post_init__(self):
         object.__setattr__(self, "cone_invariants", _as_invariants(self.cone_invariants))
         object.__setattr__(self, "corner_invariants", _as_invariants(self.corner_invariants))
-        object.__setattr__(self, "euler", Fraction(self.euler))
+        if not isinstance(self.euler, Fraction):
+            object.__setattr__(self, "euler", Fraction(self.euler))
         xi = tuple(int(x) for x in self.xi)
         if any(x not in (0, 1) for x in xi):
             raise ValueError("xi entries must be bits")
@@ -162,7 +163,7 @@ class FiberedOrbifold:
             tuple(i.b for i in cones),
             tuple(i.b for i in corners),
         )
-        e = Fraction(euler)
+        e = euler if isinstance(euler, Fraction) else Fraction(euler)
         if base.boundary_components == 0:
             bits = ()
         elif xi is None:
@@ -188,18 +189,40 @@ def format_rational(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
+def _twice_relation(cones, corners, euler: Fraction) -> tuple[int, int]:
+    """(n, d) with d = lcm(den e, every order b) and
+    n = 2*d*(e + sum cone a/b + (1/2) sum corner a/b), an integer.
+
+    The sum relation with boundary bits xi holds iff
+    n + d*sum(xi) = 0 (mod 2d).
+    """
+    d = lcm(euler.denominator, *(i.b for i in cones), *(i.b for i in corners))
+    n = 2 * (euler.numerator * (d // euler.denominator) + sum(i.a * (d // i.b) for i in cones))
+    return n + sum(i.a * (d // i.b) for i in corners), d
+
+
 def solve_xi(cone_invariants, corner_invariants, euler) -> int:
     """The unique xi in {0, 1} closing the sum relation over one boundary.
 
     With a single boundary component the relation pins xi/2 mod 1, hence xi;
     raises ValueError when neither bit works.
     """
-    s = Fraction(euler) + sum((i.value for i in _as_invariants(cone_invariants)), Fraction(0))
-    s += sum((i.value for i in _as_invariants(corner_invariants)), Fraction(0)) / 2
-    t = (-2 * s) % 2
-    if t.denominator != 1:
+    if not isinstance(euler, Fraction):
+        euler = Fraction(euler)
+    n, d = _twice_relation(
+        _as_invariants(cone_invariants), _as_invariants(corner_invariants), euler
+    )
+    if n % d:
         raise ValueError("no boundary bit makes the invariant relation hold")
-    return int(t)
+    return (-n // d) % 2
+
+
+def _twice_chi(base: TwoOrbifold) -> tuple[int, int]:
+    """(n, L) with L = lcm of the labels and chi(base) = n/(2L)."""
+    common = lcm(*base.cone_labels, *base.corner_labels)
+    n = 2 * common * (2 if base.surface is Surface.SPHERE else 1)
+    n -= sum(2 * (common - common // k) for k in base.cone_labels)
+    return n - sum(common - common // k for k in base.corner_labels), common
 
 
 def euler_characteristic(base: TwoOrbifold) -> Fraction:
@@ -208,12 +231,21 @@ def euler_characteristic(base: TwoOrbifold) -> Fraction:
     chi(X) minus (1 - 1/n) per cone point and half that per corner
     reflector, with chi(S2) = 2 and chi(RP2) = chi(D2) = 1.
     """
-    chi = Fraction(2 if base.surface is Surface.SPHERE else 1)
-    for n in base.cone_labels:
-        chi -= 1 - Fraction(1, n)
-    for m in base.corner_labels:
-        chi -= Fraction(1, 2) * (1 - Fraction(1, m))
-    return chi
+    n, common = _twice_chi(base)
+    return Fraction(n, 2 * common)
+
+
+def orbifold_order(f: FiberedOrbifold) -> Fraction:
+    """4|e|/chi(base)^2: the order of the orbifold fundamental group of a
+    spherical f over a good base, the same for every such fibration of one
+    orbifold.  Over a bad base the formula does not give the order, and
+    ValueError is raised.
+    """
+    n, common = _twice_chi(f.base)
+    e = f.euler
+    if n <= 0 or e == 0 or is_bad(f.base):
+        raise ValueError("orbifold_order is defined for spherical fibrations over good bases")
+    return Fraction(16 * common * common * abs(e.numerator), e.denominator * n * n)
 
 
 def is_bad(base: TwoOrbifold) -> bool:
@@ -223,7 +255,7 @@ def is_bad(base: TwoOrbifold) -> bool:
     included, reading a missing label as 1) and the disk with two distinct
     corner labels.  Rejects bases with chi <= 0.
     """
-    if euler_characteristic(base) <= 0:
+    if _twice_chi(base)[0] <= 0:
         raise ValueError("is_bad is only defined for chi > 0")
     if base.surface is Surface.SPHERE:
         labels = base.cone_labels
@@ -259,7 +291,11 @@ def _balanced_mod1(q: Fraction) -> Fraction:
 
 
 def validate(f: FiberedOrbifold) -> ValidationResult:
-    """Check label/invariant matching and the sum relation mod 1."""
+    """Check label/invariant matching and the sum relation mod 1.
+
+    The relation is tested in integers over one common denominator; the
+    residue is built as a Fraction only when the test fails.
+    """
     problems = []
     if sorted(i.b for i in f.cone_invariants) != sorted(f.base.cone_labels):
         problems.append(
@@ -271,8 +307,9 @@ def validate(f: FiberedOrbifold) -> ValidationResult:
             "corner invariant orders %s do not match base corner labels %s"
             % (sorted(i.b for i in f.corner_invariants), list(f.base.corner_labels))
         )
-    residue = _balanced_mod1(relation_sum(f))
-    if residue != 0:
+    n, d = _twice_relation(f.cone_invariants, f.corner_invariants, f.euler)
+    if (n + d * sum(f.xi)) % (2 * d):
+        residue = _balanced_mod1(relation_sum(f))
         problems.append("invariant relation fails with residue %s" % format_rational(residue))
         return ValidationResult(False, residue, tuple(problems))
     if problems:
@@ -287,20 +324,23 @@ def check_valid(f: FiberedOrbifold) -> FiberedOrbifold:
     return f
 
 
+def _order_key(i: LocalInvariant) -> tuple[int, int]:
+    return i.b, i.a
+
+
 def normalize(f: FiberedOrbifold) -> FiberedOrbifold:
     """Canonical form: invariant lists sorted lexicographically by (b, a).
 
     Mod-1 reduction of the invariants and dropping of order-1 labels happen
     at construction, so normalizing is idempotent and leaves the relation
-    residue unchanged.
+    residue unchanged.  An argument that is already sorted is returned
+    as it is.
     """
-    return FiberedOrbifold(
-        f.base,
-        tuple(sorted(f.cone_invariants, key=lambda i: (i.b, i.a))),
-        tuple(sorted(f.corner_invariants, key=lambda i: (i.b, i.a))),
-        f.euler,
-        f.xi,
-    )
+    cones = tuple(sorted(f.cone_invariants, key=_order_key))
+    corners = tuple(sorted(f.corner_invariants, key=_order_key))
+    if cones == f.cone_invariants and corners == f.corner_invariants:
+        return f
+    return FiberedOrbifold(f.base, cones, corners, f.euler, f.xi)
 
 
 def reverse_orientation(f: FiberedOrbifold) -> FiberedOrbifold:
@@ -322,7 +362,7 @@ def reverse_orientation(f: FiberedOrbifold) -> FiberedOrbifold:
 
 def is_spherical(f: FiberedOrbifold) -> bool:
     """Spherical geometry detection: chi(base) > 0 and e != 0."""
-    return euler_characteristic(f.base) > 0 and f.euler != 0
+    return f.euler != 0 and _twice_chi(f.base)[0] > 0
 
 
 def s3_fibration(u: int, v: int, sign: int = 1) -> FiberedOrbifold:

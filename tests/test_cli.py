@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seifert_orbifolds import cli
 from seifert_orbifolds.cli import (
     ParseError,
+    build_parser,
     expression_report,
     parse_base,
     parse_fibration,
@@ -212,6 +214,35 @@ class TestAtlas:
         assert run("atlas", "--max-order", "3", "--out", target) == (
             1, "", "error: cannot write %s: %s\n" % (target, reason)
         )
+
+    def test_unwritable_out_fails_before_the_sweep(self, tmp_path, monkeypatch):
+        def sweep(max_order):
+            raise AssertionError("the sweep ran before --out was opened")
+
+        monkeypatch.setattr(cli, "_atlas_rows", sweep)
+        target = str(tmp_path / "missing" / "atlas.txt")
+        assert run("atlas", "--max-order", "400", "--out", target) == (
+            1, "", "error: cannot write %s: No such file or directory\n" % target
+        )
+
+
+def test_one_parser_serves_successive_commands():
+    """The parser is built once per process; a command sees nothing of the
+    one before it."""
+    expr = "S2(2,2,4); 0/2,0/2,2/4; ; -1/2"
+    argvs = (("--json", "classify", expr), ("classify", expr), ("atlas", "--max-order", "5"))
+    build_parser.cache_clear()
+    parser = build_parser()
+    shared = [run(*argv) for argv in argvs]
+    assert build_parser() is parser
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(run(*argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0]
+    assert json.loads(shared[0][1])["count"] == 3
+    assert shared[1][1] == "spherical; fibrations: 3"
 
 
 def _schema_check(obj, validator):

@@ -20,18 +20,12 @@ from seifert_orbifolds.core import (
     FiberedOrbifold,
     Surface,
     normalize,
+    orbifold_order,
     reverse_orientation,
     validate,
 )
 
 S2, RP2, D2 = Surface.SPHERE, Surface.PROJECTIVE_PLANE, Surface.DISK
-
-
-def orbifold_order(f):
-    chi = F(2 if f.base.surface is S2 else 1)
-    chi -= sum((1 - F(1, n) for n in f.base.cone_labels), F(0))
-    chi -= sum((1 - F(1, n) for n in f.base.corner_labels), F(0)) / 2
-    return 4 * abs(f.euler) / chi ** 2
 
 
 # Shapes as (surface, cone invariants, corner invariants, k): X stands for
