@@ -24,10 +24,10 @@ over by the fixed ones.
 A *rule* pairs a left and a right pattern with a parameter map and its
 inverse (swap (x, y) -> (|y|, -sgn(y)*x), halve y, or halve both) and a
 domain on the left parameters.  `_rewrites` reads f against both sides of
-every rule and builds the other side, so each move applies in both
+the rules and builds the other side, so each move applies in both
 directions and rewriting is involutive by construction.  The sporadic
-pairs on S2(2,3,b) / D2(;2,3,b) / D2(3;2) bases are constant data,
-applied both ways in the same loop.  A *bridge* row takes an exceptional
+pairs on S2(2,3,b) / D2(;2,3,b) / D2(3;2) bases are constant data, a dict
+from each fibration to its partner.  A *bridge* row takes an exceptional
 tuple of the infinite regime (|y| = 1) to a representative over a base
 with at most two cone points or corners; the first row that reads f wins.
 The class, the key and the diffeomorphism decision all read that one
@@ -35,6 +35,14 @@ small-base fibration, `_representative`.  The two sporadic orbifolds
 fibering over both S2(2,2) and D2 connect the sphere and disk classes.
 Orientation reversal takes build(x, y) to build(x, -y), and every domain
 reads y through |y| only, so the rules and bridges are closed under it.
+
+A pattern reads bases of two shapes only, a shape being (surface, number
+of cone points, number of corners): its fixed invariants, with and
+without the free one.  At import, `_MOVES` files each rule, once per
+direction, and `_BRIDGES_BY_SHAPE` each bridge row under the shapes its
+source pattern reads, in table order.  `_rewrites` and `_bridge` read f
+against the entries filed under f's shape and skip the rest, which could
+not match; the first bridge row that reads f still wins.
 
 Each public function validates its arguments once, through
 `_require_normal_spherical`, and hands the normal form to a private core
@@ -166,6 +174,14 @@ class _Pattern(NamedTuple):
             return None
         return x, y
 
+    def shapes(self):
+        """The base shapes `read` can match: x = 1 leaves the fixed
+        invariants alone, x > 1 adds one free invariant."""
+        cones, corners = len(self.cones), len(self.corners)
+        if self.free == "cone":
+            return (self.surface, cones, corners), (self.surface, cones + 1, corners)
+        return (self.surface, cones, corners), (self.surface, cones, corners + 1)
+
     def build(self, x: int, y: int) -> FiberedOrbifold:
         free = ((self._numerator(x, y), x),)
         if self.free == "cone":
@@ -236,9 +252,14 @@ _RULES = (
      lambda x, y: x >= 2),
 )
 
+def _two_way(pairs):
+    """Dict from each member of each pair to the other member."""
+    return {a: b for left, right in pairs for a, b in ((left, right), (right, left))}
+
+
 # The sporadic pairs on S2(2,3,b) / D2(;2,3,b) / D2(3;2) bases, both
-# orientations.
-_SPORADIC = tuple(
+# orientations, as a dict from each fibration to its partner.
+_SPORADIC = _two_way(
     (_mk(_S2, sphere, [], Fraction(-s, n)), _mk(_D2, cones, corners, Fraction(-s, m)))
     for s in (1, -1)
     for sphere, n, cones, corners, m in (
@@ -290,20 +311,43 @@ def _small_base(f: FiberedOrbifold) -> bool:
 # -- the matcher -------------------------------------------------------------
 
 
+def _shape(f: FiberedOrbifold):
+    """(surface, number of cone points, number of corners) of f's base."""
+    return f.base.surface, len(f.cone_invariants), len(f.corner_invariants)
+
+
+def _by_shape(entries):
+    """Dict from base shape to the entries, in the given order, whose
+    pattern (each entry's second item) can read a fibration of that shape."""
+    index = {}
+    for entry in entries:
+        for shape in entry[1].shapes():
+            index.setdefault(shape, []).append(entry)
+    return {shape: tuple(found) for shape, found in index.items()}
+
+
+# Each rule in both directions, as (name, source, target, move, domain):
+# source(x, y) with (x, y) in the domain is rewritten to target(move(x, y)).
+_MOVES = _by_shape(
+    entry
+    for name, left, right, (there, back), domain in _RULES
+    for entry in (
+        (name, left, right, there, domain),
+        (name, right, left, back, lambda x, y, back=back, domain=domain: domain(*back(x, y))),
+    )
+)
+_BRIDGES_BY_SHAPE = _by_shape(_BRIDGES)
+
+
 def _rewrites(f: FiberedOrbifold):
     """(rule name, fibration) for each displayed move with f on one side."""
-    for name, left, right, (there, back), domain in _RULES:
-        xy = left.read(f)
+    for name, source, target, move, domain in _MOVES.get(_shape(f), ()):
+        xy = source.read(f)
         if xy is not None and domain(*xy):
-            yield name, right.build(*there(*xy))
-        xy = right.read(f)
-        if xy is not None and domain(*back(*xy)):
-            yield name, left.build(*back(*xy))
-    for left, right in _SPORADIC:
-        if f == left:
-            yield "sporadic", right
-        elif f == right:
-            yield "sporadic", left
+            yield name, target.build(*move(*xy))
+    partner = _SPORADIC.get(f)
+    if partner is not None:
+        yield "sporadic", partner
 
 
 def _single_step(f: FiberedOrbifold) -> set[FiberedOrbifold]:
@@ -325,7 +369,7 @@ def single_step(f: FiberedOrbifold) -> set[FiberedOrbifold]:
 
 def _bridge(f: FiberedOrbifold):
     """(row name, target) of the first bridge row that reads f, or None."""
-    for name, source, domain, target in _BRIDGES:
+    for name, source, domain, target in _BRIDGES_BY_SHAPE.get(_shape(f), ()):
         xy = source.read(f)
         if xy is not None and domain(*xy):
             return name, _mk(*target(*xy, f.euler))

@@ -32,16 +32,19 @@ from .core import (
     format_rational,
     is_spherical,
     normalize,
+    reverse_orientation,
     solve_xi,
     validate,
 )
 from .groups import (
+    NO_INVARIANT_FIBRATION,
     NoInvariantFibration,
     UnsupportedFamilyError,
     group_order,
     parse_group,
     quotient_antihopf,
     quotient_hopf,
+    swapped_group,
 )
 from .classify import (
     _NOT_SPHERICAL,
@@ -387,24 +390,40 @@ def _cmd_lens(args):
 def _atlas_rows(max_order: int):
     """One row per quotient fibration, with its diffeo_signature.
 
-    Each value is validated once: `quotient_hopf` returns a check_valid
-    normal form, so a Hopf row checks only sphericity, while an anti-Hopf
-    value, built by `reverse_orientation`, passes the full guard.  Each
-    finite class is enumerated once: `finite` maps every member of an
-    enumerated fibration set to that set, for this sweep only.
+    Each Hopf quotient is built once: `hopf` maps every group of this
+    sweep to its Hopf quotient, and an anti-Hopf value is the orientation
+    reversal of the swapped group's entry (`quotient_antihopf` without
+    rebuilding it).  A ValueError from the swap or the quotient drops the
+    anti-Hopf row.  Each value is validated once: `quotient_hopf` returns a
+    check_valid normal form, so a Hopf row checks only sphericity, while an
+    anti-Hopf value passes the full guard.  Each finite class is
+    enumerated once: `finite` maps every member of an enumerated fibration
+    set to that set.  Both dicts live for this sweep only.
     """
+    hopf = {}
+
+    def hopf_quotient(g):
+        h = hopf.get(g)
+        if h is None:
+            h = hopf[g] = quotient_hopf(g)
+        return h
+
     finite = {}
     rows = []
     for g in enumerate_quotient_groups(max_order):
-        h = quotient_hopf(g)
+        h = hopf_quotient(g)
         if not is_spherical(h):
             raise ValueError(_NOT_SPHERICAL)
         sides = [("hopf", h)]
         try:
-            a = quotient_antihopf(g)
+            swapped = swapped_group(g)
+            if swapped is NO_INVARIANT_FIBRATION:
+                a = None
+            else:
+                a = reverse_orientation(hopf_quotient(swapped))
         except ValueError:
             a = None
-        if a is not None and not isinstance(a, NoInvariantFibration):
+        if a is not None:
             sides.append(("anti-hopf", _require_normal_spherical(a)))
         for side, f in sides:
             invariant = finite.get(f)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 Rational = Fraction
 
@@ -33,10 +34,28 @@ class Surface(Enum):
     DISK = "D2"
 
 
+def _integer(n, what: str) -> int:
+    """n as an int; ValueError for anything that is not integral (a float
+    such as 2.5 or 3.0 included), instead of a silent truncation."""
+    try:
+        return index(n)
+    except TypeError:
+        raise ValueError("%s must be integers, got %r" % (what, n)) from None
+
+
+def _as_rational(q) -> Fraction:
+    """q as a Fraction; a float is refused, since it is not exact."""
+    if isinstance(q, Fraction):
+        return q
+    if isinstance(q, float):
+        raise ValueError("the Euler class must be exact (an int or a Fraction), got %r" % (q,))
+    return Fraction(q)
+
+
 def _as_label_tuple(labels) -> tuple[int, ...]:
     out = []
     for n in labels:
-        n = int(n)
+        n = _integer(n, "singularity labels")
         if n < 1:
             raise ValueError("singularity labels must be positive integers, got %r" % (n,))
         if n == 1:
@@ -80,7 +99,7 @@ class TwoOrbifold:
         return "%s(%s)" % (name, cones)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LocalInvariant:
     """The class a/b in Q/Z attached to an exceptional fiber of order b.
 
@@ -91,11 +110,15 @@ class LocalInvariant:
     a: int
     b: int
 
-    def __post_init__(self):
-        if self.b < 1:
+    def __init__(self, a, b):
+        try:
+            a, b = index(a), index(b)
+        except TypeError:
+            raise ValueError("local invariants must be integers, got %r/%r" % (a, b)) from None
+        if b < 1:
             raise ValueError("invariant order must be >= 1")
-        object.__setattr__(self, "a", int(self.a) % int(self.b))
-        object.__setattr__(self, "b", int(self.b))
+        object.__setattr__(self, "a", a % b)
+        object.__setattr__(self, "b", b)
 
     @property
     def value(self) -> Fraction:
@@ -116,7 +139,7 @@ class LocalInvariant:
 def _as_invariants(pairs) -> tuple[LocalInvariant, ...]:
     out = []
     for p in pairs:
-        inv = p if isinstance(p, LocalInvariant) else LocalInvariant(int(p[0]), int(p[1]))
+        inv = p if isinstance(p, LocalInvariant) else LocalInvariant(p[0], p[1])
         if inv.b == 1:
             continue  # invariant over a regular point; never stored
         out.append(inv)
@@ -125,7 +148,13 @@ def _as_invariants(pairs) -> tuple[LocalInvariant, ...]:
 
 @dataclass(frozen=True)
 class FiberedOrbifold:
-    """An oriented Seifert fibered 3-orbifold given by its invariants."""
+    """An oriented Seifert fibered 3-orbifold given by its invariants.
+
+    The hash and the str are computed on first use and kept outside the
+    five fields, so `==`, `repr` and `dataclasses.fields` see only those.
+    Pickling drops the kept values: the hash reads the Surface enum, whose
+    hash is that of its name and differs between processes.
+    """
 
     base: TwoOrbifold
     cone_invariants: tuple[LocalInvariant, ...] = ()
@@ -133,12 +162,17 @@ class FiberedOrbifold:
     euler: Fraction = Fraction(0)
     xi: tuple[int, ...] = ()
 
+    # Until first use these class attributes answer, so a miss costs no
+    # exception.
+    _hash = None
+    _str = None
+
     def __post_init__(self):
         object.__setattr__(self, "cone_invariants", _as_invariants(self.cone_invariants))
         object.__setattr__(self, "corner_invariants", _as_invariants(self.corner_invariants))
         if not isinstance(self.euler, Fraction):
-            object.__setattr__(self, "euler", Fraction(self.euler))
-        xi = tuple(int(x) for x in self.xi)
+            object.__setattr__(self, "euler", _as_rational(self.euler))
+        xi = tuple(_integer(x, "xi entries") for x in self.xi)
         if any(x not in (0, 1) for x in xi):
             raise ValueError("xi entries must be bits")
         if len(xi) != self.base.boundary_components:
@@ -163,23 +197,38 @@ class FiberedOrbifold:
             tuple(i.b for i in cones),
             tuple(i.b for i in corners),
         )
-        e = euler if isinstance(euler, Fraction) else Fraction(euler)
+        e = _as_rational(euler)
         if base.boundary_components == 0:
             bits = ()
         elif xi is None:
             bits = (solve_xi(cones, corners, e),)
         else:
-            bits = (int(xi),) if isinstance(xi, int) else tuple(int(x) for x in xi)
+            bits = tuple(xi) if hasattr(xi, "__iter__") else (xi,)
         return cls(base, cones, corners, e, bits)
 
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.base, self.cone_invariants, self.corner_invariants, self.euler, self.xi))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def __str__(self) -> str:
-        cones = ",".join(str(i) for i in self.cone_invariants)
-        corners = ",".join(str(i) for i in self.corner_invariants)
-        e = format_rational(self.euler)
-        if self.base.surface is Surface.DISK:
-            bits = ",".join(str(x) for x in self.xi)
-            return "(%s; %s; %s; %s; %s)" % (self.base, cones, corners, e, bits)
-        return "(%s; %s; %s)" % (self.base, cones, e)
+        text = self._str
+        if text is None:
+            cones = ",".join(str(i) for i in self.cone_invariants)
+            e = format_rational(self.euler)
+            if self.base.surface is Surface.DISK:
+                corners = ",".join(str(i) for i in self.corner_invariants)
+                bits = ",".join(str(x) for x in self.xi)
+                text = "(%s; %s; %s; %s; %s)" % (self.base, cones, corners, e, bits)
+            else:
+                text = "(%s; %s; %s)" % (self.base, cones, e)
+            object.__setattr__(self, "_str", text)
+        return text
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in ("_hash", "_str")}
 
 
 def format_rational(q: Fraction) -> str:
@@ -207,8 +256,7 @@ def solve_xi(cone_invariants, corner_invariants, euler) -> int:
     With a single boundary component the relation pins xi/2 mod 1, hence xi;
     raises ValueError when neither bit works.
     """
-    if not isinstance(euler, Fraction):
-        euler = Fraction(euler)
+    euler = _as_rational(euler)
     n, d = _twice_relation(
         _as_invariants(cone_invariants), _as_invariants(corner_invariants), euler
     )
@@ -373,7 +421,7 @@ def s3_fibration(u: int, v: int, sign: int = 1) -> FiberedOrbifold:
     side, sign=-1 its orientation reversal.  (u, v) = (1, 1) gives the Hopf
     fibration (S2; ; -1) itself.
     """
-    u, v = int(u), int(v)
+    u, v = _integer(u, "u and v"), _integer(v, "u and v")
     if u < 1 or v < 1:
         raise ValueError("u and v must be positive")
     if gcd(u, v) != 1:

@@ -28,7 +28,14 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .core import FiberedOrbifold, Surface, check_valid, normalize, reverse_orientation
+from .core import (
+    FiberedOrbifold,
+    Surface,
+    _integer,
+    check_valid,
+    normalize,
+    reverse_orientation,
+)
 
 
 class Family(Enum):
@@ -284,7 +291,7 @@ class GroupFamily:
             raise ValueError(
                 "%s takes parameters %s, got %s" % (self.family.value, names, sorted(given))
             )
-        vals = {k: int(v) for k, v in given.items()}
+        vals = {k: _integer(v, "parameters") for k, v in given.items()}
         if any(v < 1 for v in vals.values()):
             raise ValueError("parameters must be positive integers")
         object.__setattr__(self, "params", vals)
@@ -367,6 +374,17 @@ def _quotient_row(g: GroupFamily) -> _Row:
     return row
 
 
+def _quotient_values(g: GroupFamily) -> tuple[_Row, tuple[int, ...]]:
+    """The row and parameter values of g, which the row's rejections must
+    pass (ValueError naming the reason otherwise)."""
+    row = _quotient_row(g)
+    values = _values(g, row)
+    why = _rejection(row.reject, values)
+    if why is not None:
+        raise ValueError("quotient data is not defined for %s: %s" % (g, why))
+    return row, values
+
+
 def quotient_hopf(g: GroupFamily):
     """Invariants of the fibration induced on S^3/G by the Hopf fibration.
 
@@ -375,28 +393,39 @@ def quotient_hopf(g: GroupFamily):
     and raises UnsupportedFamilyError for families 1, 1', 11, 11' (their
     quotient tables live outside this module) and for F12bis.
     """
-    row = _quotient_row(g)
+    row, values = _quotient_values(g)
     if row.hopf is NO_INVARIANT_FIBRATION:
         return NO_INVARIANT_FIBRATION
-    values = _values(g, row)
-    why = _rejection(row.reject, values)
-    if why is not None:
-        raise ValueError("quotient data is not defined for %s: %s" % (g, why))
     surface, cones, corners, e = row.hopf(*values)
     return check_valid(normalize(FiberedOrbifold.from_data(surface, cones, corners, e)))
 
 
-def quotient_antihopf(g: GroupFamily):
-    """Invariants induced by the anti-Hopf fibration.
+def swapped_group(g: GroupFamily):
+    """The group whose Hopf quotient, orientation reversed, is the anti-Hopf
+    quotient of g: the row's swap family with m and n exchanged.
 
-    Computed as the orientation reversal of the Hopf quotient of the
-    swapped group, so only the swapped group's rejections apply; Euler
-    class > 0 when defined.
+    Returns NO_INVARIANT_FIBRATION when the swapped left factor is
+    platonic, and raises ValueError when the swapped parameters break that
+    family's constraints or its quotient rejections.
     """
     row = _quotient_row(g)
     if row.swap is NO_INVARIANT_FIBRATION:
         return NO_INVARIANT_FIBRATION
     swapped = GroupFamily(row.swap, {"m": g.params["n"], "n": g.params["m"]})
+    _quotient_values(swapped)
+    return swapped
+
+
+def quotient_antihopf(g: GroupFamily):
+    """Invariants induced by the anti-Hopf fibration.
+
+    Computed as the orientation reversal of the Hopf quotient of
+    `swapped_group(g)`, so only the swapped group's rejections apply;
+    Euler class > 0 when defined.
+    """
+    swapped = swapped_group(g)
+    if swapped is NO_INVARIANT_FIBRATION:
+        return NO_INVARIANT_FIBRATION
     return reverse_orientation(quotient_hopf(swapped))
 
 

@@ -10,8 +10,9 @@ import contextlib
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
-from math import gcd
+from math import floor, gcd
 
 from seifert_orbifolds.core import (
     FiberedOrbifold,
@@ -31,8 +32,10 @@ from seifert_orbifolds.classify import (
     FibrationClass,
     FibrationCount,
     are_diffeomorphic,
+    diffeo_key,
     double_cover,
     enumerate_bridges,
+    enumerate_fibrations,
     fibration_class,
     fibration_count,
     single_step,
@@ -383,3 +386,68 @@ def test_criterion_9_atlas_determinism():
             print("  atlas-200 %s sha256:" % name, _sha256(text), "expected:", want)
             ok = False
     report(9, "atlas --max-order 200 determinism, frozen class count and sha256", ok)
+
+
+def _manifold_tuples():
+    """Spherical manifold tuples, (base, cone pairs, e): base S2(2,2,n) for
+    n < 24, S2(2,3,3/4/5) or RP2(b) for b < 24 (b = 1 drops the cone),
+    every invariant of index 1, and every e with 0 < |e| <= 6 that closes
+    the sum relation."""
+    def units(n):
+        return [a for a in range(1, n) if gcd(a, n) == 1]
+
+    def closing(surface, cones):
+        s = sum(F(a, b) for a, b in cones)
+        for k in range(floor(s) - 6, floor(s) + 8):
+            if 0 < abs(k - s) <= 6:
+                yield surface, cones, k - s
+
+    for n in range(2, 24):
+        for a in units(n):
+            yield from closing(S2, [(1, 2), (1, 2), (a, n)])
+    for b in (3, 4, 5):
+        for a2 in units(3):
+            for a3 in units(b):
+                yield from closing(S2, [(1, 2), (a2, 3), (a3, b)])
+    yield from closing(RP2, [])
+    for b in range(2, 24):
+        for a in units(b):
+            yield from closing(RP2, [(a, b)])
+
+
+def _is_manifold(f):
+    return (f.base.surface in (S2, RP2) and not f.corner_invariants
+            and all(i.index == 1 for i in f.cone_invariants))
+
+
+def test_criterion_10_manifold_statement():
+    """Among spherical Seifert 3-manifolds only lens spaces (infinitely
+    many fibrations) and prism manifolds (two: over S2(2,2,n) and over
+    RP2) admit several fibrations; no manifold has three, and no disk base
+    fibers one."""
+    ok = True
+    seen = Counter()
+    for surface, cones, e in _manifold_tuples():
+        f = mk(surface, cones, [], e)
+        assert validate(f).ok and _is_manifold(f), f
+        count = fibration_count(f)
+        seen[count] += 1
+        if count is FibrationCount.INFINITE:
+            key = diffeo_key(f)
+            good = (fibration_class(f) is FibrationClass.INFINITE_SPHERE_SIDE
+                    and key.iota == (1, 1))
+        else:
+            members = enumerate_fibrations(f)
+            bases = sorted((g.base.surface.value, g.base.cone_labels) for g in members)
+            good = all(_is_manifold(g) for g in members) and (
+                count is FibrationCount.ONE
+                or count is FibrationCount.TWO and bases[0][0] == "RP2"
+                and bases[1][0] == "S2" and bases[1][1][:2] == (2, 2) and len(bases[1][1]) == 3
+            )
+        if not good:
+            print("  manifold statement fails for", f)
+            ok = False
+    if seen != {FibrationCount.ONE: 192, FibrationCount.TWO: 4070, FibrationCount.INFINITE: 46}:
+        print("  manifold tuples by count:", dict(seen))
+        ok = False
+    report(10, "manifold tuples: one, two (S2(2,2,n) and RP2) or infinitely many fibrations", ok)

@@ -1,4 +1,10 @@
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import fields
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +95,143 @@ class TestLocalInvariant:
         assert LocalInvariant(0, 2).index == 2
         assert LocalInvariant(1, 4).index == 1
         assert LocalInvariant(2, 4).index == 2
+
+    def test_keyword_arguments_and_order_check(self):
+        assert LocalInvariant(a=7, b=4) == LocalInvariant(3, 4)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            LocalInvariant(1, 0)
+
+
+class TestNonIntegralNumbersRejected:
+    """Labels, invariants, bits and group parameters are integers and an
+    Euler class is exact: nothing is truncated to fit."""
+
+    @pytest.mark.parametrize("a, b", [(1, 2.5), (1.5, 2), (1, 2.0), ("1", 2), (1, F(5, 2))])
+    def test_local_invariant(self, a, b):
+        with pytest.raises(ValueError, match="local invariants must be integers"):
+            LocalInvariant(a, b)
+
+    @pytest.mark.parametrize("labels", [(2.7, 3), (2.0, 3), ("2", 3)])
+    def test_labels(self, labels):
+        with pytest.raises(ValueError, match="singularity labels must be integers"):
+            TwoOrbifold(S2, labels)
+        with pytest.raises(ValueError, match="singularity labels must be integers"):
+            TwoOrbifold(D2, (), labels)
+
+    def test_invariant_pairs_of_from_data(self):
+        with pytest.raises(ValueError, match="local invariants must be integers"):
+            mk(S2, [(1, 2.5)], [], F(-1, 2))
+        with pytest.raises(ValueError, match="local invariants must be integers"):
+            mk(D2, [], [(0.5, 2)], F(-1, 2))
+
+    @pytest.mark.parametrize("xi", [1.0, (1.0,), ("1",)])
+    def test_boundary_bit(self, xi):
+        with pytest.raises(ValueError, match="xi entries must be integers"):
+            mk(D2, [], [], -1, xi)
+        with pytest.raises(ValueError, match="xi entries must be integers"):
+            FiberedOrbifold(TwoOrbifold(D2), (), (), F(-1), xi if isinstance(xi, tuple) else (xi,))
+
+    @pytest.mark.parametrize("e", [-0.5, -1.0, 0.0])
+    def test_float_euler_class(self, e):
+        with pytest.raises(ValueError, match="Euler class must be exact"):
+            mk(S2, [(1, 2)], [], e)
+        with pytest.raises(ValueError, match="Euler class must be exact"):
+            FiberedOrbifold(TwoOrbifold(S2, (2,)), ((1, 2),), (), e)
+        with pytest.raises(ValueError, match="Euler class must be exact"):
+            solve_xi([], [(1, 2)], e)
+
+    def test_s3_fibration_parameters(self):
+        with pytest.raises(ValueError, match="u and v must be integers"):
+            s3_fibration(2.5, 3)
+
+    def test_exact_inputs_still_accepted(self):
+        f = mk(S2, [(True, 2)], [], F(-1, 2))
+        assert f == mk(S2, [(1, 2)], [], "-1/2") == FiberedOrbifold(
+            TwoOrbifold(S2, (2,)), (LocalInvariant(1, 2),), (), F(-1, 2)
+        )
+        assert str(f) == "(S2(2); 1/2; -1/2)"
+        assert mk(D2, [], [], -1, 0) == mk(D2, [], [], -1, (0,)) == mk(D2, [], [], -1)
+
+
+class TestCachedHashAndStr:
+    """The hash and str of a FiberedOrbifold are computed once and kept out
+    of the fields, of equality, of repr and of pickles."""
+
+    def _equal_values(self):
+        made = mk(D2, [], [(1, 2), (1, 2), (1, 4)], F(-1, 8))
+        unsorted = FiberedOrbifold(
+            made.base, (), tuple(reversed(made.corner_invariants)), made.euler, made.xi
+        )
+        twice_reversed = reverse_orientation(reverse_orientation(made))
+        reduced = normalize(mk(D2, [], [(5, 4), (3, 2), (1, 2)], F(-1, 8)))
+        return [made, normalize(unsorted), twice_reversed, reduced]
+
+    def test_equal_values_hash_and_print_alike(self):
+        values = self._equal_values()
+        assert len({id(f) for f in values}) == len(values)
+        for f in values:
+            assert f == values[0]
+            assert hash(f) == hash(values[0])
+            assert str(f) == str(values[0]) == "(D2(;2,2,4); ; 1/2,1/2,1/4; -1/8; 1)"
+        assert len(set(values)) == 1
+
+    def test_hash_is_the_field_tuple_hash(self):
+        f = self._equal_values()[0]
+        assert hash(f) == hash(tuple(getattr(f, field.name) for field in fields(f)))
+
+    def test_fields_eq_and_repr_unchanged(self):
+        assert [field.name for field in fields(FiberedOrbifold)] == [
+            "base", "cone_invariants", "corner_invariants", "euler", "xi"
+        ]
+        f = mk(S2, [(1, 2)], [], F(-1, 2))
+        fresh = mk(S2, [(1, 2)], [], F(-1, 2))
+        before = repr(f)
+        hash(f), str(f)
+        assert repr(f) == before == repr(fresh) == (
+            "FiberedOrbifold(base=TwoOrbifold(surface=<Surface.SPHERE: 'S2'>, "
+            "cone_labels=(2,), corner_labels=()), "
+            "cone_invariants=(LocalInvariant(a=1, b=2),), corner_invariants=(), "
+            "euler=Fraction(-1, 2), xi=())"
+        )
+        assert f == fresh and not f != fresh
+        assert f != mk(S2, [(1, 2)], [], F(1, 2))
+
+    def test_pickle_drops_the_kept_values(self):
+        f = mk(S2, [(1, 2), (1, 3)], [], F(-1, 6))
+        hash(f), str(f)
+        g = pickle.loads(pickle.dumps(f))
+        assert "_hash" not in vars(g) and "_str" not in vars(g)
+        assert g == f and hash(g) == hash(f) and str(g) == str(f)
+
+    def test_pickled_value_is_found_under_another_hash_seed(self):
+        """A hash kept through a pickle would be the sender's, and Surface
+        hashes by name, so a set of equal values in a process with another
+        PYTHONHASHSEED would not find it."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        make = (
+            "from fractions import Fraction as F\n"
+            "from seifert_orbifolds.core import FiberedOrbifold, Surface\n"
+            "f = FiberedOrbifold.from_data(Surface.DISK, [(1, 3)], [(1, 2)], F(-1, 12))\n"
+        )
+        dump = make + (
+            "import pickle, sys\n"
+            "assert f in {f} and str(f)\n"
+            "sys.stdout.buffer.write(pickle.dumps(f))\n"
+        )
+        load = make + (
+            "import pickle, sys\n"
+            "g = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(g in {f}, f in {g}, hash(g) == hash(f), str(g) == str(f))\n"
+        )
+
+        def run(code, seed, stdin=b""):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", code], input=stdin, env=env, capture_output=True, check=True
+            )
+            return done.stdout
+
+        assert run(load, "2", run(dump, "1")).decode().split() == ["True"] * 4
 
 
 class TestValidate:

@@ -1,13 +1,21 @@
 import contextlib
 import io
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from seifert_orbifolds.cli import run_command
-from seifert_orbifolds.core import FiberedOrbifold, Surface, normalize, validate
+from seifert_orbifolds.core import (
+    FiberedOrbifold,
+    Surface,
+    normalize,
+    reverse_orientation,
+    validate,
+)
 from seifert_orbifolds.groups import (
     _TABLE,
+    NO_INVARIANT_FIBRATION,
     Family,
     GroupFamily,
     NoInvariantFibration,
@@ -18,6 +26,7 @@ from seifert_orbifolds.groups import (
     quotient_antihopf,
     quotient_families,
     quotient_hopf,
+    swapped_group,
 )
 
 S2, RP2, D2 = Surface.SPHERE, Surface.PROJECTIVE_PLANE, Surface.DISK
@@ -279,3 +288,47 @@ class TestTable:
             quotient_hopf(g)
         assert str(quotient_antihopf(g)) == "(RP2; ; 1)"
         assert quotient_cli("F2(m=1,n=1)", "--anti-hopf") == (0, "(RP2; ; 1)\n", "")
+
+    @pytest.mark.parametrize("params", [{"m": 2.5, "n": 3}, {"m": 2, "n": 3.0}, {"m": "2", "n": 3}])
+    def test_non_integral_parameters_rejected(self, params):
+        with pytest.raises(ValueError, match="parameters must be integers"):
+            GroupFamily(Family.F2, params)
+
+
+class TestSwappedGroup:
+    def test_swap_exchanges_m_and_n(self):
+        assert swapped_group(parse_group("F2(m=3,n=2)")) == parse_group("F2bis(m=2,n=3)")
+        assert swapped_group(parse_group("F10(m=1,n=3)")) == parse_group("F10(m=3,n=1)")
+
+    def test_platonic_left_factor(self):
+        assert swapped_group(parse_group("F5(m=2)")) is NO_INVARIANT_FIBRATION
+        assert swapped_group(parse_group("F20")) is NO_INVARIANT_FIBRATION
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("F2bis(m=1,n=2)", "quotient data is not defined for F2(m=2,n=1): n = 1 merges"),
+            ("F33(m=1,n=3)", "F33 requires n != 1"),
+        ],
+    )
+    def test_same_errors_as_the_anti_hopf_quotient(self, spec, message):
+        g = parse_group(spec)
+        for op in (swapped_group, quotient_antihopf):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                op(g)
+
+    def test_anti_hopf_is_the_reversed_hopf_quotient_of_the_swap(self):
+        checked = 0
+        for g in enumerate_quotient_groups(200):
+            try:
+                swapped = swapped_group(g)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    quotient_antihopf(g)
+                continue
+            if swapped is NO_INVARIANT_FIBRATION:
+                assert quotient_antihopf(g) is NO_INVARIANT_FIBRATION
+                continue
+            assert quotient_antihopf(g) == reverse_orientation(quotient_hopf(swapped))
+            checked += 1
+        assert checked > 200

@@ -11,11 +11,14 @@ from itertools import product
 from seifert_orbifolds.classify import (
     _BRIDGES,
     _RULES,
+    _SPORADIC,
     FibrationClass,
     _bridge,
+    _mk,
     _rewrites,
     fibration_class,
 )
+from seifert_orbifolds.cli import _atlas_rows, parse_fibration
 from seifert_orbifolds.core import (
     FiberedOrbifold,
     Surface,
@@ -83,3 +86,73 @@ def test_every_move_and_bridge_keeps_the_orbifold_order():
     assert [n for n in names if not fired[n]] == []
     assert sum(fired[row[0]] for row in _RULES) > 9000
     assert sum(fired[row[0]] for row in _BRIDGES) >= 250
+
+
+# -- the shape index against a full scan ---------------------------------------
+
+# The sporadic pairs as the tuple the matcher scanned before the index.
+SPORADIC_PAIRS = tuple(
+    (_mk(S2, sphere, [], F(-s, n)), _mk(D2, cones, corners, F(-s, m)))
+    for s in (1, -1)
+    for sphere, n, cones, corners, m in (
+        ([(0, 2), (2 * s, 3), (2 * s, 3)], 3, [(s, 3)], [(s, 2)], 12),
+        ([(0, 2), (2 * s, 3), (2 * s, 4)], 6, [], [(1, 2), (s, 3), (s, 4)], 24),
+        ([(0, 2), (s, 3), (3 * s, 4)], 12, [], [(1, 2), (s, 3), (s, 3)], 12),
+        ([(0, 2), (2 * s, 3), (2 * s, 5)], 15, [], [(1, 2), (s, 3), (s, 5)], 60),
+    )
+)
+
+
+def rewrites_by_full_scan(f):
+    """The unindexed matcher: f read against both sides of every rule, then
+    compared with every sporadic pair."""
+    for name, left, right, (there, back), domain in _RULES:
+        xy = left.read(f)
+        if xy is not None and domain(*xy):
+            yield name, right.build(*there(*xy))
+        xy = right.read(f)
+        if xy is not None and domain(*back(*xy)):
+            yield name, left.build(*back(*xy))
+    for left, right in SPORADIC_PAIRS:
+        if f == left:
+            yield "sporadic", right
+        elif f == right:
+            yield "sporadic", left
+
+
+def bridge_by_full_scan(f):
+    """The unindexed bridge scan: the first of all rows that reads f."""
+    for name, source, domain, target in _BRIDGES:
+        xy = source.read(f)
+        if xy is not None and domain(*xy):
+            return name, _mk(*target(*xy, f.euler))
+    return None
+
+
+def atlas_values(max_order):
+    """Every quotient of the atlas sweep and every member of its fibration
+    set, as normal forms."""
+    texts = set()
+    for row in _atlas_rows(max_order):
+        texts.add(row["quotient"])
+        texts.update(row["fibrations"] or ())
+    return {normalize(parse_fibration(text)) for text in texts}
+
+
+def test_sporadic_dict_holds_each_pair_both_ways():
+    assert len(_SPORADIC) == 2 * len(SPORADIC_PAIRS) == 16
+    for left, right in SPORADIC_PAIRS:
+        assert _SPORADIC[left] == right and _SPORADIC[right] == left
+
+
+def test_shape_index_matches_the_full_scan():
+    values = grid() | atlas_values(200) | set(_SPORADIC)
+    moved = bridged = 0
+    for f in values:
+        got = Counter(_rewrites(f))
+        assert got == Counter(rewrites_by_full_scan(f)), f
+        hit = _bridge(f)
+        assert hit == bridge_by_full_scan(f), f
+        moved += sum(got.values())
+        bridged += hit is not None
+    assert len(values) > 8000 and moved > 9000 and bridged > 250

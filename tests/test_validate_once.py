@@ -1,5 +1,5 @@
-"""The public classify functions validate once and the atlas computes each
-fibration class once."""
+"""The public classify functions validate once, and the atlas builds each
+Hopf quotient once and computes each fibration class once."""
 
 import contextlib
 import io
@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from seifert_orbifolds import classify, cli
+from seifert_orbifolds import classify, cli, groups
 from seifert_orbifolds.classify import (
     are_diffeomorphic,
     diffeo_key,
@@ -20,6 +20,11 @@ from seifert_orbifolds.classify import (
     single_step,
 )
 from seifert_orbifolds.cli import parse_fibration, run_command
+from seifert_orbifolds.groups import (
+    NO_INVARIANT_FIBRATION,
+    enumerate_quotient_groups,
+    quotient_antihopf,
+)
 
 FINITE = parse_fibration("S2(2,2,4); 0/2,0/2,2/4; ; -1/2")  # three fibrations
 INFINITE = parse_fibration("S2(2,2,3); 0/2,0/2,1/3; ; -1/3")  # bridged to a lens key
@@ -94,3 +99,56 @@ def test_atlas_signature_matches_diffeo_signature():
     assert rows
     for row in rows:
         assert row["signature"] == diffeo_signature(parse_fibration(row["quotient"]))
+
+
+def test_atlas_builds_each_hopf_quotient_once(monkeypatch):
+    original = groups.quotient_hopf
+    calls = Counter()
+
+    def counted(g):
+        calls[g] += 1
+        return original(g)
+
+    for mod in (groups, cli):
+        monkeypatch.setattr(mod, "quotient_hopf", counted)
+    classes = _atlas_json(60)
+    assert set(calls) == set(enumerate_quotient_groups(60))
+    assert set(calls.values()) == {1}
+    assert sum(len(obj["members"]) for obj in classes) > len(calls)
+
+
+def test_atlas_reads_patterns_by_base_shape(monkeypatch):
+    """Only the rule sides and bridge rows filed under a fibration's shape
+    read it: 28,413 reads in the unindexed scan of this sweep."""
+    original = classify._Pattern.read
+    reads = []
+
+    def counted(pattern, f):
+        reads.append(f)
+        return original(pattern, f)
+
+    monkeypatch.setattr(classify._Pattern, "read", counted)
+    _atlas_json(100)
+    assert 0 < len(reads) <= 8000
+
+
+def test_atlas_anti_hopf_rows_equal_quotient_antihopf():
+    """The sweep reverses the swapped group's Hopf quotient in place of
+    calling quotient_antihopf; every group of order <= 400 gets the same
+    anti-Hopf value, or none where quotient_antihopf raises or finds no
+    invariant fibration."""
+    swept = {}
+    for row in cli._atlas_rows(400):
+        if row["side"] == "anti-hopf":
+            swept[row["group"]] = parse_fibration(row["quotient"])
+    groups_seen = 0
+    for g in enumerate_quotient_groups(400):
+        try:
+            a = quotient_antihopf(g)
+        except ValueError:
+            a = None
+        if a is NO_INVARIANT_FIBRATION:
+            a = None
+        assert swept.pop(str(g), None) == a, g
+        groups_seen += 1
+    assert swept == {} and groups_seen > 1000
