@@ -36,11 +36,13 @@ fibering over both S2(2,2) and D2 connect the sphere and disk classes.
 Orientation reversal takes build(x, y) to build(x, -y), and every domain
 reads y through |y| only, so the rules and bridges are closed under it.
 
-A pattern reads bases of two shapes only, a shape being (surface, number
-of cone points, number of corners): its fixed invariants, with and
-without the free one.  At import, `_MOVES` files each rule, once per
-direction, and `_BRIDGES_BY_SHAPE` each bridge row under the shapes its
-source pattern reads, in table order.  `_rewrites` and `_bridge` read f
+A fibration's shape is its surface, its numbers of cone points and of
+corners, and the numerators of its order-2 cone and corner invariants.  A
+pattern reads four shapes only: its fixed invariants alone (x = 1), with a
+free 0/2 or 1/2 added (x = 2), and with a free invariant of higher order
+added (x > 2).  At import, `_MOVES` files each rule, once per direction,
+and `_BRIDGES_BY_SHAPE` each bridge row under the shapes its source
+pattern reads, in table order.  `_rewrites` and `_bridge` read f
 against the entries filed under f's shape and skip the rest, which could
 not match; the first bridge row that reads f still wins.
 
@@ -48,7 +50,8 @@ Each public function validates its arguments once, through
 `_require_normal_spherical`, and hands the normal form to a private core
 (`_fibration_class`, `_enumerate_fibrations`, `_key`, ...).  The
 cores trust their argument and call only other cores; the values the
-rules and bridges build are still checked as they are made.
+rules and bridges build are made and checked in one pass by
+`core._normal_form`.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from .core import (
     FiberedOrbifold,
     LocalInvariant,
     Surface,
+    _normal_form,
     check_valid,
     is_bad,
     is_spherical,
@@ -126,11 +130,6 @@ def _require_normal_spherical(f: FiberedOrbifold) -> FiberedOrbifold:
 _S2, _D2, _RP2 = Surface.SPHERE, Surface.DISK, Surface.PROJECTIVE_PLANE
 
 
-def _mk(surface, cones, corners, e):
-    f = normalize(FiberedOrbifold.from_data(surface, cones, corners, e))
-    return check_valid(f)
-
-
 def _twos(*numerators):
     return tuple(LocalInvariant(a, 2) for a in numerators)
 
@@ -175,18 +174,24 @@ class _Pattern(NamedTuple):
         return x, y
 
     def shapes(self):
-        """The base shapes `read` can match: x = 1 leaves the fixed
-        invariants alone, x > 1 adds one free invariant."""
-        cones, corners = len(self.cones), len(self.corners)
-        if self.free == "cone":
-            return (self.surface, cones, corners), (self.surface, cones + 1, corners)
-        return (self.surface, cones, corners), (self.surface, cones, corners + 1)
+        """The shapes of the fibrations `read` can match: the fixed
+        invariants alone (x = 1), with a free 0/2 or 1/2 added (x = 2), or
+        with a free invariant of higher order added (x > 2)."""
+        cones, corners = _halves(self.cones), _halves(self.corners)
+        n, m = len(cones), len(corners)
+        yield self.surface, n, m, cones, corners
+        for added in ((0,), (1,), ()):
+            if self.free == "cone":
+                yield self.surface, n + 1, m, tuple(sorted(cones + added)), corners
+            else:
+                yield self.surface, n, m + 1, cones, tuple(sorted(corners + added))
 
     def build(self, x: int, y: int) -> FiberedOrbifold:
         free = ((self._numerator(x, y), x),)
+        e = Fraction(y, self.k * x)
         if self.free == "cone":
-            return _mk(self.surface, self.cones + free, self.corners, Fraction(y, self.k * x))
-        return _mk(self.surface, self.cones, self.corners + free, Fraction(y, self.k * x))
+            return _normal_form(self.surface, self.cones + free, self.corners, e)
+        return _normal_form(self.surface, self.cones, self.corners + free, e)
 
 
 # Each pattern under its display (base; cone invariants; corner invariants;
@@ -260,7 +265,10 @@ def _two_way(pairs):
 # The sporadic pairs on S2(2,3,b) / D2(;2,3,b) / D2(3;2) bases, both
 # orientations, as a dict from each fibration to its partner.
 _SPORADIC = _two_way(
-    (_mk(_S2, sphere, [], Fraction(-s, n)), _mk(_D2, cones, corners, Fraction(-s, m)))
+    (
+        _normal_form(_S2, sphere, [], Fraction(-s, n)),
+        _normal_form(_D2, cones, corners, Fraction(-s, m)),
+    )
     for s in (1, -1)
     for sphere, n, cones, corners, m in (
         ([(0, 2), (2 * s, 3), (2 * s, 3)], 3, [(s, 3)], [(s, 2)], 12),
@@ -311,9 +319,17 @@ def _small_base(f: FiberedOrbifold) -> bool:
 # -- the matcher -------------------------------------------------------------
 
 
+def _halves(invariants):
+    """The numerators of the order-2 invariants among sorted invariants."""
+    return tuple(i.a for i in invariants if i.b == 2)
+
+
 def _shape(f: FiberedOrbifold):
-    """(surface, number of cone points, number of corners) of f's base."""
-    return f.base.surface, len(f.cone_invariants), len(f.corner_invariants)
+    """(surface, number of cone points, number of corners, numerators of
+    the order-2 cone invariants, numerators of the order-2 corner
+    invariants) of the normal form f."""
+    cones, corners = f.cone_invariants, f.corner_invariants
+    return f.base.surface, len(cones), len(corners), _halves(cones), _halves(corners)
 
 
 def _by_shape(entries):
@@ -372,7 +388,7 @@ def _bridge(f: FiberedOrbifold):
     for name, source, domain, target in _BRIDGES_BY_SHAPE.get(_shape(f), ()):
         xy = source.read(f)
         if xy is not None and domain(*xy):
-            return name, _mk(*target(*xy, f.euler))
+            return name, _normal_form(*target(*xy, f.euler))
     return None
 
 
@@ -455,7 +471,7 @@ def double_cover(f: FiberedOrbifold) -> FiberedOrbifold:
     f = check_valid(normalize(f))
     if f.base.surface is not Surface.DISK or f.base.cone_labels:
         raise ValueError("double_cover requires a disk base without cone points")
-    return _mk(Surface.SPHERE, f.corner_invariants, [], 2 * f.euler)
+    return _normal_form(Surface.SPHERE, f.corner_invariants, [], 2 * f.euler)
 
 
 def diffeo_key(f: FiberedOrbifold) -> DiffeoKey:

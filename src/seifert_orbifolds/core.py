@@ -33,6 +33,10 @@ class Surface(Enum):
     PROJECTIVE_PLANE = "RP2"
     DISK = "D2"
 
+    # Members are singletons, so the identity hash (computed in C) agrees
+    # with ==; Enum's own hash is the hash of the name, computed in Python.
+    __hash__ = object.__hash__
+
 
 def _integer(n, what: str) -> int:
     """n as an int; ValueError for anything that is not integral (a float
@@ -81,8 +85,6 @@ class TwoOrbifold:
         object.__setattr__(self, "corner_labels", _as_label_tuple(self.corner_labels))
         if self.corner_labels and self.surface is not Surface.DISK:
             raise ValueError("corner reflectors only occur on a disk base")
-        if self.surface is Surface.PROJECTIVE_PLANE and self.corner_labels:
-            raise ValueError("RP2 carries at most cone points")
 
     @property
     def boundary_components(self) -> int:
@@ -153,7 +155,7 @@ class FiberedOrbifold:
     The hash and the str are computed on first use and kept outside the
     five fields, so `==`, `repr` and `dataclasses.fields` see only those.
     Pickling drops the kept values: the hash reads the Surface enum, whose
-    hash is that of its name and differs between processes.
+    hash is its identity and differs between processes.
     """
 
     base: TwoOrbifold
@@ -391,6 +393,49 @@ def normalize(f: FiberedOrbifold) -> FiberedOrbifold:
     return FiberedOrbifold(f.base, cones, corners, f.euler, f.xi)
 
 
+def _normal_form(surface, cone_pairs=(), corner_pairs=(), euler=0) -> FiberedOrbifold:
+    """check_valid(normalize(FiberedOrbifold.from_data(surface, cone_pairs,
+    corner_pairs, euler))), with each conversion and each check done once.
+
+    Returns the same value and raises the same ValueError, checked in the
+    same order: integral invariants of order >= 1, the surface, corners
+    only on a disk, an exact Euler class, then the sum relation.  The
+    invariants are reduced and sorted once and the base labels are their
+    orders.  One `_twice_relation` call solves xi on a disk and tests the
+    relation on S2 and RP2.
+    """
+    cones = tuple(sorted(_as_invariants(cone_pairs), key=_order_key))
+    corners = tuple(sorted(_as_invariants(corner_pairs), key=_order_key))
+    if not isinstance(surface, Surface):
+        surface = Surface(surface)
+    if corners and surface is not Surface.DISK:
+        raise ValueError("corner reflectors only occur on a disk base")
+    e = _as_rational(euler)
+    n, d = _twice_relation(cones, corners, e)
+    if surface is Surface.DISK:
+        if n % d:
+            raise ValueError("no boundary bit makes the invariant relation hold")
+        xi = ((-n // d) % 2,)
+    else:
+        xi = ()
+    # The fields are converted and checked already, so they are set without
+    # __post_init__; setting them one by one keeps the instances' attributes
+    # inline, where writing through __dict__ would give each one a dict.
+    base = object.__new__(TwoOrbifold)
+    object.__setattr__(base, "surface", surface)
+    object.__setattr__(base, "cone_labels", tuple(i.b for i in cones))
+    object.__setattr__(base, "corner_labels", tuple(i.b for i in corners))
+    f = object.__new__(FiberedOrbifold)
+    object.__setattr__(f, "base", base)
+    object.__setattr__(f, "cone_invariants", cones)
+    object.__setattr__(f, "corner_invariants", corners)
+    object.__setattr__(f, "euler", e)
+    object.__setattr__(f, "xi", xi)
+    if surface is not Surface.DISK and n % (2 * d):
+        check_valid(f)  # the relation fails: raises with validate's message
+    return f
+
+
 def reverse_orientation(f: FiberedOrbifold) -> FiberedOrbifold:
     """Mirror orbifold: negate all local invariants and the Euler class.
 
@@ -429,13 +474,10 @@ def s3_fibration(u: int, v: int, sign: int = 1) -> FiberedOrbifold:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     # One solution of u*ubar + v*vbar = 1; the classes mod 1 do not depend
-    # on the choice.
+    # on the choice.  sign = -1 negates every invariant and e, which is
+    # reverse_orientation of the Hopf side.
     ubar = pow(u, -1, v) if v > 1 else 0
     vbar = (1 - u * ubar) // v
-    f = FiberedOrbifold.from_data(
-        Surface.SPHERE, [(vbar, u), (ubar, v)], (), Fraction(-1, u * v)
+    return _normal_form(
+        Surface.SPHERE, [(sign * vbar, u), (sign * ubar, v)], (), Fraction(-sign, u * v)
     )
-    f = normalize(f)
-    if sign == -1:
-        f = reverse_orientation(f)
-    return check_valid(f)

@@ -28,14 +28,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .core import (
-    FiberedOrbifold,
-    Surface,
-    _integer,
-    check_valid,
-    normalize,
-    reverse_orientation,
-)
+from .core import Surface, _integer, _normal_form, reverse_orientation
 
 
 class Family(Enum):
@@ -306,7 +299,7 @@ class GroupFamily:
             raise AttributeError(name)
 
     def __hash__(self):
-        return hash((self.family, tuple(sorted(self.params.items()))))
+        return hash((self.family, _values(self, _TABLE[self.family])))
 
     def __str__(self):
         names = _TABLE[self.family].params
@@ -396,8 +389,7 @@ def quotient_hopf(g: GroupFamily):
     row, values = _quotient_values(g)
     if row.hopf is NO_INVARIANT_FIBRATION:
         return NO_INVARIANT_FIBRATION
-    surface, cones, corners, e = row.hopf(*values)
-    return check_valid(normalize(FiberedOrbifold.from_data(surface, cones, corners, e)))
+    return _normal_form(*row.hopf(*values))
 
 
 def swapped_group(g: GroupFamily):

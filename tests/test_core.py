@@ -2,6 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction as F
 from pathlib import Path
@@ -15,6 +16,8 @@ from seifert_orbifolds.core import (
     LocalInvariant,
     Surface,
     TwoOrbifold,
+    _normal_form,
+    check_valid,
     euler_characteristic,
     is_bad,
     is_spherical,
@@ -38,10 +41,15 @@ class TestTwoOrbifold:
         assert TwoOrbifold(S2, (1, 2, 2)).cone_labels == (2, 2)
 
     def test_corner_reflectors_need_disk(self):
-        with pytest.raises(ValueError):
-            TwoOrbifold(S2, (), (2, 2))
-        with pytest.raises(ValueError):
-            TwoOrbifold(RP2, (3,), (2,))
+        builds = (
+            lambda surface: TwoOrbifold(surface, (3,), (2, 2)),
+            lambda surface: FiberedOrbifold.from_data(surface, [(1, 3)], [(1, 2)], F(-1, 12)),
+            lambda surface: _normal_form(surface, [(1, 3)], [(1, 2)], F(-1, 12)),
+        )
+        for surface in (S2, RP2):
+            for build in builds:
+                with pytest.raises(ValueError, match="^corner reflectors only occur on a disk base$"):
+                    build(surface)
 
     def test_labels_sorted(self):
         assert TwoOrbifold(S2, (5, 2, 3)).cone_labels == (2, 3, 5)
@@ -205,8 +213,8 @@ class TestCachedHashAndStr:
 
     def test_pickled_value_is_found_under_another_hash_seed(self):
         """A hash kept through a pickle would be the sender's, and Surface
-        hashes by name, so a set of equal values in a process with another
-        PYTHONHASHSEED would not find it."""
+        hashes by identity, so a set of equal values in another process
+        would not find it."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         make = (
             "from fractions import Fraction as F\n"
@@ -352,6 +360,75 @@ class TestS3Fibration:
                     assert is_bad(f.base)
 
 
+def chain(surface, cones, corners, e):
+    """The three calls that `_normal_form` replaces."""
+    return check_valid(normalize(FiberedOrbifold.from_data(surface, cones, corners, e)))
+
+
+def outcome(build, *args):
+    """Fields, str, hash and repr of the value build(*args) returns, or the
+    type and message of what it raises."""
+    try:
+        f = build(*args)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+    values = tuple(getattr(f, field.name) for field in fields(f))
+    return values, vars(f.base), str(f), hash(f), repr(f)
+
+
+def assert_same_as_chain(*args):
+    expected = outcome(chain, *args)
+    assert outcome(_normal_form, *args) == expected, args
+    return expected
+
+
+class TestNormalFormBuilder:
+    """`_normal_form` returns and raises exactly what the chain
+    check_valid(normalize(FiberedOrbifold.from_data(...))) does."""
+
+    def test_grid(self):
+        invariants = [
+            [], [(1, 2)], [(0, 2), (1, 2)], [(1, 2), (0, 2), (5, 3)], [(-1, 4), (3, 1)],
+            [(7, 5), (1, 2), (2, 5)], [(2, 6), (1, 3)],
+        ]
+        seen = Counter()
+        for surface in (S2, RP2, D2, "D2"):
+            for cones in invariants:
+                for corners in invariants[:4]:
+                    closing = -sum(F(a, b) for a, b in cones) - sum(F(a, 2 * b) for a, b in corners)
+                    for e in (closing, closing - 1, closing + F(1, 2), F(-1, 6), F(1, 12), 0):
+                        seen[assert_same_as_chain(surface, cones, corners, e)[0]] += 1
+        assert seen[ValueError] > 200 and sum(seen.values()) - seen[ValueError] > 200
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((S2, [(1, 3)], [(1, 2)], F(-1, 12)), "corner reflectors only occur on a disk base"),
+            ((RP2, [(1, 3)], [(1, 2)], F(-1, 12)), "corner reflectors only occur on a disk base"),
+            ((S2, [(1, 2)], [], F(-1, 3)), "invalid fibered orbifold (S2(2); 1/2; -1/3): "
+             "invariant relation fails with residue 1/6"),
+            ((D2, [(1, 3)], [], F(-1, 2)), "no boundary bit makes the invariant relation hold"),
+            ((S2, [(1, 2)], [], -0.5), "the Euler class must be exact"),
+            ((S2, [(1.5, 2)], [], F(-1, 2)), "local invariants must be integers, got 1.5/2"),
+            ((D2, [], [(1, 2.0)], F(-1, 4)), "local invariants must be integers, got 1/2.0"),
+            ((S2, [(1, 0)], [], F(-1, 2)), "invariant order must be >= 1"),
+            ((S2, [(1, 2), (1, -3)], [(1.5, 2)], 0.5), "invariant order must be >= 1"),
+            (("T2", [(1, 2)], [], F(-1, 2)), "'T2' is not a valid Surface"),
+            ((S2, [(1,)], [], F(-1, 2)), "tuple index out of range"),
+        ],
+    )
+    def test_invalid_inputs_raise_the_chain_error(self, args, message):
+        kind, text = assert_same_as_chain(*args)
+        assert kind in (ValueError, IndexError) and text.startswith(message)
+
+    def test_reduces_sorts_and_labels(self):
+        f = _normal_form(D2, [(5, 4), (1, 1), (3, 2)], [(-1, 2)], F(-1, 2))
+        assert [str(i) for i in f.cone_invariants] == ["1/2", "1/4"]
+        assert [str(i) for i in f.corner_invariants] == ["1/2"]
+        assert f.base == TwoOrbifold(D2, (4, 2), (2,))
+        assert f.xi == (1,) and validate(f).ok
+
+
 # -- property tests ----------------------------------------------------------
 
 surfaces = st.sampled_from([S2, RP2, D2])
@@ -415,6 +492,7 @@ def test_s3_fibration_validates(u, v):
         f = s3_fibration(u, v, sign)
         assert validate(f).ok
         assert f.euler == F(-sign, u * v)
+    assert s3_fibration(u, v, -1) == reverse_orientation(s3_fibration(u, v, 1))
 
 
 def test_solve_xi_unique():
@@ -422,3 +500,23 @@ def test_solve_xi_unique():
     assert solve_xi([], [], -1) == 0
     with pytest.raises(ValueError):
         solve_xi([], [(1, 3)], F(-1, 2))
+
+
+@st.composite
+def builder_arguments(draw):
+    """Raw builder arguments, valid or not: any surface with corners or
+    none, orders from 0 up, and an Euler class that closes the relation,
+    misses it by 1/7, or is a float."""
+    surface = draw(st.sampled_from([S2, RP2, D2, "S2", "RP2", "D2"]))
+    pairs = st.lists(st.tuples(st.integers(-15, 15), st.integers(0, 12)), max_size=4)
+    cones = draw(pairs)
+    corners = draw(pairs) if draw(st.booleans()) else []
+    closing = -sum(F(a, b) for a, b in cones if b) - sum(F(a, 2 * b) for a, b in corners if b)
+    e = draw(st.sampled_from([closing, closing + F(1, 2), closing + F(1, 7), float(closing)]))
+    return surface, cones, corners, e
+
+
+@given(builder_arguments())
+@settings(max_examples=400, deadline=None)
+def test_builder_matches_the_chain(args):
+    assert_same_as_chain(*args)

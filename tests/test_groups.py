@@ -278,6 +278,8 @@ class TestTable:
     def test_parameters_read_by_name_not_position(self, spec, canonical):
         g, h = parse_group(spec), parse_group(canonical)
         assert str(g) == canonical
+        assert g == h and hash(g) == hash(h)
+        assert {g: "g"}[h] == "g" and {h: "h"}[g] == "h"
         assert group_order(g) == group_order(h)
         assert quotient_hopf(g) == quotient_hopf(h)
         assert quotient_antihopf(g) == quotient_antihopf(h)

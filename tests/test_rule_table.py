@@ -14,7 +14,6 @@ from seifert_orbifolds.classify import (
     _SPORADIC,
     FibrationClass,
     _bridge,
-    _mk,
     _rewrites,
     fibration_class,
 )
@@ -22,6 +21,7 @@ from seifert_orbifolds.cli import _atlas_rows, parse_fibration
 from seifert_orbifolds.core import (
     FiberedOrbifold,
     Surface,
+    _normal_form,
     normalize,
     orbifold_order,
     reverse_orientation,
@@ -92,7 +92,7 @@ def test_every_move_and_bridge_keeps_the_orbifold_order():
 
 # The sporadic pairs as the tuple the matcher scanned before the index.
 SPORADIC_PAIRS = tuple(
-    (_mk(S2, sphere, [], F(-s, n)), _mk(D2, cones, corners, F(-s, m)))
+    (_normal_form(S2, sphere, [], F(-s, n)), _normal_form(D2, cones, corners, F(-s, m)))
     for s in (1, -1)
     for sphere, n, cones, corners, m in (
         ([(0, 2), (2 * s, 3), (2 * s, 3)], 3, [(s, 3)], [(s, 2)], 12),
@@ -125,7 +125,7 @@ def bridge_by_full_scan(f):
     for name, source, domain, target in _BRIDGES:
         xy = source.read(f)
         if xy is not None and domain(*xy):
-            return name, _mk(*target(*xy, f.euler))
+            return name, _normal_form(*target(*xy, f.euler))
     return None
 
 

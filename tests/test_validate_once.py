@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from seifert_orbifolds import classify, cli, groups
+from seifert_orbifolds import classify, cli, core, groups
 from seifert_orbifolds.classify import (
     are_diffeomorphic,
     diffeo_key,
@@ -118,8 +118,10 @@ def test_atlas_builds_each_hopf_quotient_once(monkeypatch):
 
 
 def test_atlas_reads_patterns_by_base_shape(monkeypatch):
-    """Only the rule sides and bridge rows filed under a fibration's shape
-    read it: 28,413 reads in the unindexed scan of this sweep."""
+    """Only the rule sides and bridge rows filed under a fibration's shape,
+    its order-2 invariants included, read it: 28,413 reads in the unindexed
+    scan of this sweep, 7,327 when filed by surface and counts alone, and
+    3,363 now."""
     original = classify._Pattern.read
     reads = []
 
@@ -129,7 +131,35 @@ def test_atlas_reads_patterns_by_base_shape(monkeypatch):
 
     monkeypatch.setattr(classify._Pattern, "read", counted)
     _atlas_json(100)
-    assert 0 < len(reads) <= 8000
+    assert 0 < len(reads) <= 4000
+
+
+def test_each_built_value_computes_the_relation_once(monkeypatch):
+    """Every value the sweep derives (Hopf quotients, rewrites, bridge
+    targets) comes from core._normal_form, which reduces the sum relation
+    to integers once: to solve xi on a disk, to test it on S2 and RP2."""
+    original_relation = core._twice_relation
+    relations = []
+
+    def counted_relation(*args):
+        relations.append(args)
+        return original_relation(*args)
+
+    original = core._normal_form
+    per_call = []
+
+    def counted(*args):
+        before = len(relations)
+        f = original(*args)
+        per_call.append(len(relations) - before)
+        return f
+
+    monkeypatch.setattr(core, "_twice_relation", counted_relation)
+    for mod in (core, classify, groups):
+        monkeypatch.setattr(mod, "_normal_form", counted)
+    _atlas_json(60)
+    assert len(per_call) > len(list(enumerate_quotient_groups(60)))
+    assert set(per_call) == {1}
 
 
 def test_atlas_anti_hopf_rows_equal_quotient_antihopf():
