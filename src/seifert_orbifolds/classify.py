@@ -366,21 +366,17 @@ def _rewrites(f: FiberedOrbifold):
         yield "sporadic", partner
 
 
-def _single_step(f: FiberedOrbifold) -> set[FiberedOrbifold]:
+def single_step(f: FiberedOrbifold) -> set[FiberedOrbifold]:
+    """All fibrations one displayed move away from f (finite class only)."""
+    f = _require_normal_spherical(f)
+    if _fibration_class(f) is not FibrationClass.FINITE:
+        raise InfiniteClassError("single_step requires a finite-class fibration")
     out = {g for _, g in _rewrites(f)}
     out.discard(f)
     for g in out:
         if _fibration_class(g) is not FibrationClass.FINITE:
             raise AssertionError("rewrite left the finite class: %s -> %s" % (f, g))
     return out
-
-
-def single_step(f: FiberedOrbifold) -> set[FiberedOrbifold]:
-    """All fibrations one displayed move away from f (finite class only)."""
-    f = _require_normal_spherical(f)
-    if _fibration_class(f) is not FibrationClass.FINITE:
-        raise InfiniteClassError("single_step requires a finite-class fibration")
-    return _single_step(f)
 
 
 def _bridge(f: FiberedOrbifold):
@@ -441,12 +437,16 @@ def enumerate_fibrations(f: FiberedOrbifold) -> set[FiberedOrbifold]:
 
 
 def _enumerate_fibrations(f: FiberedOrbifold) -> set[FiberedOrbifold]:
+    """The closure of the finite-class normal form f under the rewrites;
+    each member is checked finite once, when it is added."""
     seen = {f}
     frontier = [f]
     while frontier:
         g = frontier.pop()
-        for h in _single_step(g):
+        for _, h in _rewrites(g):
             if h not in seen:
+                if _fibration_class(h) is not FibrationClass.FINITE:
+                    raise AssertionError("rewrite left the finite class: %s -> %s" % (g, h))
                 seen.add(h)
                 frontier.append(h)
         if len(seen) > 3:

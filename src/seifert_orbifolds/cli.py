@@ -398,7 +398,9 @@ def _atlas_rows(max_order: int):
     check_valid normal form, so a Hopf row checks only sphericity, while an
     anti-Hopf value passes the full guard.  Each finite class is
     enumerated once: `finite` maps every member of an enumerated fibration
-    set to that set.  Both dicts live for this sweep only.
+    set to that set, and `listed` maps the set to its sorted strings.  A
+    group's name and order are read once for both of its rows.  The dicts
+    live for this sweep only.
     """
     hopf = {}
 
@@ -409,6 +411,7 @@ def _atlas_rows(max_order: int):
         return h
 
     finite = {}
+    listed = {}
     rows = []
     for g in enumerate_quotient_groups(max_order):
         h = hopf_quotient(g)
@@ -425,6 +428,7 @@ def _atlas_rows(max_order: int):
             a = None
         if a is not None:
             sides.append(("anti-hopf", _require_normal_spherical(a)))
+        name, order = str(g), group_order(g)
         for side, f in sides:
             invariant = finite.get(f)
             if invariant is None:
@@ -432,13 +436,14 @@ def _atlas_rows(max_order: int):
                 if not isinstance(invariant, DiffeoKey):
                     invariant = frozenset(invariant)
                     finite.update(dict.fromkeys(invariant, invariant))
+                    listed[invariant] = sorted(str(x) for x in invariant)
             if isinstance(invariant, DiffeoKey):
                 fibs, key = None, _key_json(invariant)
             else:
-                fibs, key = sorted(str(x) for x in invariant), None
+                fibs, key = listed[invariant], None
             rows.append({
-                "group": str(g),
-                "order": group_order(g),
+                "group": name,
+                "order": order,
                 "side": side,
                 "quotient": str(f),
                 "fibrations": fibs,

@@ -47,12 +47,12 @@ def _integer(n, what: str) -> int:
         raise ValueError("%s must be integers, got %r" % (what, n)) from None
 
 
-def _as_rational(q) -> Fraction:
+def _as_rational(q, what: str = "the Euler class") -> Fraction:
     """q as a Fraction; a float is refused, since it is not exact."""
     if isinstance(q, Fraction):
         return q
     if isinstance(q, float):
-        raise ValueError("the Euler class must be exact (an int or a Fraction), got %r" % (q,))
+        raise ValueError("%s must be exact (an int or a Fraction), got %r" % (what, q))
     return Fraction(q)
 
 
@@ -234,7 +234,8 @@ class FiberedOrbifold:
 
 
 def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)

@@ -81,6 +81,10 @@ class Family(Enum):
     F34 = "F34"
     F34BIS = "F34bis"
 
+    # Members are singletons, so the identity hash (computed in C) agrees
+    # with ==, as for core.Surface.
+    __hash__ = object.__hash__
+
 
 class UnsupportedFamilyError(Exception):
     """Raised for families whose quotient data is out of scope here."""
@@ -273,6 +277,13 @@ _TABLE = {
 
 @dataclass(frozen=True)
 class GroupFamily:
+    """A group of one family, with its parameters by name.
+
+    The parameter values in the order of the family's row are kept once,
+    outside the two fields, so `==` and `repr` see only those; the hash,
+    the str, `group_order` and the quotients read the kept tuple.
+    """
+
     family: Family
     params: dict = field(default_factory=dict)
 
@@ -288,25 +299,44 @@ class GroupFamily:
         if any(v < 1 for v in vals.values()):
             raise ValueError("parameters must be positive integers")
         object.__setattr__(self, "params", vals)
-        why = _rejection(row.require, _values(self, row))
-        if why is not None:
-            raise ValueError(why.format(self.family.value))
+        object.__setattr__(self, "_values", tuple(vals[k] for k in names))
+        _require(self.family, row, self._values)
 
     def __getattr__(self, name):
+        # Read through __dict__: while unpickling, params is not set yet.
         try:
-            return self.params[name]
+            return self.__dict__["params"][name]
         except KeyError:
             raise AttributeError(name)
 
     def __hash__(self):
-        return hash((self.family, _values(self, _TABLE[self.family])))
+        return hash((self.family, self._values))
 
     def __str__(self):
         names = _TABLE[self.family].params
         if not names:
             return self.family.value
-        inner = ",".join("%s=%d" % (k, self.params[k]) for k in names)
+        inner = ",".join("%s=%d" % pair for pair in zip(names, self._values))
         return "%s(%s)" % (self.family.value, inner)
+
+
+def _require(family: Family, row: _Row, values: tuple[int, ...]) -> None:
+    """Raise the constructor's ValueError when values, in row order, break
+    the family's constraints."""
+    why = _rejection(row.require, values)
+    if why is not None:
+        raise ValueError(why.format(family.value))
+
+
+def _checked_group(family: Family, row: _Row, values: tuple[int, ...]) -> GroupFamily:
+    """GroupFamily(family, params) for positive integer values, in row
+    order, that have already passed `_require`: built without checking
+    them again."""
+    g = object.__new__(GroupFamily)
+    object.__setattr__(g, "family", family)
+    object.__setattr__(g, "params", dict(zip(row.params, values)))
+    object.__setattr__(g, "_values", values)
+    return g
 
 
 def parse_group(text: str) -> GroupFamily:
@@ -342,11 +372,6 @@ def parse_group(text: str) -> GroupFamily:
     raise ValueError("unknown family %r" % name)
 
 
-def _values(g: GroupFamily, row: _Row) -> tuple[int, ...]:
-    """g's parameter values in row order (g.params follows the spec text)."""
-    return tuple(g.params[k] for k in row.params)
-
-
 def _rejection(pairs, values):
     """The reason of the first (predicate, reason) pair that `values`
     satisfy, or None."""
@@ -355,8 +380,7 @@ def _rejection(pairs, values):
 
 def group_order(g: GroupFamily) -> int:
     """Order of the SO(4) subgroup (the "order of G" table column)."""
-    row = _TABLE[g.family]
-    return row.order(*_values(g, row))
+    return _TABLE[g.family].order(*g._values)
 
 
 def _quotient_row(g: GroupFamily) -> _Row:
@@ -371,11 +395,10 @@ def _quotient_values(g: GroupFamily) -> tuple[_Row, tuple[int, ...]]:
     """The row and parameter values of g, which the row's rejections must
     pass (ValueError naming the reason otherwise)."""
     row = _quotient_row(g)
-    values = _values(g, row)
-    why = _rejection(row.reject, values)
+    why = _rejection(row.reject, g._values)
     if why is not None:
         raise ValueError("quotient data is not defined for %s: %s" % (g, why))
-    return row, values
+    return row, g._values
 
 
 def quotient_hopf(g: GroupFamily):
@@ -403,7 +426,11 @@ def swapped_group(g: GroupFamily):
     row = _quotient_row(g)
     if row.swap is NO_INVARIANT_FIBRATION:
         return NO_INVARIANT_FIBRATION
-    swapped = GroupFamily(row.swap, {"m": g.params["n"], "n": g.params["m"]})
+    # Every family with a swap row takes (m, n), and g's values are checked.
+    swap_row = _TABLE[row.swap]
+    values = (g.params["n"], g.params["m"])
+    _require(row.swap, swap_row, values)
+    swapped = _checked_group(row.swap, swap_row, values)
     _quotient_values(swapped)
     return swapped
 
@@ -443,7 +470,7 @@ def enumerate_parameters(family: Family, max_order: int):
         while row.order(*(m, n)[:k]) <= max_order:
             values = (m, n)[:k]
             if _rejection(row.require + row.reject, values) is None:
-                yield GroupFamily(family, dict(zip(row.params, values)))
+                yield _checked_group(family, row, values)
             if k < 2:
                 break
             n += 1

@@ -42,7 +42,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .core import FiberedOrbifold, Surface, is_spherical, validate
+from .core import FiberedOrbifold, Surface, _as_rational, _integer, is_spherical, validate
 
 
 class Mode(Enum):
@@ -61,7 +61,7 @@ class ClassicalSeifert:
     fractions: tuple[Fraction, Fraction]
 
     def __post_init__(self):
-        fr = tuple(Fraction(x) for x in self.fractions)
+        fr = tuple(_as_rational(x, "classical fractions") for x in self.fractions)
         if len(fr) != 2:
             raise ValueError("classical data has exactly two fractions")
         object.__setattr__(self, "fractions", fr)
@@ -87,7 +87,7 @@ class LensSpace:
     q: int
 
     def __post_init__(self):
-        p, q = int(self.p), int(self.q)
+        p, q = _integer(self.p, "p and q"), _integer(self.q, "p and q")
         if p == 0:
             raise ValueError("p = 0 does not name a lens space")
         if p < 0:

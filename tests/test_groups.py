@@ -1,7 +1,12 @@
 import contextlib
 import io
+import os
+import pickle
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -334,3 +339,73 @@ class TestSwappedGroup:
             assert quotient_antihopf(g) == reverse_orientation(quotient_hopf(swapped))
             checked += 1
         assert checked > 200
+
+
+def _outcome(op, g):
+    """op(g), or the type and message of the exception it raises."""
+    try:
+        return op(g)
+    except (ValueError, UnsupportedFamilyError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBuiltGroups:
+    """`enumerate_parameters` and `swapped_group` build groups whose values
+    they have just checked, without the constructor; those groups equal
+    the constructor's in every respect."""
+
+    def _built(self, max_order):
+        out = []
+        for g in enumerate_quotient_groups(max_order):
+            out.append(g)
+            try:
+                swapped = swapped_group(g)
+            except ValueError:
+                continue
+            if swapped is not NO_INVARIANT_FIBRATION:
+                out.append(swapped)
+        return out
+
+    def test_equal_to_the_parsed_group(self):
+        built = self._built(400)
+        assert len(built) > 2000
+        for g in built:
+            parsed = parse_group(str(g))
+            assert g == parsed and hash(g) == hash(parsed), g
+            assert str(g) == str(parsed) and repr(g) == repr(parsed), g
+            assert group_order(g) == group_order(parsed), g
+            for op in (quotient_hopf, quotient_antihopf, swapped_group):
+                assert _outcome(op, g) == _outcome(op, parsed), (g, op)
+
+    def test_family_hashes_by_identity(self):
+        assert Family.__hash__ is object.__hash__
+
+    def test_pickle_round_trip(self):
+        for g in (parse_group("F2(n=2,m=3)"), parse_group("F20"), *self._built(40)):
+            h = pickle.loads(pickle.dumps(g))
+            assert h == g and hash(h) == hash(g) and str(h) == str(g) and repr(h) == repr(g)
+
+    def test_pickled_groups_are_found_under_another_hash_seed(self):
+        """Family hashes by identity, which differs between processes, so
+        a hash kept through a pickle would not be found in another one."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        make = (
+            "from seifert_orbifolds.groups import enumerate_quotient_groups, parse_group\n"
+            "gs = set(enumerate_quotient_groups(100)) | {parse_group('F2(n=2,m=3)')}\n"
+        )
+        dump = make + "import pickle, sys\nsys.stdout.buffer.write(pickle.dumps(gs))\n"
+        load = make + (
+            "import pickle, sys\n"
+            "hs = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(len(hs) == len(gs) > 500, hs == gs, all(g in gs for g in hs),"
+            " all(g in hs for g in gs))\n"
+        )
+
+        def run(code, seed, stdin=b""):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", code], input=stdin, env=env, capture_output=True, check=True
+            )
+            return done.stdout
+
+        assert run(load, "2", run(dump, "1")).decode().split() == ["True"] * 4

@@ -75,6 +75,20 @@ class TestLensSpaceNormalForm:
         with pytest.raises(ValueError):
             LensSpace(0, 1)
 
+    @pytest.mark.parametrize("p, q", [(7.5, 2), ("7", "2"), (7, 2.9), (7.0, 2), (F(7), 2)])
+    def test_non_integral_p_and_q_rejected(self, p, q):
+        """Each of these read as L(7,2) when p and q went through int()."""
+        with pytest.raises(ValueError, match="p and q must be integers"):
+            LensSpace(p, q)
+
+    @pytest.mark.parametrize("fractions", [(0.5, 0.25), (F(1, 2), 0.25), (1.0, 0)])
+    def test_float_classical_fractions_rejected(self, fractions):
+        with pytest.raises(ValueError, match="classical fractions must be exact"):
+            ClassicalSeifert(fractions)
+
+    def test_exact_classical_fractions_accepted(self):
+        assert ClassicalSeifert((1, "1/2")).fractions == (F(1), F(1, 2))
+
 
 class TestClassicalFromFibration:
     def test_integral_invariants(self):

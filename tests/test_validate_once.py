@@ -1,5 +1,6 @@
 """The public classify functions validate once, and the atlas builds each
-Hopf quotient once and computes each fibration class once."""
+Hopf quotient once, checks each group once and computes each fibration
+class once."""
 
 import contextlib
 import io
@@ -182,3 +183,50 @@ def test_atlas_anti_hopf_rows_equal_quotient_antihopf():
         assert swept.pop(str(g), None) == a, g
         groups_seen += 1
     assert swept == {} and groups_seen > 1000
+
+
+def test_atlas_runs_no_group_constructor_check(monkeypatch):
+    """The enumerator and the swap build the groups whose values they have
+    just checked without the constructor: 1,167 re-checks in an atlas-100
+    sweep when both went through GroupFamily(...)."""
+    original = groups.GroupFamily.__post_init__
+    checks = []
+
+    def counted(g):
+        checks.append(g)
+        original(g)
+
+    monkeypatch.setattr(groups.GroupFamily, "__post_init__", counted)
+    classes = _atlas_json(60)
+    assert classes and checks == []
+    groups.GroupFamily(groups.Family.F2, {"m": 3, "n": 2})
+    assert len(checks) == 1
+
+
+def test_closures_check_each_added_member_once(monkeypatch):
+    """A closure asks whether a fibration stays in the finite class once
+    for each member it adds, not for every rewrite output (884 calls for
+    398 added members in an atlas-100 sweep)."""
+    checked = _count_calls(monkeypatch, "_fibration_class")
+    enumerations = _count_calls(monkeypatch, "_enumerate_fibrations")
+    _atlas_json(60)
+    added = [h for (f,), members in enumerations for h in members if h != f]
+    assert added
+    assert sorted(map(str, (g for (g,), _ in checked))) == sorted(map(str, added))
+
+
+def test_closure_still_refuses_a_rewrite_that_leaves_the_finite_class(monkeypatch):
+    """With every fibration but FINITE itself reported infinite, the first
+    member the closure would add fails the check."""
+    original = classify._fibration_class
+
+    def infinite_but_seed(f):
+        if f == FINITE:
+            return original(f)
+        return classify.FibrationClass.INFINITE_SPHERE_SIDE
+
+    monkeypatch.setattr(classify, "_fibration_class", infinite_but_seed)
+    with pytest.raises(AssertionError, match="rewrite left the finite class"):
+        classify._enumerate_fibrations(FINITE)
+    with pytest.raises(AssertionError, match="rewrite left the finite class"):
+        single_step(FINITE)
