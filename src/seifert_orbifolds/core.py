@@ -48,12 +48,16 @@ def _integer(n, what: str) -> int:
 
 
 def _as_rational(q, what: str = "the Euler class") -> Fraction:
-    """q as a Fraction; a float is refused, since it is not exact."""
+    """q as a Fraction; ValueError for a float, which is not exact, and for
+    anything Fraction() cannot read, such as None, a list or "1/0"."""
     if isinstance(q, Fraction):
         return q
     if isinstance(q, float):
         raise ValueError("%s must be exact (an int or a Fraction), got %r" % (what, q))
-    return Fraction(q)
+    try:
+        return Fraction(q)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError("%s must be an int or a Fraction, got %r" % (what, q)) from None
 
 
 def _as_label_tuple(labels) -> tuple[int, ...]:
@@ -330,22 +334,13 @@ class ValidationResult:
         return self.ok
 
 
-def relation_sum(f: FiberedOrbifold) -> Fraction:
-    """Left side of the invariant relation (an integer iff f is consistent)."""
-    s = f.euler + sum((i.value for i in f.cone_invariants), Fraction(0))
-    s += (sum((i.value for i in f.corner_invariants), Fraction(0)) + sum(f.xi)) / 2
-    return s
-
-
-def _balanced_mod1(q: Fraction) -> Fraction:
-    return (q + Fraction(1, 2)) % 1 - Fraction(1, 2)
-
-
 def validate(f: FiberedOrbifold) -> ValidationResult:
     """Check label/invariant matching and the sum relation mod 1.
 
-    The relation is tested in integers over one common denominator; the
-    residue is built as a Fraction only when the test fails.
+    With (n, d) from `_twice_relation`, the left side of the relation is
+    (n + d*sum(xi))/(2d).  It holds iff that numerator is 0 mod 2d, and
+    otherwise its residue in [-1/2, 1/2) is r/(2d) with
+    r = (n + d*sum(xi) + d) mod 2d - d, built as a Fraction only then.
     """
     problems = []
     if sorted(i.b for i in f.cone_invariants) != sorted(f.base.cone_labels):
@@ -359,8 +354,9 @@ def validate(f: FiberedOrbifold) -> ValidationResult:
             % (sorted(i.b for i in f.corner_invariants), list(f.base.corner_labels))
         )
     n, d = _twice_relation(f.cone_invariants, f.corner_invariants, f.euler)
-    if (n + d * sum(f.xi)) % (2 * d):
-        residue = _balanced_mod1(relation_sum(f))
+    twice = n + d * sum(f.xi)
+    if twice % (2 * d):
+        residue = Fraction((twice + d) % (2 * d) - d, 2 * d)
         problems.append("invariant relation fails with residue %s" % format_rational(residue))
         return ValidationResult(False, residue, tuple(problems))
     if problems:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .core import Surface, _integer, _normal_form, reverse_orientation
+from .core import Surface, _integer, _normal_form
 
 
 class Family(Enum):
@@ -302,13 +302,6 @@ class GroupFamily:
         object.__setattr__(self, "_values", tuple(vals[k] for k in names))
         _require(self.family, row, self._values)
 
-    def __getattr__(self, name):
-        # Read through __dict__: while unpickling, params is not set yet.
-        try:
-            return self.__dict__["params"][name]
-        except KeyError:
-            raise AttributeError(name)
-
     def __hash__(self):
         return hash((self.family, self._values))
 
@@ -438,14 +431,20 @@ def swapped_group(g: GroupFamily):
 def quotient_antihopf(g: GroupFamily):
     """Invariants induced by the anti-Hopf fibration.
 
-    Computed as the orientation reversal of the Hopf quotient of
-    `swapped_group(g)`, so only the swapped group's rejections apply;
-    Euler class > 0 when defined.
+    The orientation reversal of the Hopf quotient of `swapped_group(g)`,
+    built in one `_normal_form` pass from the swapped row's Hopf data with
+    every invariant and the Euler class negated.  Only the swapped group's
+    rejections apply: NO_INVARIANT_FIBRATION is returned, and errors are
+    raised, exactly where `swapped_group` does; Euler class > 0 when
+    defined.
     """
     swapped = swapped_group(g)
     if swapped is NO_INVARIANT_FIBRATION:
         return NO_INVARIANT_FIBRATION
-    return reverse_orientation(quotient_hopf(swapped))
+    surface, cones, corners, e = _TABLE[swapped.family].hopf(*swapped._values)
+    return _normal_form(
+        surface, [(-a, b) for a, b in cones], [(-a, b) for a, b in corners], -e
+    )
 
 
 def quotient_families() -> tuple[Family, ...]:

@@ -22,12 +22,12 @@ from seifert_orbifolds.core import (
     is_bad,
     is_spherical,
     normalize,
-    relation_sum,
     reverse_orientation,
     s3_fibration,
     solve_xi,
     validate,
 )
+from seifert_orbifolds.lens import ClassicalSeifert
 
 S2, RP2, D2 = Surface.SPHERE, Surface.PROJECTIVE_PLANE, Surface.DISK
 
@@ -147,6 +147,22 @@ class TestNonIntegralNumbersRejected:
             FiberedOrbifold(TwoOrbifold(S2, (2,)), ((1, 2),), (), e)
         with pytest.raises(ValueError, match="Euler class must be exact"):
             solve_xi([], [(1, 2)], e)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FiberedOrbifold.from_data(S2, [], [], None),
+            lambda: FiberedOrbifold.from_data(S2, [], [], [1]),
+            lambda: FiberedOrbifold.from_data(S2, [], [], "1/0"),
+            lambda: solve_xi([], [], None),
+            lambda: ClassicalSeifert((None, 1)),
+        ],
+        ids=["from_data-None", "from_data-list", "from_data-1/0", "solve_xi-None",
+             "classical-None"],
+    )
+    def test_unreadable_rational_raises_value_error(self, build):
+        with pytest.raises(ValueError, match="must be an int or a Fraction, got "):
+            build()
 
     def test_s3_fibration_parameters(self):
         with pytest.raises(ValueError, match="u and v must be integers"):
@@ -288,7 +304,7 @@ class TestNormalize:
         f = mk(D2, [(1, 2)], [(2, 5)], F(3, 10), 1)
         g = normalize(f)
         assert normalize(g) == g
-        assert relation_sum(g) - relation_sum(f) == int(relation_sum(g) - relation_sum(f))
+        assert validate(g).residue == validate(f).residue == F(-1, 2)
 
 
 class TestReverseOrientation:
@@ -463,8 +479,8 @@ def fibrations(draw):
 @given(fibrations())
 @settings(max_examples=250, deadline=None)
 def test_constructed_fibrations_satisfy_relation(f):
-    assert validate(f).ok
-    assert relation_sum(f).denominator == 1
+    res = validate(f)
+    assert res.ok and res.residue == 0
 
 
 @given(fibrations())

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from seifert_orbifolds import core, groups
 from seifert_orbifolds.cli import run_command
 from seifert_orbifolds.core import (
     FiberedOrbifold,
@@ -44,7 +45,7 @@ def mk(surface, cones, corners, e, xi=None):
 class TestParsing:
     def test_parse_with_params(self):
         g = parse_group("F2(m=3,n=2)")
-        assert g.family is Family.F2 and g.m == 3 and g.n == 2
+        assert g.family is Family.F2 and g.params == {"m": 3, "n": 2}
 
     def test_parse_fixed(self):
         assert parse_group("F20").family is Family.F20
@@ -339,6 +340,31 @@ class TestSwappedGroup:
             assert quotient_antihopf(g) == reverse_orientation(quotient_hopf(swapped))
             checked += 1
         assert checked > 200
+
+
+    def test_anti_hopf_is_built_in_one_normal_form_pass(self, monkeypatch):
+        """quotient_antihopf negates the swapped row's Hopf data and builds
+        the value once; it neither builds the swapped group's Hopf
+        quotient nor reverses an orientation."""
+        original = groups._normal_form
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return original(*args)
+
+        def refused(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(groups, "_normal_form", counted)
+        monkeypatch.setattr(groups, "quotient_hopf", refused)
+        monkeypatch.setattr(core, "reverse_orientation", refused)
+        monkeypatch.setattr(groups, "reverse_orientation", refused, raising=False)
+        g = parse_group("F2(m=3,n=2)")
+        a = quotient_antihopf(g)
+        assert len(built) == 1
+        monkeypatch.undo()
+        assert a == reverse_orientation(quotient_hopf(swapped_group(g)))
 
 
 def _outcome(op, g):
