@@ -26,8 +26,11 @@ from fractions import Fraction
 
 from .core import (
     FiberedOrbifold,
+    LocalInvariant,
     Surface,
     TwoOrbifold,
+    _trusted,
+    _trusted_base,
     euler_characteristic,
     format_rational,
     is_spherical,
@@ -64,31 +67,38 @@ class ParseError(ValueError):
 # read other scripts' digits, underscores and exponents.
 _NATURAL = re.compile(r"[0-9]+")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_STRUCTURE = re.compile(r"[();]")
+_SURFACES = {"S2": Surface.SPHERE, "RP2": Surface.PROJECTIVE_PLANE, "D2": Surface.DISK}
 
 
 def _split_top(text: str) -> list[tuple[str, int]]:
-    """Split on ';' outside parentheses; returns (segment, offset) pairs."""
+    """Split on ';' outside parentheses; returns (segment, offset) pairs.
+    Only the structural characters '(', ')' and ';' are visited."""
     parts = []
     depth = 0
     start = 0
-    for i, ch in enumerate(text):
+    for m in _STRUCTURE.finditer(text):
+        ch, i = m.group(), m.start()
         if ch == "(":
+            if not depth:
+                opened = i
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
                 raise ParseError("position %d: unbalanced ')'" % i)
-        elif ch == ";" and depth == 0:
+        elif not depth:  # a top-level ";"
             parts.append((text[start:i], start))
             start = i + 1
-    if depth != 0:
-        raise ParseError("unbalanced '(' in %r" % text)
+    if depth:
+        raise ParseError("position %d: unbalanced '('" % opened)
     parts.append((text[start:], start))
     return parts
 
 
 def _parse_labels(text: str, offset: int) -> list[int]:
+    """The labels in their written order, without the order-1 points."""
     text = text.strip()
     if not text:
         return []
@@ -97,44 +107,48 @@ def _parse_labels(text: str, offset: int) -> list[int]:
         piece = piece.strip()
         if not _NATURAL.fullmatch(piece):
             raise ParseError("position %d: expected a label, got %r" % (offset, piece))
-        out.append(int(piece))
+        n = int(piece)
+        if n != 1:
+            out.append(n)
     return out
 
 
 def parse_base(text: str, offset: int = 0) -> TwoOrbifold:
+    """The base 2-orbifold, its labels checked here and stored sorted."""
     text = text.strip()
-    for name, surface in (
-        ("S2", Surface.SPHERE),
-        ("RP2", Surface.PROJECTIVE_PLANE),
-        ("D2", Surface.DISK),
-    ):
-        if text == name:
-            return TwoOrbifold(surface)
-        if text.startswith(name + "("):
-            if not text.endswith(")"):
-                raise ParseError("position %d: unbalanced base parentheses" % offset)
-            inner = text[len(name) + 1 : -1]
-            if ";" in inner:
-                cones_txt, _, corners_txt = inner.partition(";")
-            else:
-                cones_txt, corners_txt = inner, ""
-            cones = _parse_labels(cones_txt, offset)
-            corners = _parse_labels(corners_txt, offset)
-            try:
-                return TwoOrbifold(surface, cones, corners)
-            except ValueError as exc:
-                raise ParseError("position %d: %s" % (offset, exc)) from exc
-    raise ParseError("position %d: unknown base %r" % (offset, text))
+    surface = _SURFACES.get(text)
+    if surface is not None:
+        return _trusted_base(surface, (), ())
+    name, paren, inner = text.partition("(")
+    surface = _SURFACES.get(name) if paren else None
+    if surface is None:
+        raise ParseError("position %d: unknown base %r" % (offset, text))
+    if not inner.endswith(")"):
+        raise ParseError("position %d: unbalanced base parentheses" % offset)
+    cones_txt, _, corners_txt = inner[:-1].partition(";")
+    cones = _parse_labels(cones_txt, offset)
+    corners = _parse_labels(corners_txt, offset)
+    if 0 in cones or 0 in corners:
+        raise ParseError(
+            "position %d: singularity labels must be positive integers, got 0" % offset
+        )
+    if corners and surface is not Surface.DISK:
+        raise ParseError("position %d: corner reflectors only occur on a disk base" % offset)
+    cones.sort()
+    corners.sort()
+    return _trusted_base(surface, tuple(cones), tuple(corners))
 
 
-def _parse_invariants(text: str, offset: int) -> list[tuple[int, int]]:
+def _parse_invariants(text: str, offset: int) -> tuple[LocalInvariant, ...]:
+    """The invariants in their written order, without those of order 1."""
     text = text.strip()
     if not text:
-        return []
+        return ()
     out = []
     for piece in text.split(","):
         piece = piece.strip()
-        num, slash, den = (part.strip() for part in piece.partition("/"))
+        num, slash, den = piece.partition("/")
+        num, den = num.strip(), den.strip()
         if not slash:
             raise ParseError(
                 "position %d: local invariant must be written a/b, got %r"
@@ -142,44 +156,46 @@ def _parse_invariants(text: str, offset: int) -> list[tuple[int, int]]:
             )
         if not (_INTEGER.fullmatch(num) and _NATURAL.fullmatch(den)):
             raise ParseError("position %d: bad invariant %r" % (offset, piece))
-        if int(den) == 0:
+        b = int(den)
+        if b == 0:
             raise ParseError(
                 "position %d: invariant order must be >= 1, got %r" % (offset, piece)
             )
-        out.append((int(num), int(den)))
-    return out
+        if b != 1:
+            out.append(LocalInvariant(int(num), b))
+    return tuple(out)
 
 
 def _parse_rational(text: str, offset: int) -> Fraction:
-    compact = text.strip().replace(" ", "")
-    if not _RATIONAL.fullmatch(compact):
+    m = _RATIONAL.fullmatch(text.strip().replace(" ", ""))
+    den = int(m.group(2) or 1) if m else 0
+    if not den:
         raise ParseError("position %d: bad rational %r" % (offset, text))
-    try:
-        return Fraction(compact)
-    except ZeroDivisionError as exc:
-        raise ParseError("position %d: bad rational %r" % (offset, text)) from exc
+    return Fraction(int(m.group(1)), den)
 
 
 def parse_fibration(text: str) -> FiberedOrbifold:
     """Parse the compact tuple notation into a FiberedOrbifold.
 
-    Structural validity only: the label/invariant count match and the sum
-    relation are checked by `validate`, not here, except that a missing
+    Structural validity only: the sum relation and the matching of
+    invariant orders to labels are checked by `validate`, not here, except
+    that the counts of labels and invariants must agree and a missing
     boundary bit is filled in from the relation when that is possible.
+    Every number is converted once, as the parser reads it, and the value
+    is built from the converted fields without converting them again.
     """
     stripped = text.strip()
+    parts = None
     if stripped.startswith("(") and stripped.endswith(")"):
-        inner = stripped[1:-1]
         try:
-            _split_top(inner)
+            parts = _split_top(stripped[1:-1])
         except ParseError:
             pass
-        else:
-            stripped = inner
-    parts = _split_top(stripped)
+    if parts is None:
+        parts = _split_top(stripped)
     if len(parts) < 2:
         raise ParseError("expected base and invariants separated by ';'")
-    base = parse_base(parts[0][0], parts[0][1])
+    base = parse_base(*parts[0])
 
     if base.surface is Surface.DISK:
         if len(parts) not in (4, 5):
@@ -208,12 +224,12 @@ def parse_fibration(text: str) -> FiberedOrbifold:
     else:
         if len(parts) == 3:
             cones = _parse_invariants(*parts[1])
-            corners = []
+            corners = ()
             e = _parse_rational(*parts[2])
         elif len(parts) == 4:
             cones = _parse_invariants(*parts[1])
             corners = _parse_invariants(*parts[2])
-            if corners:
+            if parts[2][0].strip():
                 raise ParseError(
                     "position %d: %s bases carry no corner reflectors"
                     % (parts[2][1], base.surface.value)
@@ -227,19 +243,13 @@ def parse_fibration(text: str) -> FiberedOrbifold:
         xi = ()
 
     n_labels = len(base.cone_labels) + len(base.corner_labels)
-    n_invs = sum(1 for a, b in cones if b != 1) + sum(1 for a, b in corners if b != 1)
+    n_invs = len(cones) + len(corners)
     if n_labels != n_invs:
         raise ParseError(
             "label/invariant count mismatch: base has %d singular labels, "
             "%d invariants given" % (n_labels, n_invs)
         )
-    return FiberedOrbifold(
-        base,
-        tuple((a, b) for a, b in cones),
-        tuple((a, b) for a, b in corners),
-        e,
-        xi,
-    )
+    return _trusted(base, cones, corners, e, xi)
 
 
 # -- reports ----------------------------------------------------------------
@@ -283,7 +293,9 @@ def expression_report(f: FiberedOrbifold) -> dict:
     return report
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: dict | None, text: str) -> None:
+    """Print payload as JSON under --json, else text; a command may skip
+    building a payload that only --json prints."""
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -354,7 +366,8 @@ def _cmd_diffeo(args):
     f = _require_normal_spherical(parse_fibration(args.expr1))
     g = _require_normal_spherical(parse_fibration(args.expr2))
     same = _are_diffeomorphic(f, g)
-    payload = {"left": str(f), "right": str(g), "diffeomorphic": bool(same)}
+    payload = ({"left": str(f), "right": str(g), "diffeomorphic": bool(same)}
+               if args.json else None)
     _emit(args, payload, "diffeomorphic" if same else "not diffeomorphic")
     return 0 if same else 3
 
@@ -379,8 +392,9 @@ def _cmd_lens(args):
     if g is None:
         raise ValueError("lens data applies to orbifolds with infinitely many fibrations")
     k = _key(g)
-    _emit(args, {"input": str(f), "lens": {"p": k.lens.p, "q": k.lens.q},
-                 "iota": list(k.iota), "mode": k.mode.value}, str(k.lens))
+    payload = {"input": str(f), "lens": {"p": k.lens.p, "q": k.lens.q},
+               "iota": list(k.iota), "mode": k.mode.value} if args.json else None
+    _emit(args, payload, str(k.lens))
     return 0
 
 

@@ -334,6 +334,9 @@ class ValidationResult:
         return self.ok
 
 
+_VALID = ValidationResult(True, Fraction(0), ())  # immutable, so shared
+
+
 def validate(f: FiberedOrbifold) -> ValidationResult:
     """Check label/invariant matching and the sum relation mod 1.
 
@@ -343,15 +346,16 @@ def validate(f: FiberedOrbifold) -> ValidationResult:
     r = (n + d*sum(xi) + d) mod 2d - d, built as a Fraction only then.
     """
     problems = []
-    if sorted(i.b for i in f.cone_invariants) != sorted(f.base.cone_labels):
+    # Base labels are stored sorted, so only the orders are sorted here.
+    orders, labels = sorted(i.b for i in f.cone_invariants), list(f.base.cone_labels)
+    if orders != labels:
         problems.append(
-            "cone invariant orders %s do not match base cone labels %s"
-            % (sorted(i.b for i in f.cone_invariants), list(f.base.cone_labels))
+            "cone invariant orders %s do not match base cone labels %s" % (orders, labels)
         )
-    if sorted(i.b for i in f.corner_invariants) != sorted(f.base.corner_labels):
+    orders, labels = sorted(i.b for i in f.corner_invariants), list(f.base.corner_labels)
+    if orders != labels:
         problems.append(
-            "corner invariant orders %s do not match base corner labels %s"
-            % (sorted(i.b for i in f.corner_invariants), list(f.base.corner_labels))
+            "corner invariant orders %s do not match base corner labels %s" % (orders, labels)
         )
     n, d = _twice_relation(f.cone_invariants, f.corner_invariants, f.euler)
     twice = n + d * sum(f.xi)
@@ -361,7 +365,7 @@ def validate(f: FiberedOrbifold) -> ValidationResult:
         return ValidationResult(False, residue, tuple(problems))
     if problems:
         return ValidationResult(False, None, tuple(problems))
-    return ValidationResult(True, Fraction(0), ())
+    return _VALID
 
 
 def check_valid(f: FiberedOrbifold) -> FiberedOrbifold:
@@ -390,6 +394,35 @@ def normalize(f: FiberedOrbifold) -> FiberedOrbifold:
     return FiberedOrbifold(f.base, cones, corners, f.euler, f.xi)
 
 
+# The trusted constructors: fields converted and checked already are set
+# without __post_init__.  Setting them one by one keeps the instances'
+# attributes inline, where writing through __dict__ would give each one a
+# dict.
+
+
+def _trusted_base(surface: Surface, cone_labels: tuple, corner_labels: tuple) -> TwoOrbifold:
+    """The TwoOrbifold with these fields: labels > 1 and sorted, corners
+    only on a disk."""
+    base = object.__new__(TwoOrbifold)
+    object.__setattr__(base, "surface", surface)
+    object.__setattr__(base, "cone_labels", cone_labels)
+    object.__setattr__(base, "corner_labels", corner_labels)
+    return base
+
+
+def _trusted(base: TwoOrbifold, cones: tuple, corners: tuple, euler: Fraction, xi: tuple
+             ) -> FiberedOrbifold:
+    """The FiberedOrbifold with these fields: LocalInvariants of order > 1,
+    a Fraction and one int bit per boundary component."""
+    f = object.__new__(FiberedOrbifold)
+    object.__setattr__(f, "base", base)
+    object.__setattr__(f, "cone_invariants", cones)
+    object.__setattr__(f, "corner_invariants", corners)
+    object.__setattr__(f, "euler", euler)
+    object.__setattr__(f, "xi", xi)
+    return f
+
+
 def _normal_form(surface, cone_pairs=(), corner_pairs=(), euler=0) -> FiberedOrbifold:
     """check_valid(normalize(FiberedOrbifold.from_data(surface, cone_pairs,
     corner_pairs, euler))), with each conversion and each check done once.
@@ -415,19 +448,8 @@ def _normal_form(surface, cone_pairs=(), corner_pairs=(), euler=0) -> FiberedOrb
         xi = ((-n // d) % 2,)
     else:
         xi = ()
-    # The fields are converted and checked already, so they are set without
-    # __post_init__; setting them one by one keeps the instances' attributes
-    # inline, where writing through __dict__ would give each one a dict.
-    base = object.__new__(TwoOrbifold)
-    object.__setattr__(base, "surface", surface)
-    object.__setattr__(base, "cone_labels", tuple(i.b for i in cones))
-    object.__setattr__(base, "corner_labels", tuple(i.b for i in corners))
-    f = object.__new__(FiberedOrbifold)
-    object.__setattr__(f, "base", base)
-    object.__setattr__(f, "cone_invariants", cones)
-    object.__setattr__(f, "corner_invariants", corners)
-    object.__setattr__(f, "euler", e)
-    object.__setattr__(f, "xi", xi)
+    base = _trusted_base(surface, tuple(i.b for i in cones), tuple(i.b for i in corners))
+    f = _trusted(base, cones, corners, e, xi)
     if surface is not Surface.DISK and n % (2 * d):
         check_valid(f)  # the relation fails: raises with validate's message
     return f

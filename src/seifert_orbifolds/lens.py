@@ -102,10 +102,9 @@ class LensSpace:
 def _cores(invariants):
     """The two cores, ordered by descending (index, b, a) and padded with
     0/1, as the pairs (a/iota, b/iota) and their indices iota = gcd(a, b)."""
-    invs = sorted(invariants, key=lambda i: (i.index, i.b, i.a), reverse=True)
-    pairs = [(i.a, i.b) for i in invs] + [(0, 1)] * (2 - len(invs))
-    iotas = tuple(gcd(a, b) for a, b in pairs)
-    return tuple((a // i, b // i) for (a, b), i in zip(pairs, iotas)), iotas
+    keyed = sorted([(gcd(i.a, i.b), i.b, i.a) for i in invariants], reverse=True)
+    keyed += [(1, 1, 0)] * (2 - len(keyed))  # 0/1, keyed
+    return tuple((a // i, b // i) for i, b, a in keyed), tuple(i for i, _, _ in keyed)
 
 
 def classical_from_fibration(f: FiberedOrbifold) -> tuple[ClassicalSeifert, int, int]:
@@ -165,7 +164,7 @@ def _match_fibration(p, q, cores, euler) -> bool:
     return (n * b1 * b2 + ((-x) % b1) * d * b2 + a2x * d * b1) % (d * b1 * b2) == 0
 
 
-def _lens_label(cores, euler: Fraction) -> LensSpace:
+def _lens_label(cores, e: Fraction) -> LensSpace:
     """Oriented lens space carrying the two-core fibration, cores ordered.
 
     cores = ((a1, b1), (a2, b2)) with gcd(ai, bi) = 1; the returned q uses
@@ -178,7 +177,6 @@ def _lens_label(cores, euler: Fraction) -> LensSpace:
     q = (w2 - a1^-1*p)/b1 (mod p), returned only if the matcher accepts it.
     """
     (a1, b1), (a2, b2) = cores
-    e = Fraction(euler)
     if e == 0:
         raise ValueError("p = 0: total space is not spherical")
     p, rem = divmod(abs(e.numerator) * b1 * b2, e.denominator)

@@ -1,7 +1,12 @@
-import io
+import ast
 import contextlib
+import io
+import itertools
 import json
+import re
 import time
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +21,7 @@ from seifert_orbifolds.cli import (
     parse_fibration,
     run_command,
 )
-from seifert_orbifolds.core import Surface, normalize
+from seifert_orbifolds.core import FiberedOrbifold, Surface, TwoOrbifold, normalize, solve_xi
 from seifert_orbifolds.groups import enumerate_quotient_groups, quotient_hopf
 
 
@@ -354,3 +359,366 @@ def test_huge_euler_class_is_answered_quickly():
     code, out, err = run("lens", "S2; ; -1000000007")
     assert time.perf_counter() - start < 1.0
     assert (code, out, err) == (0, "L(1000000007,1)", "")
+
+
+# -- the parser against the one it replaced -----------------------------------
+#
+# The parser before it built its value in one pass, kept as the reference:
+# every number went through the TwoOrbifold and FiberedOrbifold
+# constructors, and a parenthesized input was split twice.  The new parser
+# must give the same value (fields in the same, un-normalized order) or
+# raise the same exception with the same message.  The one intended
+# difference is the unbalanced '(' message, which now gives the position
+# of the '(' that is never closed.
+
+_REF_NATURAL = re.compile(r"[0-9]+")
+_REF_INTEGER = re.compile(r"[+-]?[0-9]+")
+_REF_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _ref_split_top(text):
+    parts = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError("position %d: unbalanced ')'" % i)
+        elif ch == ";" and depth == 0:
+            parts.append((text[start:i], start))
+            start = i + 1
+    if depth != 0:
+        raise ParseError("unbalanced '(' in %r" % text)
+    parts.append((text[start:], start))
+    return parts
+
+
+def _ref_parse_labels(text, offset):
+    text = text.strip()
+    if not text:
+        return []
+    out = []
+    for piece in text.split(","):
+        piece = piece.strip()
+        if not _REF_NATURAL.fullmatch(piece):
+            raise ParseError("position %d: expected a label, got %r" % (offset, piece))
+        out.append(int(piece))
+    return out
+
+
+def _ref_parse_base(text, offset=0):
+    text = text.strip()
+    for name, surface in (
+        ("S2", Surface.SPHERE),
+        ("RP2", Surface.PROJECTIVE_PLANE),
+        ("D2", Surface.DISK),
+    ):
+        if text == name:
+            return TwoOrbifold(surface)
+        if text.startswith(name + "("):
+            if not text.endswith(")"):
+                raise ParseError("position %d: unbalanced base parentheses" % offset)
+            inner = text[len(name) + 1 : -1]
+            if ";" in inner:
+                cones_txt, _, corners_txt = inner.partition(";")
+            else:
+                cones_txt, corners_txt = inner, ""
+            cones = _ref_parse_labels(cones_txt, offset)
+            corners = _ref_parse_labels(corners_txt, offset)
+            try:
+                return TwoOrbifold(surface, cones, corners)
+            except ValueError as exc:
+                raise ParseError("position %d: %s" % (offset, exc)) from exc
+    raise ParseError("position %d: unknown base %r" % (offset, text))
+
+
+def _ref_parse_invariants(text, offset):
+    text = text.strip()
+    if not text:
+        return []
+    out = []
+    for piece in text.split(","):
+        piece = piece.strip()
+        num, slash, den = (part.strip() for part in piece.partition("/"))
+        if not slash:
+            raise ParseError(
+                "position %d: local invariant must be written a/b, got %r"
+                % (offset, piece)
+            )
+        if not (_REF_INTEGER.fullmatch(num) and _REF_NATURAL.fullmatch(den)):
+            raise ParseError("position %d: bad invariant %r" % (offset, piece))
+        if int(den) == 0:
+            raise ParseError(
+                "position %d: invariant order must be >= 1, got %r" % (offset, piece)
+            )
+        out.append((int(num), int(den)))
+    return out
+
+
+def _ref_parse_rational(text, offset):
+    compact = text.strip().replace(" ", "")
+    if not _REF_RATIONAL.fullmatch(compact):
+        raise ParseError("position %d: bad rational %r" % (offset, text))
+    try:
+        return Fraction(compact)
+    except ZeroDivisionError as exc:
+        raise ParseError("position %d: bad rational %r" % (offset, text)) from exc
+
+
+def _ref_parse_fibration(text):
+    stripped = text.strip()
+    if stripped.startswith("(") and stripped.endswith(")"):
+        inner = stripped[1:-1]
+        try:
+            _ref_split_top(inner)
+        except ParseError:
+            pass
+        else:
+            stripped = inner
+    parts = _ref_split_top(stripped)
+    if len(parts) < 2:
+        raise ParseError("expected base and invariants separated by ';'")
+    base = _ref_parse_base(parts[0][0], parts[0][1])
+
+    if base.surface is Surface.DISK:
+        if len(parts) not in (4, 5):
+            raise ParseError(
+                "a disk-base fibration takes base; cones; corners; e(; xi), got %d fields"
+                % len(parts)
+            )
+        cones = _ref_parse_invariants(*parts[1])
+        corners = _ref_parse_invariants(*parts[2])
+        e = _ref_parse_rational(*parts[3])
+        if len(parts) == 5:
+            xi_txt = parts[4][0].strip()
+            if xi_txt not in ("0", "1"):
+                raise ParseError(
+                    "position %d: xi must be 0 or 1, got %r" % (parts[4][1], xi_txt)
+                )
+            xi = (int(xi_txt),)
+        else:
+            try:
+                xi = (solve_xi(cones, corners, e),)
+            except ValueError as exc:
+                raise ParseError(
+                    "xi omitted but no boundary bit satisfies the sum relation; "
+                    "give xi explicitly"
+                ) from exc
+    else:
+        if len(parts) == 3:
+            cones = _ref_parse_invariants(*parts[1])
+            corners = []
+            e = _ref_parse_rational(*parts[2])
+        elif len(parts) == 4:
+            cones = _ref_parse_invariants(*parts[1])
+            corners = _ref_parse_invariants(*parts[2])
+            if corners:
+                raise ParseError(
+                    "position %d: %s bases carry no corner reflectors"
+                    % (parts[2][1], base.surface.value)
+                )
+            e = _ref_parse_rational(*parts[3])
+        else:
+            raise ParseError(
+                "a %s-base fibration takes base; cones(; corners); e, got %d fields"
+                % (base.surface.value, len(parts))
+            )
+        xi = ()
+
+    n_labels = len(base.cone_labels) + len(base.corner_labels)
+    n_invs = sum(1 for a, b in cones if b != 1) + sum(1 for a, b in corners if b != 1)
+    if n_labels != n_invs:
+        raise ParseError(
+            "label/invariant count mismatch: base has %d singular labels, "
+            "%d invariants given" % (n_labels, n_invs)
+        )
+    return FiberedOrbifold(
+        base,
+        tuple((a, b) for a, b in cones),
+        tuple((a, b) for a, b in corners),
+        e,
+        xi,
+    )
+
+
+def _fields(f):
+    return (f.base.surface, f.base.cone_labels, f.base.corner_labels,
+            f.cone_invariants, f.corner_invariants, f.euler, f.xi)
+
+
+def _open_paren_position(scanned):
+    """Where the reference's unbalanced '(' message should now point: the
+    '(' after which the depth never returns to 0."""
+    depth = 0
+    for i, ch in enumerate(scanned):
+        if ch == "(":
+            if depth == 0:
+                opened = i
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+    return opened
+
+
+def assert_parses_like_reference(text):
+    try:
+        want = _ref_parse_fibration(text)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            parse_fibration(text)
+        assert type(info.value) is type(exc), text
+        message = str(exc)
+        if message.startswith("unbalanced '(' in "):
+            scanned = ast.literal_eval(message[len("unbalanced '(' in "):])
+            message = "position %d: unbalanced '('" % _open_paren_position(scanned)
+        assert str(info.value) == message, text
+        return "raised"
+    got = parse_fibration(text)
+    assert got == want, text
+    assert hash(got) == hash(want), text
+    assert str(got) == str(want), text
+    assert repr(got) == repr(want), text
+    assert _fields(got) == _fields(want), text
+    assert type(got.euler) is Fraction and all(type(x) is int for x in got.xi), text
+    return "parsed"
+
+
+_GRID_CONES = (  # (cone labels, cone invariants)
+    ((), ""),
+    ((2,), "1/2"),
+    ((3, 2), "1/3, -1/2"),  # labels out of order
+    ((1, 2), "0/1,1/2"),  # order-1 points on both sides
+    ((2, 3), "1/2"),  # one invariant short
+    ((2,), "1/2,0/1"),  # an order-1 invariant beside the label
+    ((0, 2), "1/2,1/2"),  # label 0
+    ((4,), "1/0"),  # invariant order 0
+    ((2,), "+3/2"),
+)
+_GRID_CORNERS = (  # (corner labels, corner invariants); None omits the slot
+    None,
+    ((), ""),
+    ((2, 4), "3/4,1/2"),
+    ((1,), "0/1"),
+    ((2,), ""),  # the corner invariant is missing
+)
+_GRID_EULER = ("-1", "-4/3", "3/6", " + 2 / 4 ", "1/0", "0", "-1/8")
+_GRID_XI = (None, "0", "1", "2")
+
+
+def _grid_text(surface, cones, corners, euler, xi, outer):
+    cone_labels, cone_invs = cones
+    corner_labels, corner_invs = corners or ((), "")
+    labels = ",".join(map(str, cone_labels))
+    if corner_labels:
+        labels += ";" + ",".join(map(str, corner_labels))
+    fields = [surface + ("(%s)" % labels if labels else ""), cone_invs]
+    if corners is not None:
+        fields.append(corner_invs)
+    fields.append(euler)
+    if xi is not None:
+        fields.append(xi)
+    text = "; ".join(fields)
+    return "(%s)" % text if outer else text
+
+
+def test_parser_matches_reference_on_grid():
+    outcomes = Counter()
+    for args in itertools.product(("S2", "RP2", "D2"), _GRID_CONES, _GRID_CORNERS,
+                                  _GRID_EULER, _GRID_XI, (False, True)):
+        outcomes[assert_parses_like_reference(_grid_text(*args))] += 1
+    assert outcomes["parsed"] > 500 and outcomes["raised"] > 500
+
+
+_MALFORMED = {
+    "empty": "",
+    "base-only": "S2",
+    "one-field": "S2;",
+    "unknown-base": "T2; ; -1",
+    "space-before-labels": "S2 (2); 1/2; -1",
+    "junk-after-labels": "S2(2)x; 1/2; -1",
+    "empty-labels": "S2(); ; -1",
+    "open-base": "S2(2,3; 1/2,1/3; ; -1/6",
+    "open-at-end": "S2(2,3); 1/2,1/3; ; -1/6; (",
+    "two-open": "S2((2,3; 1/2",
+    "close-first": "S2(2,3)); 1/2,1/3; ; -1/6",
+    "stray-close": ")(",
+    "outer-open-only": "(S2(2,3); 1/2,1/3; -1/6",
+    "outer-unbalanced-inside": "(S2(2; 1/2; -1)",
+    "outer-split-halves": "(S2; ; -1);(S2; ; -1)",
+    "double-outer": "((S2; ; -1))",
+    "outer": "(S2(2,3); 1/2,1/3; -1/6)",
+    "labels-semicolons": "D2(2;3;4); 1/2; 1/3,1/4; -1",
+    "sphere-corner-labels": "S2(2;3); 1/2; 1/3; -1",
+    "rp2-order-one-corner": "RP2(;1); ; ; -1",
+    "bad-label": "S2(x); ; -1",
+    "label-zero": "S2(0); ; -1",
+    "label-zero-after-bad": "D2(0;x); ; ; -1; 0",
+    "corner-label-zero": "D2(;0,2); ; 1/2; -1; 0",
+    "sphere-corners": "S2(2); 1/2; 1/2; -1",
+    "sphere-order-one-corner": "S2(2); 1/2; 0/1; -1",
+    "sphere-five-fields": "S2(2); 1/2; ; -1; 0",
+    "bare-disk": "D2; ; ; -1",
+    "disk-three-fields": "D2; ; -1",
+    "disk-six-fields": "D2; ; ; -1; 0; 0",
+    "xi-unsolvable": "D2(;3); ; 1/3; -1/2",
+    "xi-two": "D2(;2); ; 1/2; -1/4; 2",
+    "xi-spaced": "D2(;2); ; 1/2; -1/4;  1 ",
+    "xi-signed": "D2(;2); ; 1/2; -1/4; +1",
+    "plain-invariant": "S2(2); 1; -1",
+    "open-invariant": "S2(2); 1/; -1",
+    "letter-invariant": "S2(2); a/2; -1",
+    "double-slash": "S2(2); 1/2/3; -1",
+    "empty-invariant": "S2(2,2); 1/2,,1/2; -1",
+    "signed-order": "S2(2); 1/-2; -1",
+    "order-zero": "S2(2); 1/0; -1",
+    "euler-zero-denominator": "S2; ; 1/0",
+    "euler-zero-over-zero": "S2; ; 0/0",
+    "euler-exponent": "S2; ; 1e3",
+    "euler-decimal": "S2; ; -1.0",
+    "euler-tab": "S2; ; -1\t/2",
+    "euler-empty": "S2; ; ",
+    "arabic-label": "S2(٣); 1/3; -1",
+    "fullwidth-euler": "S2; ; -１",
+    "count-short": "S2(2,2,3); 1/2,1/2; ; -1",
+    "count-long": "S2(2); 1/2,1/3; -1",
+    "count-order-one": "S2(2); 1/2,0/1; -1",
+    "tabs": "S2;\t;\t-1",
+    "padded": "  S2 ; ; -1  ",
+    "huge": "S2; ; -%d/%d" % (10 ** 40 + 7, 3 ** 50),
+}
+
+
+@pytest.mark.parametrize("text", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_parser_matches_reference_on_named_texts(text):
+    assert_parses_like_reference(text)
+
+
+_TOKENS = ("S2", "RP2", "D2", "(", ")", ";", "; ", ",", "/", " ", "-", "+", "0", "1",
+           "2", "3", "12", "1/2", "1/3", "-1", "0/1", "3/4", "1/0", "x")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=16).map("".join),
+    st.builds(_grid_text, st.sampled_from(("S2", "RP2", "D2")), st.sampled_from(_GRID_CONES),
+              st.sampled_from(_GRID_CORNERS), st.sampled_from(_GRID_EULER),
+              st.sampled_from(_GRID_XI), st.booleans()),
+))
+def test_parser_matches_reference_on_generated_texts(text):
+    assert_parses_like_reference(text)
+
+
+@pytest.mark.parametrize("text, position", [
+    ("S2(2,3; 1/2,1/3; ; -1/6", 2),
+    ("S2(2,3); 1/2,1/3; ; -1/6; (", 26),
+    ("(S2(2; 1/2; -1)", 0),  # the last ')' closes the inner '('
+])
+def test_unbalanced_open_parenthesis_is_positioned(text, position):
+    with pytest.raises(ParseError) as info:
+        parse_fibration(text)
+    assert str(info.value) == "position %d: unbalanced '('" % position
+    code, out, err = run("validate", text)
+    assert (code, out, err) == (1, "", "error: position %d: unbalanced '('\n" % position)

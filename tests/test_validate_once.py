@@ -235,3 +235,40 @@ def test_closure_still_refuses_a_rewrite_that_leaves_the_finite_class(monkeypatc
         classify._enumerate_fibrations(FINITE)
     with pytest.raises(AssertionError, match="rewrite left the finite class"):
         single_step(FINITE)
+
+
+_LENS_TEXTS = (
+    "S2(5,3811); 1/5,3484/3811; ; -2176/19055",
+    "(S2(5,3811); 1/5,3484/3811; -2176/19055)",  # as str() prints it
+    "(D2(;8,3805); ; 1/8,3473/3805; -1149/60880; 1)",
+    "(S2(2,2,3); 0/2,0/2,1/3; -1/3)",  # read through its bridge target
+)
+
+
+@pytest.mark.parametrize("argv", [["lens"], ["--json", "lens"], ["diffeo", _LENS_TEXTS[1]]])
+@pytest.mark.parametrize("text", _LENS_TEXTS)
+def test_command_converts_and_checks_each_expression_once(monkeypatch, argv, text):
+    """The parser builds the value from the numbers it has converted and
+    checked, so no constructor converts them again; it splits each
+    parenthesized expression once; and the guard normalizes each once."""
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for cls in (core.TwoOrbifold, core.FiberedOrbifold):
+        monkeypatch.setattr(cls, "__post_init__",
+                            counting(cls.__name__, cls.__post_init__))
+    monkeypatch.setattr(cli, "_split_top", counting("_split_top", cli._split_top))
+    wrapped = counting("normalize", core.normalize)
+    for mod in (core, classify, cli):
+        monkeypatch.setattr(mod, "normalize", wrapped)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = run_command(argv + [text])
+    assert code in (0, 3)  # 3: diffeo answered "not diffeomorphic"
+    assert out.getvalue().startswith(("L(", "{", "diffeomorphic", "not diffeomorphic"))
+    expressions = 2 if argv[0] == "diffeo" else 1
+    assert calls == {"_split_top": expressions, "normalize": expressions}
