@@ -72,9 +72,10 @@ _STRUCTURE = re.compile(r"[();]")
 _SURFACES = {"S2": Surface.SPHERE, "RP2": Surface.PROJECTIVE_PLANE, "D2": Surface.DISK}
 
 
-def _split_top(text: str) -> list[tuple[str, int]]:
-    """Split on ';' outside parentheses; returns (segment, offset) pairs.
-    Only the structural characters '(', ')' and ';' are visited."""
+def _split_top(text: str, offset: int) -> list[tuple[str, int]]:
+    """Split on ';' outside parentheses; returns (segment, position) pairs,
+    `text` being found at `offset` of the text as given.  Only the
+    structural characters '(', ')' and ';' are visited."""
     parts = []
     depth = 0
     start = 0
@@ -87,26 +88,39 @@ def _split_top(text: str) -> list[tuple[str, int]]:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ParseError("position %d: unbalanced ')'" % i)
+                raise ParseError("position %d: unbalanced ')'" % (offset + i))
         elif not depth:  # a top-level ";"
-            parts.append((text[start:i], start))
+            parts.append((text[start:i], offset + start))
             start = i + 1
     if depth:
-        raise ParseError("position %d: unbalanced '('" % opened)
-    parts.append((text[start:], start))
+        raise ParseError("position %d: unbalanced '('" % (offset + opened))
+    parts.append((text[start:], offset + start))
     return parts
+
+
+def _at(text: str, offset: int) -> int:
+    """Position of the first non-blank character of `text`, found at
+    `offset`: where an error in it is reported."""
+    return offset + len(text) - len(text.lstrip())
+
+
+def _piece_at(text: str, offset: int, i: int) -> int:
+    """Position of the i-th comma-separated piece of `text`."""
+    pieces = text.split(",")
+    return _at(pieces[i], offset + sum(len(p) + 1 for p in pieces[:i]))
 
 
 def _parse_labels(text: str, offset: int) -> list[int]:
     """The labels in their written order, without the order-1 points."""
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return []
     out = []
-    for piece in text.split(","):
+    for i, piece in enumerate(text.split(",")):
         piece = piece.strip()
         if not _NATURAL.fullmatch(piece):
-            raise ParseError("position %d: expected a label, got %r" % (offset, piece))
+            raise ParseError(
+                "position %d: expected a label, got %r" % (_piece_at(text, offset, i), piece)
+            )
         n = int(piece)
         if n != 1:
             out.append(n)
@@ -115,25 +129,33 @@ def _parse_labels(text: str, offset: int) -> list[int]:
 
 def parse_base(text: str, offset: int = 0) -> TwoOrbifold:
     """The base 2-orbifold, its labels checked here and stored sorted."""
-    text = text.strip()
-    surface = _SURFACES.get(text)
+    stripped = text.strip()
+    surface = _SURFACES.get(stripped)
     if surface is not None:
         return _trusted_base(surface, (), ())
-    name, paren, inner = text.partition("(")
+    offset = _at(text, offset)
+    name, paren, inner = stripped.partition("(")
     surface = _SURFACES.get(name) if paren else None
     if surface is None:
-        raise ParseError("position %d: unknown base %r" % (offset, text))
+        raise ParseError("position %d: unknown base %r" % (offset, stripped))
     if not inner.endswith(")"):
         raise ParseError("position %d: unbalanced base parentheses" % offset)
     cones_txt, _, corners_txt = inner[:-1].partition(";")
-    cones = _parse_labels(cones_txt, offset)
-    corners = _parse_labels(corners_txt, offset)
+    cones_at = offset + len(name) + 1
+    corners_at = cones_at + len(cones_txt) + 1
+    cones = _parse_labels(cones_txt, cones_at)
+    corners = _parse_labels(corners_txt, corners_at)
     if 0 in cones or 0 in corners:
+        zero = next(_piece_at(t, at, i)
+                    for t, at in ((cones_txt, cones_at), (corners_txt, corners_at))
+                    for i, piece in enumerate(t.split(","))
+                    if piece.strip() and int(piece) == 0)
         raise ParseError(
-            "position %d: singularity labels must be positive integers, got 0" % offset
+            "position %d: singularity labels must be positive integers, got 0" % zero
         )
     if corners and surface is not Surface.DISK:
-        raise ParseError("position %d: corner reflectors only occur on a disk base" % offset)
+        raise ParseError("position %d: corner reflectors only occur on a disk base"
+                         % _at(corners_txt, corners_at))
     cones.sort()
     corners.sort()
     return _trusted_base(surface, tuple(cones), tuple(corners))
@@ -141,25 +163,27 @@ def parse_base(text: str, offset: int = 0) -> TwoOrbifold:
 
 def _parse_invariants(text: str, offset: int) -> tuple[LocalInvariant, ...]:
     """The invariants in their written order, without those of order 1."""
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return ()
     out = []
-    for piece in text.split(","):
+    for i, piece in enumerate(text.split(",")):
         piece = piece.strip()
         num, slash, den = piece.partition("/")
         num, den = num.strip(), den.strip()
         if not slash:
             raise ParseError(
                 "position %d: local invariant must be written a/b, got %r"
-                % (offset, piece)
+                % (_piece_at(text, offset, i), piece)
             )
         if not (_INTEGER.fullmatch(num) and _NATURAL.fullmatch(den)):
-            raise ParseError("position %d: bad invariant %r" % (offset, piece))
+            raise ParseError(
+                "position %d: bad invariant %r" % (_piece_at(text, offset, i), piece)
+            )
         b = int(den)
         if b == 0:
             raise ParseError(
-                "position %d: invariant order must be >= 1, got %r" % (offset, piece)
+                "position %d: invariant order must be >= 1, got %r"
+                % (_piece_at(text, offset, i), piece)
             )
         if b != 1:
             out.append(LocalInvariant(int(num), b))
@@ -170,7 +194,7 @@ def _parse_rational(text: str, offset: int) -> Fraction:
     m = _RATIONAL.fullmatch(text.strip().replace(" ", ""))
     den = int(m.group(2) or 1) if m else 0
     if not den:
-        raise ParseError("position %d: bad rational %r" % (offset, text))
+        raise ParseError("position %d: bad rational %r" % (_at(text, offset), text))
     return Fraction(int(m.group(1)), den)
 
 
@@ -182,17 +206,20 @@ def parse_fibration(text: str) -> FiberedOrbifold:
     that the counts of labels and invariants must agree and a missing
     boundary bit is filled in from the relation when that is possible.
     Every number is converted once, as the parser reads it, and the value
-    is built from the converted fields without converting them again.
+    is built from the converted fields without converting them again.  An
+    error's position is that of the first character of the bad piece in
+    `text` as given.
     """
     stripped = text.strip()
+    offset = _at(text, 0)
     parts = None
     if stripped.startswith("(") and stripped.endswith(")"):
         try:
-            parts = _split_top(stripped[1:-1])
+            parts = _split_top(stripped[1:-1], offset + 1)
         except ParseError:
             pass
     if parts is None:
-        parts = _split_top(stripped)
+        parts = _split_top(stripped, offset)
     if len(parts) < 2:
         raise ParseError("expected base and invariants separated by ';'")
     base = parse_base(*parts[0])
@@ -210,7 +237,7 @@ def parse_fibration(text: str) -> FiberedOrbifold:
             xi_txt = parts[4][0].strip()
             if xi_txt not in ("0", "1"):
                 raise ParseError(
-                    "position %d: xi must be 0 or 1, got %r" % (parts[4][1], xi_txt)
+                    "position %d: xi must be 0 or 1, got %r" % (_at(*parts[4]), xi_txt)
                 )
             xi = (int(xi_txt),)
         else:
@@ -232,7 +259,7 @@ def parse_fibration(text: str) -> FiberedOrbifold:
             if parts[2][0].strip():
                 raise ParseError(
                     "position %d: %s bases carry no corner reflectors"
-                    % (parts[2][1], base.surface.value)
+                    % (_at(*parts[2]), base.surface.value)
                 )
             e = _parse_rational(*parts[3])
         else:
@@ -293,38 +320,48 @@ def expression_report(f: FiberedOrbifold) -> dict:
     return report
 
 
-def _emit(args, payload: dict | None, text: str) -> None:
+def _emit(args, payload: dict | None, text: str | None) -> None:
     """Print payload as JSON under --json, else text; a command may skip
-    building a payload that only --json prints."""
+    building a payload that only --json prints, or a text that only text
+    mode prints."""
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
 
 
+# Text-mode validate and normalize print only the normal form or the
+# problems, so they skip the classification in `expression_report`.
 def _cmd_validate(args):
-    payload = expression_report(parse_fibration(args.expr))
-    if payload["valid"]:
-        _emit(args, payload, "ok: %s" % payload["normalized"])
-        return 0
-    lines = ["invalid: %s" % payload["input"]]
-    for p in payload["problems"]:
-        lines.append("  " + p)
-    _emit(args, payload, "\n".join(lines))
-    return 1
+    f = parse_fibration(args.expr)
+    if args.json:
+        payload = expression_report(f)
+        _emit(args, payload, None)
+        return 0 if payload["valid"] else 1
+    g = normalize(f)
+    res = validate(g)
+    if res.ok:
+        text = "ok: %s" % g
+    else:
+        text = "\n".join(["invalid: %s" % f] + ["  " + p for p in res.problems])
+    _emit(args, None, text)
+    return 0 if res.ok else 1
 
 
 def _cmd_normalize(args):
-    payload = expression_report(parse_fibration(args.expr))
-    _emit(args, payload, payload["normalized"])
+    f = parse_fibration(args.expr)
+    if args.json:
+        _emit(args, expression_report(f), None)
+    else:
+        _emit(args, None, str(normalize(f)))
     return 0
 
 
 def _cmd_chi(args):
     base = parse_base(args.base)
-    chi = euler_characteristic(base)
-    _emit(args, {"base": str(base), "chi": format_rational(chi)},
-          "chi(%s) = %s" % (base, format_rational(chi)))
+    chi = format_rational(euler_characteristic(base))
+    payload = {"base": str(base), "chi": chi} if args.json else None
+    _emit(args, payload, "chi(%s) = %s" % (base, chi))
     return 0
 
 
@@ -378,11 +415,13 @@ def _cmd_quotient(args):
     out = op(g)
     side = "anti-Hopf" if args.anti_hopf else "Hopf"
     if out is NO_INVARIANT_FIBRATION:
-        _emit(args, {"group": str(g), "side": side, "fibration": None},
-              "%s preserves no fibration on the %s side" % (g, side))
+        payload = ({"group": str(g), "side": side, "fibration": None}
+                   if args.json else None)
+        _emit(args, payload, "%s preserves no fibration on the %s side" % (g, side))
         return 0
-    _emit(args, {"group": str(g), "side": side, "order": group_order(g),
-                 "fibration": str(out)}, str(out))
+    payload = ({"group": str(g), "side": side, "order": group_order(g),
+                "fibration": str(out)} if args.json else None)
+    _emit(args, payload, str(out))
     return 0
 
 
@@ -510,6 +549,27 @@ def _atlas_text(max_order: int, as_json: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Each command argparse reads as positionals and store-true flags only:
+# name -> (handler, positional names, flags, help).  `build_parser` declares
+# these subparsers from the table and `_read_argv` reads their well-formed
+# argvs from it; `atlas`, whose options take values, is declared in
+# `build_parser` alone.
+_COMMANDS = {
+    "validate": (_cmd_validate, ("expr",), (), "check the invariant relation"),
+    "normalize": (_cmd_normalize, ("expr",), (), "canonical form of a fibration"),
+    "chi": (_cmd_chi, ("base",), (), "orbifold Euler characteristic of a base"),
+    "classify": (_cmd_classify, ("expr",), (), "geometry and fibration count"),
+    "fibrations": (_cmd_fibrations, ("expr",), (),
+                   "enumerate fibrations or emit the lens key"),
+    "diffeo": (_cmd_diffeo, ("expr1", "expr2"), (),
+               "decide orientation-preserving diffeomorphism"),
+    "quotient": (_cmd_quotient, ("group",), ("--anti-hopf",),
+                 "quotient fibration of a finite SO(4) group"),
+    "lens": (_cmd_lens, ("expr",), (),
+             "underlying lens space of an infinite-class orbifold"),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `seifert` argument parser, built once per process on first use."""
@@ -519,33 +579,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--json", action="store_true", help="emit JSON output")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check the invariant relation")
-    p.add_argument("expr")
-    p.set_defaults(fn=_cmd_validate)
-    p = sub.add_parser("normalize", help="canonical form of a fibration")
-    p.add_argument("expr")
-    p.set_defaults(fn=_cmd_normalize)
-    p = sub.add_parser("chi", help="orbifold Euler characteristic of a base")
-    p.add_argument("base")
-    p.set_defaults(fn=_cmd_chi)
-    p = sub.add_parser("classify", help="geometry and fibration count")
-    p.add_argument("expr")
-    p.set_defaults(fn=_cmd_classify)
-    p = sub.add_parser("fibrations", help="enumerate fibrations or emit the lens key")
-    p.add_argument("expr")
-    p.set_defaults(fn=_cmd_fibrations)
-    p = sub.add_parser("diffeo", help="decide orientation-preserving diffeomorphism")
-    p.add_argument("expr1")
-    p.add_argument("expr2")
-    p.set_defaults(fn=_cmd_diffeo)
-    p = sub.add_parser("quotient", help="quotient fibration of a finite SO(4) group")
-    p.add_argument("group")
-    p.add_argument("--anti-hopf", action="store_true")
-    p.set_defaults(fn=_cmd_quotient)
-    p = sub.add_parser("lens", help="underlying lens space of an infinite-class orbifold")
-    p.add_argument("expr")
-    p.set_defaults(fn=_cmd_lens)
+    for name, (fn, positionals, flags, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for dest in positionals:
+            p.add_argument(dest)
+        for flag in flags:
+            p.add_argument(flag, action="store_true")
+        p.set_defaults(fn=fn)
     p = sub.add_parser("atlas", help="catalog of quotient orbifolds up to a group order")
     p.add_argument("--max-order", required=True)
     p.add_argument("--out")
@@ -553,12 +593,41 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _read_argv(argv):
+    """The Namespace `build_parser().parse_args(argv)` returns, for an argv
+    `[--json] <command> <positionals...>` of a table command, where each of
+    the command's flags may appear once anywhere after its name; None for
+    every other argv, which argparse reads instead, so that help, usage and
+    error messages stay argparse's."""
+    start = 1 if argv and argv[0] == "--json" else 0
+    entry = _COMMANDS.get(argv[start]) if argv and len(argv) > start else None
+    if entry is None:
+        return None
+    fn, names, flags, _ = entry
+    positionals, given = [], []
+    for token in argv[start + 1:]:
+        if not token.startswith("-"):
+            positionals.append(token)
+        elif token in flags and token not in given:
+            given.append(token)
+        else:
+            return None
+    if len(positionals) != len(names):
+        return None
+    args = argparse.Namespace(json=bool(start), command=argv[start], fn=fn,
+                              **dict(zip(names, positionals)))
+    for flag in flags:
+        setattr(args, flag[2:].replace("-", "_"), flag in given)
+    return args
+
+
 def run_command(argv) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.fn(args)
     except UnsupportedFamilyError as exc:

@@ -1,8 +1,8 @@
-import ast
 import contextlib
 import io
 import itertools
 import json
+import operator
 import re
 import time
 from collections import Counter
@@ -23,6 +23,7 @@ from seifert_orbifolds.cli import (
 )
 from seifert_orbifolds.core import FiberedOrbifold, Surface, TwoOrbifold, normalize, solve_xi
 from seifert_orbifolds.groups import enumerate_quotient_groups, quotient_hopf
+from test_fuzz import COMMANDS, argvs, fibration_texts
 
 
 def run(*argv):
@@ -95,10 +96,30 @@ class TestParser:
         assert code == 1 and not out and "position" in err
 
     def test_invariant_order_zero_is_positioned(self):
-        with pytest.raises(ParseError, match="position 6: invariant order must be >= 1"):
+        with pytest.raises(ParseError, match="position 7: invariant order must be >= 1"):
             parse_fibration("S2(2); 1/0; ; -1")
         code, out, err = run("classify", "D2; ; 1/0; -1; 0")
-        assert code == 1 and not out and "position 5" in err
+        assert code == 1 and not out and "position 6" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("S2(2,2,3); 1/2,1/2,x/3; ; -1", "position 19: bad invariant 'x/3'"),
+        ("S2(2,2,y); 1/2,1/2,1/3; ; -1", "position 7: expected a label, got 'y'"),
+        ("D2(2, 0;0); ; ; -1; 0", "position 6: singularity labels must be positive "
+                                  "integers, got 0"),
+        ("   S2(2); x/2; -1", "position 10: bad invariant 'x/2'"),
+        ("  T2; ; -1", "position 2: unknown base 'T2'"),
+        ("(S2(2); 1/0; ; -1)", "position 8: invariant order must be >= 1, got '1/0'"),
+        (" ( S2(2); 1/2; ;  -1/0 ) ", "position 18: bad rational '  -1/0 '"),
+        ("(D2(;2); ; 1/2; -1/4;  2)", "position 23: xi must be 0 or 1, got '2'"),
+        ("S2(2); 1/2;  1/2; -1", "position 13: S2 bases carry no corner reflectors"),
+        ("  S2(2)); 1/2; -1", "position 7: unbalanced ')'"),
+    ], ids=["invariant", "label", "zero-label", "padded", "padded-base", "parenthesized",
+            "padded-parenthesized", "xi", "corners", "padded-close"])
+    def test_error_position_is_the_bad_piece(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_fibration(text)
+        assert str(info.value) == message
+        assert run("validate", text) == (1, "", "error: %s\n" % message)
 
     def test_signs_and_spaces_accepted(self):
         f = parse_fibration("S2(2,2,3); +1/2, 1 / 2 ,1/3; ; - 4 / 3")
@@ -250,6 +271,76 @@ def test_one_parser_serves_successive_commands():
     assert shared[1][1] == "spherical; fibrations: 3"
 
 
+# -- the command table against argparse -------------------------------------
+
+# Tokens argparse reads in its own ways: the end of options, negative
+# numbers, help, abbreviations, the empty string and a lone dash.
+_ARGV_TOKENS = ("--", "-1", "-h", "--help", "--js", "--anti", "", "-", "--json",
+                "--anti-hopf", "--max-order", "5")
+
+
+@st.composite
+def table_argvs(draw):
+    """A table command with its count of positionals and its flags, in any
+    order, at times with a flag repeated or a `--` or `-1` among them."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    _, names, flags, _ = cli._COMMANDS[name]
+    tokens = [draw(fibration_texts) for _ in names]
+    tokens += draw(st.lists(st.sampled_from(flags + _ARGV_TOKENS[:2]), max_size=2))
+    head = draw(st.lists(st.just("--json"), max_size=1))
+    return head + [name] + draw(st.permutations(tokens))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(
+    table_argvs(),
+    argvs(),
+    st.builds(operator.add, argvs(), st.lists(st.sampled_from(_ARGV_TOKENS), max_size=2)),
+    st.lists(st.one_of(fibration_texts, st.sampled_from(COMMANDS + list(_ARGV_TOKENS))),
+             max_size=5),
+))
+def test_table_reader_agrees_with_argparse(argv):
+    """The table reader declines an argv or reads it as argparse does."""
+    args = cli._read_argv(argv)
+    if args is not None:
+        assert args == build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv, read_by_table", [
+    (["--help"], False),
+    (["quotient", "--help"], False),
+    (["lens", "--json", "S2(4,4); 2/4,2/4; ; -1"], False),
+    (["atlas", "--max-order", "5"], False),
+    (["--json", "--json", "chi", "S2"], False),
+    (["quotient", "F20", "--anti-hopf", "--anti-hopf"], False),
+    (["lens", "S2; ; -1", "S2; ; -1"], False),
+    (["chi", "--", "S2"], False),
+    (["quotient", "--anti-hopf", "F2(m=3,n=2)"], True),
+    (["--json", "quotient", "F2(m=3,n=2)"], True),
+    (["--json", "lens", "S2(4,4); 2/4,2/4; ; -1"], True),
+    (["diffeo", "S2(2,2); 0/2,0/2; ; -1", "D2; ; ; -1; 0"], True),
+])
+def test_command_table_answers_as_argparse(monkeypatch, argv, read_by_table):
+    """Exit code, stdout and stderr are those of the argparse path, whether
+    or not the table reads the argv."""
+    assert (cli._read_argv(argv) is not None) is read_by_table
+    got = run(*argv)
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+    assert run(*argv) == got
+    if argv[-1] == "--help":
+        assert got[0] == 0 and got[1].startswith("usage: seifert")
+
+
+def test_each_table_command_is_a_subparser():
+    """build_parser declares every table command from the table, with its
+    positionals and flags, and the table reads a well-formed argv of each."""
+    for name, (fn, names, flags, _) in cli._COMMANDS.items():
+        argv = [name] + ["S2"] * len(names) + list(flags)
+        args = build_parser().parse_args(argv)
+        assert args.fn is fn
+        assert cli._read_argv(argv) == args
+
+
 def _schema_check(obj, validator):
     """The shipped schema, plus the two checks it cannot express: no key
     outside its properties, and q < p in every lens."""
@@ -367,49 +458,74 @@ def test_huge_euler_class_is_answered_quickly():
 # every number went through the TwoOrbifold and FiberedOrbifold
 # constructors, and a parenthesized input was split twice.  The new parser
 # must give the same value (fields in the same, un-normalized order) or
-# raise the same exception with the same message.  The one intended
-# difference is the unbalanced '(' message, which now gives the position
-# of the '(' that is never closed.
+# raise the same exception with the same message.  The reference's messages
+# were since changed in two ways: an unbalanced '(' is reported at the '('
+# that is never closed, and every position is that of the first non-blank
+# character of the bad piece in the text as given (a bad label or
+# invariant, the label 0, the corner labels of a base without corners, the
+# base, the Euler class or the boundary bit), counted character by
+# character here.
 
 _REF_NATURAL = re.compile(r"[0-9]+")
 _REF_INTEGER = re.compile(r"[+-]?[0-9]+")
 _REF_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def _ref_split_top(text):
+def _ref_split_top(text, offset):
     parts = []
     depth = 0
     start = 0
     for i, ch in enumerate(text):
         if ch == "(":
+            if depth == 0:
+                opened = i
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ParseError("position %d: unbalanced ')'" % i)
+                raise ParseError("position %d: unbalanced ')'" % (offset + i))
         elif ch == ";" and depth == 0:
-            parts.append((text[start:i], start))
+            parts.append((text[start:i], offset + start))
             start = i + 1
     if depth != 0:
-        raise ParseError("unbalanced '(' in %r" % text)
-    parts.append((text[start:], start))
+        raise ParseError("position %d: unbalanced '('" % (offset + opened))
+    parts.append((text[start:], offset + start))
     return parts
 
 
+def _ref_first_char(text, offset):
+    i = 0
+    while i < len(text) and text[i].isspace():
+        i += 1
+    return offset + i
+
+
+def _ref_pieces(text, offset):
+    """Each comma-separated piece of text, stripped, with its position."""
+    out = []
+    start = 0
+    for i, ch in enumerate(text + ","):
+        if ch == ",":
+            piece = text[start:i]
+            out.append((piece.strip(), _ref_first_char(piece, offset + start)))
+            start = i + 1
+    return out
+
+
 def _ref_parse_labels(text, offset):
-    text = text.strip()
-    if not text:
+    """(label, position) pairs."""
+    if not text.strip():
         return []
     out = []
-    for piece in text.split(","):
-        piece = piece.strip()
+    for piece, at in _ref_pieces(text, offset):
         if not _REF_NATURAL.fullmatch(piece):
-            raise ParseError("position %d: expected a label, got %r" % (offset, piece))
-        out.append(int(piece))
+            raise ParseError("position %d: expected a label, got %r" % (at, piece))
+        out.append((int(piece), at))
     return out
 
 
 def _ref_parse_base(text, offset=0):
+    at = _ref_first_char(text, offset)
     text = text.strip()
     for name, surface in (
         ("S2", Surface.SPHERE),
@@ -420,65 +536,69 @@ def _ref_parse_base(text, offset=0):
             return TwoOrbifold(surface)
         if text.startswith(name + "("):
             if not text.endswith(")"):
-                raise ParseError("position %d: unbalanced base parentheses" % offset)
+                raise ParseError("position %d: unbalanced base parentheses" % at)
             inner = text[len(name) + 1 : -1]
             if ";" in inner:
                 cones_txt, _, corners_txt = inner.partition(";")
             else:
                 cones_txt, corners_txt = inner, ""
-            cones = _ref_parse_labels(cones_txt, offset)
-            corners = _ref_parse_labels(corners_txt, offset)
+            cones_at = at + len(name) + 1
+            corners_at = cones_at + len(cones_txt) + 1
+            cones = _ref_parse_labels(cones_txt, cones_at)
+            corners = _ref_parse_labels(corners_txt, corners_at)
             try:
-                return TwoOrbifold(surface, cones, corners)
+                return TwoOrbifold(surface, [b for b, _ in cones], [b for b, _ in corners])
             except ValueError as exc:
-                raise ParseError("position %d: %s" % (offset, exc)) from exc
-    raise ParseError("position %d: unknown base %r" % (offset, text))
+                zeros = [where for b, where in cones + corners if b == 0]
+                where = zeros[0] if zeros else _ref_first_char(corners_txt, corners_at)
+                raise ParseError("position %d: %s" % (where, exc)) from exc
+    raise ParseError("position %d: unknown base %r" % (at, text))
 
 
 def _ref_parse_invariants(text, offset):
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return []
     out = []
-    for piece in text.split(","):
-        piece = piece.strip()
+    for piece, at in _ref_pieces(text, offset):
         num, slash, den = (part.strip() for part in piece.partition("/"))
         if not slash:
             raise ParseError(
-                "position %d: local invariant must be written a/b, got %r"
-                % (offset, piece)
+                "position %d: local invariant must be written a/b, got %r" % (at, piece)
             )
         if not (_REF_INTEGER.fullmatch(num) and _REF_NATURAL.fullmatch(den)):
-            raise ParseError("position %d: bad invariant %r" % (offset, piece))
+            raise ParseError("position %d: bad invariant %r" % (at, piece))
         if int(den) == 0:
             raise ParseError(
-                "position %d: invariant order must be >= 1, got %r" % (offset, piece)
+                "position %d: invariant order must be >= 1, got %r" % (at, piece)
             )
         out.append((int(num), int(den)))
     return out
 
 
 def _ref_parse_rational(text, offset):
+    at = _ref_first_char(text, offset)
     compact = text.strip().replace(" ", "")
     if not _REF_RATIONAL.fullmatch(compact):
-        raise ParseError("position %d: bad rational %r" % (offset, text))
+        raise ParseError("position %d: bad rational %r" % (at, text))
     try:
         return Fraction(compact)
     except ZeroDivisionError as exc:
-        raise ParseError("position %d: bad rational %r" % (offset, text)) from exc
+        raise ParseError("position %d: bad rational %r" % (at, text)) from exc
 
 
 def _ref_parse_fibration(text):
+    offset = _ref_first_char(text, 0)
     stripped = text.strip()
     if stripped.startswith("(") and stripped.endswith(")"):
         inner = stripped[1:-1]
         try:
-            _ref_split_top(inner)
+            _ref_split_top(inner, offset + 1)
         except ParseError:
             pass
         else:
             stripped = inner
-    parts = _ref_split_top(stripped)
+            offset += 1
+    parts = _ref_split_top(stripped, offset)
     if len(parts) < 2:
         raise ParseError("expected base and invariants separated by ';'")
     base = _ref_parse_base(parts[0][0], parts[0][1])
@@ -495,9 +615,8 @@ def _ref_parse_fibration(text):
         if len(parts) == 5:
             xi_txt = parts[4][0].strip()
             if xi_txt not in ("0", "1"):
-                raise ParseError(
-                    "position %d: xi must be 0 or 1, got %r" % (parts[4][1], xi_txt)
-                )
+                raise ParseError("position %d: xi must be 0 or 1, got %r"
+                                 % (_ref_first_char(*parts[4]), xi_txt))
             xi = (int(xi_txt),)
         else:
             try:
@@ -518,7 +637,7 @@ def _ref_parse_fibration(text):
             if corners:
                 raise ParseError(
                     "position %d: %s bases carry no corner reflectors"
-                    % (parts[2][1], base.surface.value)
+                    % (_ref_first_char(*parts[2]), base.surface.value)
                 )
             e = _ref_parse_rational(*parts[3])
         else:
@@ -549,20 +668,6 @@ def _fields(f):
             f.cone_invariants, f.corner_invariants, f.euler, f.xi)
 
 
-def _open_paren_position(scanned):
-    """Where the reference's unbalanced '(' message should now point: the
-    '(' after which the depth never returns to 0."""
-    depth = 0
-    for i, ch in enumerate(scanned):
-        if ch == "(":
-            if depth == 0:
-                opened = i
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-    return opened
-
-
 def assert_parses_like_reference(text):
     try:
         want = _ref_parse_fibration(text)
@@ -570,11 +675,7 @@ def assert_parses_like_reference(text):
         with pytest.raises(type(exc)) as info:
             parse_fibration(text)
         assert type(info.value) is type(exc), text
-        message = str(exc)
-        if message.startswith("unbalanced '(' in "):
-            scanned = ast.literal_eval(message[len("unbalanced '(' in "):])
-            message = "position %d: unbalanced '('" % _open_paren_position(scanned)
-        assert str(info.value) == message, text
+        assert str(info.value) == str(exc), text
         return "raised"
     got = parse_fibration(text)
     assert got == want, text
@@ -652,6 +753,8 @@ _MALFORMED = {
     "outer": "(S2(2,3); 1/2,1/3; -1/6)",
     "labels-semicolons": "D2(2;3;4); 1/2; 1/3,1/4; -1",
     "sphere-corner-labels": "S2(2;3); 1/2; 1/3; -1",
+    "spaced-corner-labels": "S2(2; 3); 1/2; 1/3; -1",
+    "spaced-zero-label": "D2( 2 ,1; 0); ; 1/2; -1; 0",
     "rp2-order-one-corner": "RP2(;1); ; ; -1",
     "bad-label": "S2(x); ; -1",
     "label-zero": "S2(0); ; -1",

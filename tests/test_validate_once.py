@@ -272,3 +272,38 @@ def test_command_converts_and_checks_each_expression_once(monkeypatch, argv, tex
     assert out.getvalue().startswith(("L(", "{", "diffeomorphic", "not diffeomorphic"))
     expressions = 2 if argv[0] == "diffeo" else 1
     assert calls == {"_split_top": expressions, "normalize": expressions}
+
+
+@pytest.mark.parametrize("argv", [
+    ["quotient", "F2(m=3,n=2)"],
+    ["quotient", "F2(m=3,n=2)", "--anti-hopf"],
+    ["validate", str(FINITE)],
+    ["validate", str(INFINITE)],
+    ["validate", "S2(2,2,3); 0/2,0/2,1/3; ; -1/2"],  # fails the sum relation
+    ["normalize", str(INFINITE)],
+])
+def test_text_mode_computes_only_what_it_prints(monkeypatch, argv):
+    """Text-mode quotient prints no group order, and text-mode validate and
+    normalize print no classification, so neither is computed; --json
+    computes both."""
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "group_order", counting("group_order", cli.group_order))
+    monkeypatch.setattr(cli, "_invariant", counting("_invariant", cli._invariant))
+    with contextlib.redirect_stdout(io.StringIO()):
+        text_code = run_command(argv)
+    assert not calls
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        json_code = run_command(["--json"] + argv)
+    assert json_code == text_code
+    payload = json.loads(out.getvalue())
+    if argv[0] == "quotient":
+        assert calls == {"group_order": 1} and payload["order"] == 24
+    elif payload["valid"]:
+        assert calls == {"_invariant": 1}
