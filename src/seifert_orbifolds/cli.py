@@ -330,22 +330,38 @@ def _emit(args, payload: dict | None, text: str | None) -> None:
         print(text)
 
 
-# Text-mode validate and normalize print only the normal form or the
-# problems, so they skip the classification in `expression_report`.
-def _cmd_validate(args):
-    f = parse_fibration(args.expr)
-    if args.json:
-        payload = expression_report(f)
-        _emit(args, payload, None)
-        return 0 if payload["valid"] else 1
-    g = normalize(f)
-    res = validate(g)
+def _checked(text_of):
+    """The command `validate` or `classify`: under --json it prints the
+    expression report and exits 1 for an invalid fibration; in text mode
+    it prints text_of(input, normal form, validation result), which
+    computes only what it prints."""
+    def command(args):
+        f = parse_fibration(args.expr)
+        if args.json:
+            payload = expression_report(f)
+            _emit(args, payload, None)
+            return 0 if payload["valid"] else 1
+        g = normalize(f)
+        res = validate(g)
+        _emit(args, None, text_of(f, g, res))
+        return 0 if res.ok else 1
+    return command
+
+
+def _validate_text(f, g, res):
     if res.ok:
-        text = "ok: %s" % g
-    else:
-        text = "\n".join(["invalid: %s" % f] + ["  " + p for p in res.problems])
-    _emit(args, None, text)
-    return 0 if res.ok else 1
+        return "ok: %s" % g
+    return "\n".join(["invalid: %s" % f] + ["  " + p for p in res.problems])
+
+
+def _classify_text(f, g, res):
+    if not res.ok:
+        return "invalid: %s" % "; ".join(res.problems)
+    if not is_spherical(g):
+        return "not spherical; fibration count undetermined here"
+    invariant = _invariant(g)
+    return "spherical; fibrations: %s" % (
+        "infinite" if isinstance(invariant, DiffeoKey) else len(invariant))
 
 
 def _cmd_normalize(args):
@@ -365,37 +381,24 @@ def _cmd_chi(args):
     return 0
 
 
-def _cmd_classify(args):
-    f = parse_fibration(args.expr)
-    payload = expression_report(f)
-    if not payload["valid"]:
-        _emit(args, payload, "invalid: %s" % "; ".join(payload.get("problems", [])))
-        return 1
-    if not payload["spherical"]:
-        _emit(args, payload, "not spherical; fibration count undetermined here")
-        return 0
-    _emit(args, payload, "spherical; fibrations: %s" % payload["count"])
-    return 0
-
-
 def _cmd_fibrations(args):
-    payload = expression_report(parse_fibration(args.expr))
-    if not payload["valid"]:
-        raise ValueError("invalid fibration: %s" % "; ".join(payload["problems"]))
-    if not payload["spherical"]:
-        raise ValueError(_NOT_SPHERICAL)
-    if payload["count"] != "infinite":
-        text = "\n".join(payload["fibrations"])
+    f = parse_fibration(args.expr)
+    if args.json:
+        payload = expression_report(f)
+        if not payload["valid"]:
+            raise ValueError("invalid fibration: %s" % "; ".join(payload["problems"]))
+        if not payload["spherical"]:
+            raise ValueError(_NOT_SPHERICAL)
+        _emit(args, payload, None)
+        return 0
+    invariant = _invariant(_require_normal_spherical(f))
+    if isinstance(invariant, DiffeoKey):
+        k = invariant
+        text = ("infinitely many fibrations; key: class=%s lens=%s iota=(%d,%d) mode=%s"
+                % (k.orbifold_class.value, k.lens, *k.iota, k.mode.value))
     else:
-        k = payload["diffeo_key"]
-        text = (
-            "infinitely many fibrations; key: class=%s lens=L(%d,%d) iota=(%d,%d) mode=%s"
-            % (
-                k["class"], k["lens"]["p"], k["lens"]["q"],
-                k["iota"][0], k["iota"][1], k["mode"],
-            )
-        )
-    _emit(args, payload, text)
+        text = "\n".join(sorted(str(x) for x in invariant))
+    _emit(args, None, text)
     return 0
 
 
@@ -437,8 +440,15 @@ def _cmd_lens(args):
     return 0
 
 
-def _atlas_rows(max_order: int):
-    """One row per quotient fibration, with its diffeo_signature.
+def _atlas_classes(max_order: int):
+    """The atlas sweep: (classes, rows), each row filed under its oriented
+    diffeomorphism class as soon as its invariant is known.
+
+    `classes` maps each diffeo_signature to its class, a list
+    [id, sorted fibration strings or None, first member's key JSON or None,
+    rows], numbered in order of first appearance.  `rows` holds one tuple
+    (class, group, order, side, quotient, own key JSON or None) per quotient
+    fibration, in sweep order.
 
     Both sides come straight from `groups`: `quotient_hopf(g)` and
     `quotient_antihopf(g)`, where a ValueError or NO_INVARIANT_FIBRATION
@@ -447,14 +457,12 @@ def _atlas_rows(max_order: int):
     anti-Hopf value is a checked normal form too, yet it still passes the
     full guard `_require_normal_spherical`, the atlas's only
     `core.normalize` call: the benchmark's self-check fails an atlas that
-    makes none.  Each finite class is enumerated once: `finite`
-    maps every member of an enumerated fibration set to that set, and
-    `listed` maps the set to its sorted strings.  A group's name and order
-    are read once for both of its rows.  The dicts live for this sweep
-    only.
+    makes none.  Each finite class is enumerated and sorted once:
+    `member_of` maps every member of an enumerated fibration set to its
+    class.  A group's name and order are read once for both of its rows.
     """
-    finite = {}
-    listed = {}
+    classes = {}
+    member_of = {}
     rows = []
     for g in enumerate_quotient_groups(max_order):
         h = quotient_hopf(g)
@@ -469,27 +477,22 @@ def _atlas_rows(max_order: int):
             sides.append(("anti-hopf", _require_normal_spherical(a)))
         name, order = str(g), group_order(g)
         for side, f in sides:
-            invariant = finite.get(f)
-            if invariant is None:
+            cls, key = member_of.get(f), None
+            if cls is None:
                 invariant = _invariant(f)
-                if not isinstance(invariant, DiffeoKey):
-                    invariant = frozenset(invariant)
-                    finite.update(dict.fromkeys(invariant, invariant))
-                    listed[invariant] = sorted(str(x) for x in invariant)
-            if isinstance(invariant, DiffeoKey):
-                fibs, key = None, _key_json(invariant)
-            else:
-                fibs, key = listed[invariant], None
-            rows.append({
-                "group": name,
-                "order": order,
-                "side": side,
-                "quotient": str(f),
-                "fibrations": fibs,
-                "diffeo_key": key,
-                "signature": _signature(invariant),
-            })
-    return rows
+                if isinstance(invariant, DiffeoKey):
+                    key = _key_json(invariant)
+                    cls = classes.setdefault(_signature(invariant),
+                                             [len(classes), None, key, []])
+                else:
+                    members = frozenset(invariant)
+                    cls = classes[members] = [len(classes),
+                                              sorted(str(x) for x in members), None, []]
+                    member_of.update(dict.fromkeys(members, cls))
+            row = (cls, name, order, side, str(f), key)
+            cls[3].append(row)
+            rows.append(row)
+    return classes, rows
 
 
 def _cmd_atlas(args):
@@ -509,43 +512,28 @@ def _cmd_atlas(args):
 
 
 def _atlas_text(max_order: int, as_json: bool) -> str:
-    rows = _atlas_rows(max_order)
-    class_ids = {}
-    for row in rows:
-        row["class"] = class_ids.setdefault(row.pop("signature"), len(class_ids))
-    lines = []
+    classes, rows = _atlas_classes(max_order)
     if as_json:
-        by_class = {}
-        for row in rows:
-            by_class.setdefault(row["class"], []).append(row)
-        for cid in sorted(by_class):
-            members = by_class[cid]
-            rep = members[0]
-            obj = {
+        lines = [
+            json.dumps({
                 "class": cid,
-                "count": (len(rep["fibrations"]) if rep["fibrations"] is not None
-                          else "infinite"),
-                "fibrations": rep["fibrations"],
-                "diffeo_key": rep["diffeo_key"],
-                "members": [
-                    {"group": m["group"], "order": m["order"], "side": m["side"],
-                     "quotient": m["quotient"]}
-                    for m in members
-                ],
-            }
-            lines.append(json.dumps(obj, sort_keys=True))
+                "count": len(fibs) if fibs is not None else "infinite",
+                "fibrations": fibs,
+                "diffeo_key": key,
+                "members": [{"group": group, "order": order, "side": side,
+                             "quotient": quotient}
+                            for _, group, order, side, quotient, _ in members],
+            }, sort_keys=True)
+            for cid, fibs, key, members in classes.values()
+        ]
     else:
-        for row in rows:
-            extra = (
-                "fibrations=[%s]" % " | ".join(row["fibrations"])
-                if row["fibrations"] is not None
-                else "key=%s" % json.dumps(row["diffeo_key"], sort_keys=True)
-            )
-            lines.append(
-                "class %d: %s order=%d %s quotient=%s %s"
-                % (row["class"], row["group"], row["order"], row["side"],
-                   row["quotient"], extra)
-            )
+        lines = [
+            "class %d: %s order=%d %s quotient=%s %s"
+            % (cls[0], group, order, side, quotient,
+               "key=%s" % json.dumps(key, sort_keys=True) if key
+               else "fibrations=[%s]" % " | ".join(cls[1]))
+            for cls, group, order, side, quotient, key in rows
+        ]
     return "\n".join(lines) + "\n"
 
 
@@ -555,10 +543,10 @@ def _atlas_text(max_order: int, as_json: bool) -> str:
 # argvs from it; `atlas`, whose options take values, is declared in
 # `build_parser` alone.
 _COMMANDS = {
-    "validate": (_cmd_validate, ("expr",), (), "check the invariant relation"),
+    "validate": (_checked(_validate_text), ("expr",), (), "check the invariant relation"),
     "normalize": (_cmd_normalize, ("expr",), (), "canonical form of a fibration"),
     "chi": (_cmd_chi, ("base",), (), "orbifold Euler characteristic of a base"),
-    "classify": (_cmd_classify, ("expr",), (), "geometry and fibration count"),
+    "classify": (_checked(_classify_text), ("expr",), (), "geometry and fibration count"),
     "fibrations": (_cmd_fibrations, ("expr",), (),
                    "enumerate fibrations or emit the lens key"),
     "diffeo": (_cmd_diffeo, ("expr1", "expr2"), (),

@@ -91,16 +91,15 @@ class UnsupportedFamilyError(Exception):
 
 
 class NoInvariantFibration:
-    """Marker: the group preserves no fibration on the requested side."""
+    """Marker: the group preserves no fibration on the requested side.  Its
+    one instance is NO_INVARIANT_FIBRATION, which pickle and copy return
+    as itself, so it is tested with `is`."""
 
     def __repr__(self):
         return "NoInvariantFibration"
 
-    def __eq__(self, other):
-        return isinstance(other, NoInvariantFibration)
-
-    def __hash__(self):
-        return hash("NoInvariantFibration")
+    def __reduce__(self):
+        return "NO_INVARIANT_FIBRATION"
 
 
 NO_INVARIANT_FIBRATION = NoInvariantFibration()
@@ -359,10 +358,11 @@ def parse_group(text: str) -> GroupFamily:
     else:
         name, params = text, {}
     name = name.strip()
-    for fam in Family:
-        if fam.value == name:
-            return GroupFamily(fam, params)
-    raise ValueError("unknown family %r" % name)
+    try:
+        family = Family(name)
+    except ValueError:
+        raise ValueError("unknown family %r" % name) from None
+    return GroupFamily(family, params)
 
 
 def _rejection(pairs, values):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seifert_orbifolds import cli
+from seifert_orbifolds.classify import diffeo_key
 from seifert_orbifolds.cli import (
     ParseError,
     build_parser,
@@ -24,6 +25,12 @@ from seifert_orbifolds.cli import (
 from seifert_orbifolds.core import FiberedOrbifold, Surface, TwoOrbifold, normalize, solve_xi
 from seifert_orbifolds.groups import enumerate_quotient_groups, quotient_hopf
 from test_fuzz import COMMANDS, argvs, fibration_texts
+
+
+_ATLAS_ROW = re.compile(
+    r"class (\d+): (\S+) order=(\d+) (hopf|anti-hopf) quotient=(\(.*\)) "
+    r"(?:fibrations=\[(.*)\]|key=(\{.*\}))"
+)
 
 
 def run(*argv):
@@ -160,6 +167,9 @@ class TestCommands:
         code, out, err = run("quotient", "F2(m=\u0663,n=2)")
         assert code == 1 and not out and "ASCII digits" in err
 
+    def test_quotient_unknown_family_exits_1(self):
+        assert run("quotient", "F99") == (1, "", "error: unknown family 'F99'\n")
+
     def test_quotient_unsupported_family_exits_2(self):
         code, _, err = run("quotient", "F1(m=1,n=2,r=3,s=1)")
         assert code == 2
@@ -226,6 +236,37 @@ class TestAtlas:
         both_sided = [g for g, cs in member_classes.items() if len(cs) > 1]
         assert not both_sided
 
+    @pytest.mark.parametrize("max_order", [60, 400])
+    def test_text_rows_are_the_json_members(self, max_order):
+        """The text atlas lists the --json atlas's members, class by class in
+        the same order, with the same class ids, quotients and fibration
+        lists; ids count classes in order of first appearance.  A text row of
+        an infinite class carries its own key."""
+        code, text, _ = run("atlas", "--max-order", str(max_order))
+        assert code == 0
+        rows = []
+        for line in text.splitlines():
+            m = _ATLAS_ROW.fullmatch(line)
+            assert m, line
+            cid, group, order, side, quotient, fibs, key = m.groups()
+            rows.append((int(cid), group, int(order), side, quotient,
+                         None if fibs is None else fibs.split(" | "),
+                         None if key is None else json.loads(key)))
+        first_seen = list(dict.fromkeys(row[0] for row in rows))
+        assert first_seen == list(range(len(first_seen)))
+        classes = [json.loads(line)
+                   for line in run("--json", "atlas", "--max-order", str(max_order))[1].splitlines()]
+        assert [obj["class"] for obj in classes] == first_seen
+        members = [(obj["class"], m["group"], m["order"], m["side"], m["quotient"],
+                    obj["fibrations"])
+                   for obj in classes for m in obj["members"]]
+        # a stable sort keeps the sweep order within each class
+        assert [row[:6] for row in sorted(rows, key=lambda row: row[0])] == members
+        infinite = [row for row in rows if row[6] is not None]
+        assert infinite and all(row[5] is None for row in infinite)
+        for row in infinite:
+            assert row[6] == cli._key_json(diffeo_key(parse_fibration(row[4])))
+
     def test_out_file(self, tmp_path):
         target = tmp_path / "atlas.txt"
         code, out, _ = run("atlas", "--max-order", "30", "--out", str(target))
@@ -245,7 +286,7 @@ class TestAtlas:
         def sweep(max_order):
             raise AssertionError("the sweep ran before --out was opened")
 
-        monkeypatch.setattr(cli, "_atlas_rows", sweep)
+        monkeypatch.setattr(cli, "_atlas_classes", sweep)
         target = str(tmp_path / "missing" / "atlas.txt")
         assert run("atlas", "--max-order", "400", "--out", target) == (
             1, "", "error: cannot write %s: No such file or directory\n" % target

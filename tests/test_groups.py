@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import os
 import pickle
@@ -124,6 +125,20 @@ class TestQuotientHopf:
     def test_platonic_pairs_have_no_fibration(self):
         assert isinstance(quotient_hopf(parse_group("F20")), NoInvariantFibration)
         assert isinstance(quotient_hopf(parse_group("F26''")), NoInvariantFibration)
+
+    @pytest.mark.parametrize("copy_of", [
+        lambda x: pickle.loads(pickle.dumps(x)),
+        lambda x: pickle.loads(pickle.dumps(x, protocol=0)),
+        copy.deepcopy,
+        copy.copy,
+    ], ids=["pickle", "pickle-protocol-0", "deepcopy", "copy"])
+    def test_marker_survives_pickle_and_copy_as_itself(self, copy_of):
+        """The package tests the marker with `is`, so a copy must be it."""
+        marker = quotient_hopf(parse_group("F20"))
+        assert marker is NO_INVARIANT_FIBRATION
+        assert copy_of(marker) is NO_INVARIANT_FIBRATION
+        assert copy_of([marker, quotient_antihopf(parse_group("F5(m=2)"))]) == [
+            NO_INVARIANT_FIBRATION, NO_INVARIANT_FIBRATION]
 
     def test_lens_families_not_implemented(self):
         with pytest.raises(UnsupportedFamilyError):

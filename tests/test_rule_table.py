@@ -17,7 +17,7 @@ from seifert_orbifolds.classify import (
     _rewrites,
     fibration_class,
 )
-from seifert_orbifolds.cli import _atlas_rows, parse_fibration
+from seifert_orbifolds.cli import _atlas_classes, parse_fibration
 from seifert_orbifolds.core import (
     FiberedOrbifold,
     Surface,
@@ -133,9 +133,10 @@ def atlas_values(max_order):
     """Every quotient of the atlas sweep and every member of its fibration
     set, as normal forms."""
     texts = set()
-    for row in _atlas_rows(max_order):
-        texts.add(row["quotient"])
-        texts.update(row["fibrations"] or ())
+    _, rows = _atlas_classes(max_order)
+    for (_, fibrations, _, _), _, _, _, quotient, _ in rows:
+        texts.add(quotient)
+        texts.update(fibrations or ())
     return {normalize(parse_fibration(text)) for text in texts}
 
 

@@ -101,10 +101,17 @@ def test_atlas_enumerates_each_finite_class_once(monkeypatch):
 
 
 def test_atlas_signature_matches_diffeo_signature():
-    rows = cli._atlas_rows(60)
+    """Every member of a class has the signature the class is filed under,
+    classes are numbered in order of first appearance, and the rows are
+    exactly the members of the classes."""
+    classes, rows = cli._atlas_classes(60)
     assert rows
-    for row in rows:
-        assert row["signature"] == diffeo_signature(parse_fibration(row["quotient"]))
+    assert [cls[0] for cls in classes.values()] == list(range(len(classes)))
+    for signature, cls in classes.items():
+        for row in cls[3]:
+            assert row[0] is cls
+            assert diffeo_signature(parse_fibration(row[4])) == signature
+    assert sorted(map(id, rows)) == sorted(id(row) for cls in classes.values() for row in cls[3])
 
 
 def test_atlas_builds_each_hopf_quotient_once(monkeypatch):
@@ -174,9 +181,9 @@ def test_atlas_anti_hopf_rows_equal_quotient_antihopf():
     independently of quotient_antihopf, or no row where the swap raises or
     finds no invariant fibration."""
     swept = {}
-    for row in cli._atlas_rows(400):
-        if row["side"] == "anti-hopf":
-            swept[row["group"]] = parse_fibration(row["quotient"])
+    for _, group, _, side, quotient, _ in cli._atlas_classes(400)[1]:
+        if side == "anti-hopf":
+            swept[group] = parse_fibration(quotient)
     groups_seen = 0
     for g in enumerate_quotient_groups(400):
         try:
@@ -274,18 +281,30 @@ def test_command_converts_and_checks_each_expression_once(monkeypatch, argv, tex
     assert calls == {"_split_top": expressions, "normalize": expressions}
 
 
-@pytest.mark.parametrize("argv", [
-    ["quotient", "F2(m=3,n=2)"],
-    ["quotient", "F2(m=3,n=2)", "--anti-hopf"],
-    ["validate", str(FINITE)],
-    ["validate", str(INFINITE)],
-    ["validate", "S2(2,2,3); 0/2,0/2,1/3; ; -1/2"],  # fails the sum relation
-    ["normalize", str(INFINITE)],
+BROKEN = "S2(2,2,3); 0/2,0/2,1/3; ; -1/2"  # fails the sum relation
+
+
+@pytest.mark.parametrize("argv, text_calls", [
+    (["quotient", "F2(m=3,n=2)"], {"str": 1}),
+    (["quotient", "F2(m=3,n=2)", "--anti-hopf"], {"str": 1}),
+    (["validate", str(FINITE)], {"str": 1}),
+    (["validate", str(INFINITE)], {"str": 1}),
+    (["validate", BROKEN], {"str": 1}),
+    (["normalize", str(INFINITE)], {"str": 1}),
+    (["classify", str(FINITE)], {"_invariant": 1}),
+    (["classify", str(INFINITE)], {"_invariant": 1}),
+    (["classify", BROKEN], {}),
+    (["fibrations", str(FINITE)], {"_invariant": 1, "str": 3}),
+    (["fibrations", str(INFINITE)], {"_invariant": 1}),
 ])
-def test_text_mode_computes_only_what_it_prints(monkeypatch, argv):
-    """Text-mode quotient prints no group order, and text-mode validate and
-    normalize print no classification, so neither is computed; --json
-    computes both."""
+def test_text_mode_computes_only_what_it_prints(monkeypatch, argv, text_calls):
+    """Text-mode quotient prints no group order, text-mode validate and
+    normalize print no classification, classify prints no fibration and
+    fibrations prints only the fibrations it lists, so none of these is
+    computed: each fibration printed costs one str call, and no other is
+    made.  --json computes the report once: the group order once for
+    quotient, and for an expression one normalize, one validate and, for a
+    valid spherical fibration, one _invariant call."""
     calls = Counter()
 
     def counting(name, original):
@@ -296,14 +315,21 @@ def test_text_mode_computes_only_what_it_prints(monkeypatch, argv):
 
     monkeypatch.setattr(cli, "group_order", counting("group_order", cli.group_order))
     monkeypatch.setattr(cli, "_invariant", counting("_invariant", cli._invariant))
+    monkeypatch.setattr(core.FiberedOrbifold, "__str__",
+                        counting("str", core.FiberedOrbifold.__str__))
     with contextlib.redirect_stdout(io.StringIO()):
         text_code = run_command(argv)
-    assert not calls
+    assert calls == text_calls
+    calls.clear()
+    for name in ("normalize", "validate"):
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
     with contextlib.redirect_stdout(io.StringIO()) as out:
         json_code = run_command(["--json"] + argv)
     assert json_code == text_code
     payload = json.loads(out.getvalue())
+    del calls["str"]
     if argv[0] == "quotient":
         assert calls == {"group_order": 1} and payload["order"] == 24
-    elif payload["valid"]:
-        assert calls == {"_invariant": 1}
+    else:
+        assert calls == Counter(normalize=1, validate=1,
+                                _invariant=int(payload["count"] is not None))
