@@ -25,6 +25,7 @@ import sys
 from fractions import Fraction
 
 from .core import (
+    _VALID,
     FiberedOrbifold,
     LocalInvariant,
     Surface,
@@ -279,7 +280,10 @@ def parse_fibration(text: str) -> FiberedOrbifold:
     return _trusted(base, cones, corners, e, xi)
 
 
-# -- reports ----------------------------------------------------------------
+# -- commands ---------------------------------------------------------------
+#
+# Each command returns (exit code, output): a JSON payload under --json,
+# else its text, or None when it prints nothing.  `run_command` prints it.
 
 
 def _key_json(k):
@@ -291,141 +295,111 @@ def _key_json(k):
     }
 
 
-def expression_report(f: FiberedOrbifold) -> dict:
-    """The documented JSON object for a single fibration expression."""
+def _answer(f: FiberedOrbifold):
+    """(normal form, its ValidationResult, invariant) of f; the invariant,
+    the fibration set or DiffeoKey, is None unless f is valid and
+    spherical."""
     g = normalize(f)
     res = validate(g)
+    return g, res, _invariant(g) if res.ok and is_spherical(g) else None
+
+
+def _report(f, g, res, invariant) -> dict:
+    """The expression report of f from its `_answer`."""
     report = {
         "input": str(f),
         "normalized": str(g),
         "valid": bool(res.ok),
         "chi": format_rational(euler_characteristic(g.base)),
-        "spherical": bool(res.ok and is_spherical(g)),
+        "spherical": invariant is not None,
         "count": None,
         "fibrations": [],
     }
     if not res.ok:
         report["problems"] = list(res.problems)
-        return report
-    if not report["spherical"]:
-        return report
-    invariant = _invariant(g)
-    if isinstance(invariant, DiffeoKey):
+    elif isinstance(invariant, DiffeoKey):
         report["count"] = "infinite"
         report["diffeo_key"] = _key_json(invariant)
         report["lens"] = {"p": invariant.lens.p, "q": invariant.lens.q}
-    else:
+    elif invariant is not None:
         report["count"] = len(invariant)
         report["fibrations"] = sorted(str(x) for x in invariant)
     return report
 
 
-def _emit(args, payload: dict | None, text: str | None) -> None:
-    """Print payload as JSON under --json, else text; a command may skip
-    building a payload that only --json prints, or a text that only text
-    mode prints."""
+def expression_report(f: FiberedOrbifold) -> dict:
+    """The documented JSON object for a single fibration expression."""
+    return _report(f, *_answer(f))
+
+
+def _cmd_validate(args):
+    f = parse_fibration(args.expr)
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
-
-
-def _checked(text_of):
-    """The command `validate` or `classify`: under --json it prints the
-    expression report and exits 1 for an invalid fibration; in text mode
-    it prints text_of(input, normal form, validation result), which
-    computes only what it prints."""
-    def command(args):
-        f = parse_fibration(args.expr)
-        if args.json:
-            payload = expression_report(f)
-            _emit(args, payload, None)
-            return 0 if payload["valid"] else 1
-        g = normalize(f)
-        res = validate(g)
-        _emit(args, None, text_of(f, g, res))
-        return 0 if res.ok else 1
-    return command
-
-
-def _validate_text(f, g, res):
+        report = expression_report(f)
+        return (0 if report["valid"] else 1), report
+    g = normalize(f)
+    res = validate(g)
     if res.ok:
-        return "ok: %s" % g
-    return "\n".join(["invalid: %s" % f] + ["  " + p for p in res.problems])
-
-
-def _classify_text(f, g, res):
-    if not res.ok:
-        return "invalid: %s" % "; ".join(res.problems)
-    if not is_spherical(g):
-        return "not spherical; fibration count undetermined here"
-    invariant = _invariant(g)
-    return "spherical; fibrations: %s" % (
-        "infinite" if isinstance(invariant, DiffeoKey) else len(invariant))
+        return 0, "ok: %s" % g
+    return 1, "\n".join(["invalid: %s" % f] + ["  " + p for p in res.problems])
 
 
 def _cmd_normalize(args):
     f = parse_fibration(args.expr)
+    return 0, expression_report(f) if args.json else str(normalize(f))
+
+
+def _cmd_classify(args):
+    f = parse_fibration(args.expr)
     if args.json:
-        _emit(args, expression_report(f), None)
-    else:
-        _emit(args, None, str(normalize(f)))
-    return 0
+        report = expression_report(f)
+        return (0 if report["valid"] else 1), report
+    g, res, invariant = _answer(f)
+    if not res.ok:
+        return 1, "invalid: %s" % "; ".join(res.problems)
+    if invariant is None:
+        return 0, "not spherical; fibration count undetermined here"
+    return 0, "spherical; fibrations: %s" % (
+        "infinite" if isinstance(invariant, DiffeoKey) else len(invariant))
 
 
 def _cmd_chi(args):
     base = parse_base(args.base)
     chi = format_rational(euler_characteristic(base))
-    payload = {"base": str(base), "chi": chi} if args.json else None
-    _emit(args, payload, "chi(%s) = %s" % (base, chi))
-    return 0
+    return 0, {"base": str(base), "chi": chi} if args.json else "chi(%s) = %s" % (base, chi)
 
 
 def _cmd_fibrations(args):
     f = parse_fibration(args.expr)
+    g = _require_normal_spherical(f)
+    invariant = _invariant(g)
     if args.json:
-        payload = expression_report(f)
-        if not payload["valid"]:
-            raise ValueError("invalid fibration: %s" % "; ".join(payload["problems"]))
-        if not payload["spherical"]:
-            raise ValueError(_NOT_SPHERICAL)
-        _emit(args, payload, None)
-        return 0
-    invariant = _invariant(_require_normal_spherical(f))
+        return 0, _report(f, g, _VALID, invariant)
     if isinstance(invariant, DiffeoKey):
         k = invariant
-        text = ("infinitely many fibrations; key: class=%s lens=%s iota=(%d,%d) mode=%s"
-                % (k.orbifold_class.value, k.lens, *k.iota, k.mode.value))
-    else:
-        text = "\n".join(sorted(str(x) for x in invariant))
-    _emit(args, None, text)
-    return 0
+        return 0, ("infinitely many fibrations; key: class=%s lens=%s iota=(%d,%d) mode=%s"
+                   % (k.orbifold_class.value, k.lens, *k.iota, k.mode.value))
+    return 0, "\n".join(sorted(str(x) for x in invariant))
 
 
 def _cmd_diffeo(args):
     f = _require_normal_spherical(parse_fibration(args.expr1))
     g = _require_normal_spherical(parse_fibration(args.expr2))
     same = _are_diffeomorphic(f, g)
-    payload = ({"left": str(f), "right": str(g), "diffeomorphic": bool(same)}
-               if args.json else None)
-    _emit(args, payload, "diffeomorphic" if same else "not diffeomorphic")
-    return 0 if same else 3
+    return (0 if same else 3), (
+        {"left": str(f), "right": str(g), "diffeomorphic": bool(same)} if args.json
+        else "diffeomorphic" if same else "not diffeomorphic")
 
 
 def _cmd_quotient(args):
     g = parse_group(args.group)
-    op = quotient_antihopf if args.anti_hopf else quotient_hopf
-    out = op(g)
+    out = (quotient_antihopf if args.anti_hopf else quotient_hopf)(g)
     side = "anti-Hopf" if args.anti_hopf else "Hopf"
     if out is NO_INVARIANT_FIBRATION:
-        payload = ({"group": str(g), "side": side, "fibration": None}
-                   if args.json else None)
-        _emit(args, payload, "%s preserves no fibration on the %s side" % (g, side))
-        return 0
-    payload = ({"group": str(g), "side": side, "order": group_order(g),
-                "fibration": str(out)} if args.json else None)
-    _emit(args, payload, str(out))
-    return 0
+        return 0, ({"group": str(g), "side": side, "fibration": None} if args.json
+                   else "%s preserves no fibration on the %s side" % (g, side))
+    return 0, ({"group": str(g), "side": side, "order": group_order(g),
+                "fibration": str(out)} if args.json else str(out))
 
 
 def _cmd_lens(args):
@@ -434,10 +408,8 @@ def _cmd_lens(args):
     if g is None:
         raise ValueError("lens data applies to orbifolds with infinitely many fibrations")
     k = _key(g)
-    payload = {"input": str(f), "lens": {"p": k.lens.p, "q": k.lens.q},
-               "iota": list(k.iota), "mode": k.mode.value} if args.json else None
-    _emit(args, payload, str(k.lens))
-    return 0
+    return 0, ({"input": str(f), "lens": {"p": k.lens.p, "q": k.lens.q},
+                "iota": list(k.iota), "mode": k.mode.value} if args.json else str(k.lens))
 
 
 def _atlas_classes(max_order: int):
@@ -500,15 +472,14 @@ def _cmd_atlas(args):
     if not _NATURAL.fullmatch(bound) or int(bound) < 1:
         raise ValueError("--max-order must be a positive integer, got %r" % args.max_order)
     if not args.out:
-        sys.stdout.write(_atlas_text(int(bound), args.json))
-        return 0
+        return 0, _atlas_text(int(bound), args.json)
     # Opened before the sweep, so an unwritable path fails at once.
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_atlas_text(int(bound), args.json))
+            fh.write(_atlas_text(int(bound), args.json) + "\n")
     except OSError as exc:
         raise ValueError("cannot write %s: %s" % (args.out, exc.strerror or exc)) from exc
-    return 0
+    return 0, None
 
 
 def _atlas_text(max_order: int, as_json: bool) -> str:
@@ -534,7 +505,7 @@ def _atlas_text(max_order: int, as_json: bool) -> str:
                else "fibrations=[%s]" % " | ".join(cls[1]))
             for cls, group, order, side, quotient, key in rows
         ]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 # Each command argparse reads as positionals and store-true flags only:
@@ -543,10 +514,10 @@ def _atlas_text(max_order: int, as_json: bool) -> str:
 # argvs from it; `atlas`, whose options take values, is declared in
 # `build_parser` alone.
 _COMMANDS = {
-    "validate": (_checked(_validate_text), ("expr",), (), "check the invariant relation"),
+    "validate": (_cmd_validate, ("expr",), (), "check the invariant relation"),
     "normalize": (_cmd_normalize, ("expr",), (), "canonical form of a fibration"),
     "chi": (_cmd_chi, ("base",), (), "orbifold Euler characteristic of a base"),
-    "classify": (_checked(_classify_text), ("expr",), (), "geometry and fibration count"),
+    "classify": (_cmd_classify, ("expr",), (), "geometry and fibration count"),
     "fibrations": (_cmd_fibrations, ("expr",), (),
                    "enumerate fibrations or emit the lens key"),
     "diffeo": (_cmd_diffeo, ("expr1", "expr2"), (),
@@ -617,7 +588,10 @@ def run_command(argv) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
     try:
-        return args.fn(args)
+        code, out = args.fn(args)
+        if out is not None:
+            print(out if isinstance(out, str) else json.dumps(out, sort_keys=True))
+        return code
     except UnsupportedFamilyError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -264,9 +264,14 @@ def solve_xi(cone_invariants, corner_invariants, euler) -> int:
     raises ValueError when neither bit works.
     """
     euler = _as_rational(euler)
-    n, d = _twice_relation(
+    return _boundary_bit(*_twice_relation(
         _as_invariants(cone_invariants), _as_invariants(corner_invariants), euler
-    )
+    ))
+
+
+def _boundary_bit(n: int, d: int) -> int:
+    """The xi in {0, 1} with n + d*xi = 0 (mod 2d), for (n, d) from
+    `_twice_relation`; raises ValueError when neither bit works."""
     if n % d:
         raise ValueError("no boundary bit makes the invariant relation hold")
     return (-n // d) % 2
@@ -442,12 +447,7 @@ def _normal_form(surface, cone_pairs=(), corner_pairs=(), euler=0) -> FiberedOrb
         raise ValueError("corner reflectors only occur on a disk base")
     e = _as_rational(euler)
     n, d = _twice_relation(cones, corners, e)
-    if surface is Surface.DISK:
-        if n % d:
-            raise ValueError("no boundary bit makes the invariant relation hold")
-        xi = ((-n // d) % 2,)
-    else:
-        xi = ()
+    xi = (_boundary_bit(n, d),) if surface is Surface.DISK else ()
     base = _trusted_base(surface, tuple(i.b for i in cones), tuple(i.b for i in corners))
     f = _trusted(base, cones, corners, e, xi)
     if surface is not Surface.DISK and n % (2 * d):

@@ -192,9 +192,12 @@ class TestCommands:
         code, _, _ = run("lens", "S2(2,3,5); 1/2,1/3,1/5; ; -1/30")
         assert code == 1
 
-    @pytest.mark.parametrize("command", ["lens", "diffeo"])
+    @pytest.mark.parametrize("command", [
+        ["lens"], ["diffeo"], ["fibrations"], ["--json", "fibrations"],
+    ])
     def test_guard_messages(self, command):
-        # lens and diffeo share the classify guard and its wording
+        # lens, diffeo and fibrations in both modes share the classify
+        # guard and its wording
         good = "S2(2,2); 0/2,0/2; ; -1"
         for bad, message in (
             ("S2(2,2,3); 0/2,0/2,1/3; ; -1/2",
@@ -202,9 +205,9 @@ class TestCommands:
             ("S2(2,3,7); 1/2,1/3,1/7; ; 1/42", "not spherical: chi(base) <= 0 or e = 0"),
             ("S2; ; 0", "not spherical: chi(base) <= 0 or e = 0"),
         ):
-            argvs = [(bad,)] if command == "lens" else [(bad, good), (good, bad)]
+            argvs = [(bad, good), (good, bad)] if "diffeo" in command else [(bad,)]
             for argv in argvs:
-                assert run(command, *argv) == (1, "", "error: %s\n" % message)
+                assert run(*command, *argv) == (1, "", "error: %s\n" % message)
 
     def test_fibrations_infinite_key(self):
         code, out, _ = run("fibrations", "S2(2,2,3); 0/2,0/2,1/3; ; -1/3")
@@ -866,3 +869,32 @@ def test_unbalanced_open_parenthesis_is_positioned(text, position):
     assert str(info.value) == "position %d: unbalanced '('" % position
     code, out, err = run("validate", text)
     assert (code, out, err) == (1, "", "error: position %d: unbalanced '('\n" % position)
+
+
+def _atlas_texts(max_order):
+    """Every quotient and listed fibration of the --json atlas, once each."""
+    code, out, _ = run("--json", "atlas", "--max-order", str(max_order))
+    assert code == 0
+    texts = {}
+    for line in out.splitlines():
+        obj = json.loads(line)
+        texts.update(dict.fromkeys(m["quotient"] for m in obj["members"]))
+        texts.update(dict.fromkeys(obj["fibrations"] or ()))
+    return list(texts)
+
+
+def test_text_and_json_modes_agree():
+    """Each expression command gives the same exit code in text and --json
+    mode, and the same stderr wherever either mode fails."""
+    texts = _atlas_texts(60) + list(_MALFORMED.values())
+    assert len(texts) > 200
+    codes = Counter()
+    for text in texts:
+        for command in ("validate", "normalize", "classify", "fibrations", "lens"):
+            code, _, err = run(command, text)
+            json_code, _, json_err = run("--json", command, text)
+            assert json_code == code, (command, text)
+            if code:
+                assert json_err == err, (command, text)
+            codes[code] += 1
+    assert codes[0] and codes[1]

@@ -304,7 +304,9 @@ def test_text_mode_computes_only_what_it_prints(monkeypatch, argv, text_calls):
     computed: each fibration printed costs one str call, and no other is
     made.  --json computes the report once: the group order once for
     quotient, and for an expression one normalize, one validate and, for a
-    valid spherical fibration, one _invariant call."""
+    valid spherical fibration, one _invariant call, counted in every module
+    that holds normalize and validate (fibrations checks its input through
+    the guard in classify)."""
     calls = Counter()
 
     def counting(name, original):
@@ -322,7 +324,10 @@ def test_text_mode_computes_only_what_it_prints(monkeypatch, argv, text_calls):
     assert calls == text_calls
     calls.clear()
     for name in ("normalize", "validate"):
-        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        wrapped = counting(name, getattr(core, name))
+        for mod in (cli, classify):
+            if getattr(mod, name, None) is getattr(core, name):
+                monkeypatch.setattr(mod, name, wrapped)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         json_code = run_command(["--json"] + argv)
     assert json_code == text_code
