@@ -12,7 +12,10 @@ with labels inside the base parentheses (cone labels before ";", corner
 labels after) and each local invariant written a/b over its label b.  The
 corner slot may be omitted for bases without corner reflectors, and the
 boundary bit may be omitted whenever the sum relation determines it.
-Groups are written family(parameters), e.g. F2(m=3,n=2) or F20.
+Blanks may stand at either end and around each ';', ',' and '/'; the Euler
+class may also have one after its sign (- 4 / 3), and its inner blanks must
+be spaces.  A blank between two digits of a number is a positioned parse
+error.  Groups are written family(parameters), e.g. F2(m=3,n=2) or F20.
 """
 
 from __future__ import annotations
@@ -67,8 +70,9 @@ class ParseError(ValueError):
 # Numbers are ASCII digits only: str.isdigit, int() and Fraction() also
 # read other scripts' digits, underscores and exponents.
 _NATURAL = re.compile(r"[0-9]+")
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_LABEL = re.compile(r"\s*([0-9]+)\s*")
+_INVARIANT = re.compile(r"\s*([+-]?[0-9]+)\s*/\s*([0-9]+)\s*")
+_RATIONAL = re.compile(r"\s*([+-]?) *([0-9]+)(?: */ *([0-9]+))?\s*")
 _STRUCTURE = re.compile(r"[();]")
 _SURFACES = {"S2": Surface.SPHERE, "RP2": Surface.PROJECTIVE_PLANE, "D2": Surface.DISK}
 
@@ -111,46 +115,41 @@ def _piece_at(text: str, offset: int, i: int) -> int:
     return _at(pieces[i], offset + sum(len(p) + 1 for p in pieces[:i]))
 
 
-def _parse_labels(text: str, offset: int) -> list[int]:
-    """The labels in their written order, without the order-1 points."""
-    if not text.strip():
-        return []
+def _parse_labels(text: str, offset: int, zero: int | None) -> tuple[list[int], int | None]:
+    """The labels in their written order, without the 0s and the order-1
+    points, and the position of the first label 0: `zero` when an earlier
+    text held one, else the first 0 here, or None."""
     out = []
-    for i, piece in enumerate(text.split(",")):
-        piece = piece.strip()
-        if not _NATURAL.fullmatch(piece):
-            raise ParseError(
-                "position %d: expected a label, got %r" % (_piece_at(text, offset, i), piece)
-            )
-        n = int(piece)
-        if n != 1:
+    for i, piece in enumerate(text.split(",") if text.strip() else ()):
+        m = _LABEL.fullmatch(piece)
+        if m is None:
+            raise ParseError("position %d: expected a label, got %r"
+                             % (_piece_at(text, offset, i), piece.strip()))
+        n = int(m[1])
+        if n > 1:
             out.append(n)
-    return out
+        elif not n and zero is None:
+            zero = _piece_at(text, offset, i)
+    return out, zero
 
 
 def parse_base(text: str, offset: int = 0) -> TwoOrbifold:
     """The base 2-orbifold, its labels checked here and stored sorted."""
     stripped = text.strip()
-    surface = _SURFACES.get(stripped)
-    if surface is not None:
-        return _trusted_base(surface, (), ())
     offset = _at(text, offset)
     name, paren, inner = stripped.partition("(")
-    surface = _SURFACES.get(name) if paren else None
+    surface = _SURFACES.get(name)
     if surface is None:
         raise ParseError("position %d: unknown base %r" % (offset, stripped))
-    if not inner.endswith(")"):
+    if paren and not inner.endswith(")"):
         raise ParseError("position %d: unbalanced base parentheses" % offset)
+    # a bare surface has inner == "", so no labels
     cones_txt, _, corners_txt = inner[:-1].partition(";")
     cones_at = offset + len(name) + 1
     corners_at = cones_at + len(cones_txt) + 1
-    cones = _parse_labels(cones_txt, cones_at)
-    corners = _parse_labels(corners_txt, corners_at)
-    if 0 in cones or 0 in corners:
-        zero = next(_piece_at(t, at, i)
-                    for t, at in ((cones_txt, cones_at), (corners_txt, corners_at))
-                    for i, piece in enumerate(t.split(","))
-                    if piece.strip() and int(piece) == 0)
+    cones, zero = _parse_labels(cones_txt, cones_at, None)
+    corners, zero = _parse_labels(corners_txt, corners_at, zero)
+    if zero is not None:
         raise ParseError(
             "position %d: singularity labels must be positive integers, got 0" % zero
         )
@@ -164,39 +163,27 @@ def parse_base(text: str, offset: int = 0) -> TwoOrbifold:
 
 def _parse_invariants(text: str, offset: int) -> tuple[LocalInvariant, ...]:
     """The invariants in their written order, without those of order 1."""
-    if not text.strip():
-        return ()
     out = []
-    for i, piece in enumerate(text.split(",")):
-        piece = piece.strip()
-        num, slash, den = piece.partition("/")
-        num, den = num.strip(), den.strip()
-        if not slash:
-            raise ParseError(
-                "position %d: local invariant must be written a/b, got %r"
-                % (_piece_at(text, offset, i), piece)
-            )
-        if not (_INTEGER.fullmatch(num) and _NATURAL.fullmatch(den)):
-            raise ParseError(
-                "position %d: bad invariant %r" % (_piece_at(text, offset, i), piece)
-            )
-        b = int(den)
-        if b == 0:
-            raise ParseError(
-                "position %d: invariant order must be >= 1, got %r"
-                % (_piece_at(text, offset, i), piece)
-            )
+    for i, piece in enumerate(text.split(",") if text.strip() else ()):
+        m = _INVARIANT.fullmatch(piece)
+        b = int(m[2]) if m else 0
+        if not b:
+            problem = ("invariant order must be >= 1, got" if m
+                       else "bad invariant" if "/" in piece
+                       else "local invariant must be written a/b, got")
+            raise ParseError("position %d: %s %r"
+                             % (_piece_at(text, offset, i), problem, piece.strip()))
         if b != 1:
-            out.append(LocalInvariant(int(num), b))
+            out.append(LocalInvariant(int(m[1]), b))
     return tuple(out)
 
 
 def _parse_rational(text: str, offset: int) -> Fraction:
-    m = _RATIONAL.fullmatch(text.strip().replace(" ", ""))
-    den = int(m.group(2) or 1) if m else 0
+    m = _RATIONAL.fullmatch(text)
+    den = int(m[3] or 1) if m else 0
     if not den:
         raise ParseError("position %d: bad rational %r" % (_at(text, offset), text))
-    return Fraction(int(m.group(1)), den)
+    return Fraction(int(m[1] + m[2]), den)
 
 
 def parse_fibration(text: str) -> FiberedOrbifold:
@@ -225,50 +212,41 @@ def parse_fibration(text: str) -> FiberedOrbifold:
         raise ParseError("expected base and invariants separated by ';'")
     base = parse_base(*parts[0])
 
-    if base.surface is Surface.DISK:
-        if len(parts) not in (4, 5):
-            raise ParseError(
-                "a disk-base fibration takes base; cones; corners; e(; xi), got %d fields"
-                % len(parts)
-            )
-        cones = _parse_invariants(*parts[1])
+    # A disk takes base; cones; corners; e(; xi), S2 and RP2 take
+    # base; cones(; corners); e.
+    disk = base.surface is Surface.DISK
+    if len(parts) - disk not in (3, 4):
+        shape = (("disk", "cones; corners; e(; xi)") if disk
+                 else (base.surface.value, "cones(; corners); e"))
+        raise ParseError("a %s-base fibration takes base; %s, got %d fields"
+                         % (*shape, len(parts)))
+    cones = _parse_invariants(*parts[1])
+    corners = ()
+    if len(parts) > 3:
         corners = _parse_invariants(*parts[2])
-        e = _parse_rational(*parts[3])
-        if len(parts) == 5:
-            xi_txt = parts[4][0].strip()
-            if xi_txt not in ("0", "1"):
-                raise ParseError(
-                    "position %d: xi must be 0 or 1, got %r" % (_at(*parts[4]), xi_txt)
-                )
-            xi = (int(xi_txt),)
-        else:
-            try:
-                xi = (solve_xi(cones, corners, e),)
-            except ValueError as exc:
-                raise ParseError(
-                    "xi omitted but no boundary bit satisfies the sum relation; "
-                    "give xi explicitly"
-                ) from exc
-    else:
-        if len(parts) == 3:
-            cones = _parse_invariants(*parts[1])
-            corners = ()
-            e = _parse_rational(*parts[2])
-        elif len(parts) == 4:
-            cones = _parse_invariants(*parts[1])
-            corners = _parse_invariants(*parts[2])
-            if parts[2][0].strip():
-                raise ParseError(
-                    "position %d: %s bases carry no corner reflectors"
-                    % (_at(*parts[2]), base.surface.value)
-                )
-            e = _parse_rational(*parts[3])
-        else:
+        if not disk and parts[2][0].strip():
             raise ParseError(
-                "a %s-base fibration takes base; cones(; corners); e, got %d fields"
-                % (base.surface.value, len(parts))
+                "position %d: %s bases carry no corner reflectors"
+                % (_at(*parts[2]), base.surface.value)
             )
+    e = _parse_rational(*parts[3 if disk else -1])
+    if not disk:
         xi = ()
+    elif len(parts) == 5:
+        xi_txt = parts[4][0].strip()
+        if xi_txt not in ("0", "1"):
+            raise ParseError(
+                "position %d: xi must be 0 or 1, got %r" % (_at(*parts[4]), xi_txt)
+            )
+        xi = (int(xi_txt),)
+    else:
+        try:
+            xi = (solve_xi(cones, corners, e),)
+        except ValueError as exc:
+            raise ParseError(
+                "xi omitted but no boundary bit satisfies the sum relation; "
+                "give xi explicitly"
+            ) from exc
 
     n_labels = len(base.cone_labels) + len(base.corner_labels)
     n_invs = len(cones) + len(corners)

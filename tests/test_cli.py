@@ -1,9 +1,11 @@
 import contextlib
+import functools
 import io
 import itertools
 import json
 import operator
 import re
+import shlex
 import time
 from collections import Counter
 from fractions import Fraction
@@ -25,6 +27,7 @@ from seifert_orbifolds.cli import (
 from seifert_orbifolds.core import FiberedOrbifold, Surface, TwoOrbifold, normalize, solve_xi
 from seifert_orbifolds.groups import enumerate_quotient_groups, quotient_hopf
 from test_fuzz import COMMANDS, argvs, fibration_texts
+from test_readme import _block
 
 
 _ATLAS_ROW = re.compile(
@@ -120,8 +123,12 @@ class TestParser:
         ("(D2(;2); ; 1/2; -1/4;  2)", "position 23: xi must be 0 or 1, got '2'"),
         ("S2(2); 1/2;  1/2; -1", "position 13: S2 bases carry no corner reflectors"),
         ("  S2(2)); 1/2; -1", "position 7: unbalanced ')'"),
+        ("S2; ; -1 0", "position 6: bad rational ' -1 0'"),
+        ("S2(2); 1/2; - 1 2", "position 12: bad rational ' - 1 2'"),
+        ("S2(2); 1/2; -1/2 0", "position 12: bad rational ' -1/2 0'"),
     ], ids=["invariant", "label", "zero-label", "padded", "padded-base", "parenthesized",
-            "padded-parenthesized", "xi", "corners", "padded-close"])
+            "padded-parenthesized", "xi", "corners", "padded-close", "euler-split-digits",
+            "euler-split-after-sign", "euler-split-denominator"])
     def test_error_position_is_the_bad_piece(self, text, message):
         with pytest.raises(ParseError) as info:
             parse_fibration(text)
@@ -508,7 +515,9 @@ def test_huge_euler_class_is_answered_quickly():
 # character of the bad piece in the text as given (a bad label or
 # invariant, the label 0, the corner labels of a base without corners, the
 # base, the Euler class or the boundary bit), counted character by
-# character here.
+# character here.  Its Euler class was tightened once: a blank between two
+# digits is a bad rational, as it always was inside a label or an
+# invariant, where it used to be deleted.
 
 _REF_NATURAL = re.compile(r"[0-9]+")
 _REF_INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -621,8 +630,11 @@ def _ref_parse_invariants(text, offset):
 
 def _ref_parse_rational(text, offset):
     at = _ref_first_char(text, offset)
-    compact = text.strip().replace(" ", "")
-    if not _REF_RATIONAL.fullmatch(compact):
+    # spaces may stand around the sign and the '/', never between two digits
+    chunks = [c for c in text.strip().split(" ") if c]
+    compact = "".join(chunks)
+    if (any(a[-1].isdigit() and b[0].isdigit() for a, b in zip(chunks, chunks[1:]))
+            or not _REF_RATIONAL.fullmatch(compact)):
         raise ParseError("position %d: bad rational %r" % (at, text))
     try:
         return Fraction(compact)
@@ -826,6 +838,8 @@ _MALFORMED = {
     "euler-exponent": "S2; ; 1e3",
     "euler-decimal": "S2; ; -1.0",
     "euler-tab": "S2; ; -1\t/2",
+    "euler-split-digits": "S2; ; -1 0",
+    "euler-split-after-sign": "S2(2); 1/2; - 1 2",
     "euler-empty": "S2; ; ",
     "arabic-label": "S2(٣); 1/3; -1",
     "fullwidth-euler": "S2; ; -１",
@@ -871,6 +885,7 @@ def test_unbalanced_open_parenthesis_is_positioned(text, position):
     assert (code, out, err) == (1, "", "error: position %d: unbalanced '('\n" % position)
 
 
+@functools.cache
 def _atlas_texts(max_order):
     """Every quotient and listed fibration of the --json atlas, once each."""
     code, out, _ = run("--json", "atlas", "--max-order", str(max_order))
@@ -898,3 +913,48 @@ def test_text_and_json_modes_agree():
                 assert json_err == err, (command, text)
             codes[code] += 1
     assert codes[0] and codes[1]
+
+
+# -- where blanks may go -------------------------------------------------------
+#
+# A blank may stand next to a ';', ',' or '/', and at either end of the
+# text, without changing the value; a blank between two digits is a
+# positioned parse error wherever the number stands.
+
+
+@functools.cache
+def _valid_texts():
+    """The atlas-60 quotients and fibrations and the expressions of the
+    README's command-line examples."""
+    readme = [arg for line in _block("Command line", "sh").splitlines()
+              if line.startswith("seifert")
+              for arg in shlex.split(line, comments=True)[1:] if ";" in arg]
+    assert len(readme) >= 8
+    return _atlas_texts(60) + readme
+
+
+def _insert_blank(data, text, points):
+    at = data.draw(st.sampled_from(points))
+    return text[:at] + " " + text[at:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_blank_inside_a_number_is_an_error(data):
+    texts = [t for t in _valid_texts() if re.search("[0-9]{2}", t)]
+    text = data.draw(st.sampled_from(texts))
+    split = _insert_blank(data, text, [m.end() for m in re.finditer("[0-9](?=[0-9])", text)])
+    with pytest.raises(ParseError, match="^position "):
+        parse_fibration(split)
+    code, out, err = run("normalize", split)
+    assert code == 1 and not out and err.startswith("error: position ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_blank_beside_a_separator_keeps_the_value(data):
+    text = data.draw(st.sampled_from(_valid_texts()))
+    points = [0, len(text)] + [m.start() + k for m in re.finditer("[;,/]", text) for k in (0, 1)]
+    want = parse_fibration(text)
+    got = parse_fibration(_insert_blank(data, text, points))
+    assert got == want and str(got) == str(want) and repr(got) == repr(want)
