@@ -12,20 +12,25 @@ with labels inside the base parentheses (cone labels before ";", corner
 labels after) and each local invariant written a/b over its label b.  The
 corner slot may be omitted for bases without corner reflectors, and the
 boundary bit may be omitted whenever the sum relation determines it.
-Blanks may stand at either end and around each ';', ',' and '/'; the Euler
-class may also have one after its sign (- 4 / 3), and its inner blanks must
-be spaces.  A blank between two digits of a number is a positioned parse
-error.  Groups are written family(parameters), e.g. F2(m=3,n=2) or F20.
+Blanks may stand at either end and around each ';' and ','.  Inside an
+invariant or the Euler class only spaces may stand, after the sign and
+around the '/' (- 4 / 3); a blank between two digits of a number is a
+positioned parse error.  Groups are written family(parameters), e.g.
+F2(m=3,n=2) or F20.
+
+Only `core` is imported here.  Each command imports `classify` (which
+loads `lens`) or `groups` when it runs, `argparse` is imported only for an
+argv the command table does not read, and `json` only where JSON is
+printed.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .core import (
     _VALID,
@@ -33,6 +38,7 @@ from .core import (
     LocalInvariant,
     Surface,
     TwoOrbifold,
+    UnsupportedFamilyError,
     _trusted,
     _trusted_base,
     euler_characteristic,
@@ -41,25 +47,6 @@ from .core import (
     normalize,
     solve_xi,
     validate,
-)
-from .groups import (
-    NO_INVARIANT_FIBRATION,
-    UnsupportedFamilyError,
-    enumerate_quotient_groups,
-    group_order,
-    parse_group,
-    quotient_antihopf,
-    quotient_hopf,
-)
-from .classify import (
-    _NOT_SPHERICAL,
-    DiffeoKey,
-    _are_diffeomorphic,
-    _invariant,
-    _key,
-    _representative,
-    _require_normal_spherical,
-    _signature,
 )
 
 
@@ -71,7 +58,8 @@ class ParseError(ValueError):
 # read other scripts' digits, underscores and exponents.
 _NATURAL = re.compile(r"[0-9]+")
 _LABEL = re.compile(r"\s*([0-9]+)\s*")
-_INVARIANT = re.compile(r"\s*([+-]?[0-9]+)\s*/\s*([0-9]+)\s*")
+# an invariant a/b or the Euler class a(/b): any blank at the ends, spaces
+# only after the sign and around the '/', none between two digits
 _RATIONAL = re.compile(r"\s*([+-]?) *([0-9]+)(?: */ *([0-9]+))?\s*")
 _STRUCTURE = re.compile(r"[();]")
 _SURFACES = {"S2": Surface.SPHERE, "RP2": Surface.PROJECTIVE_PLANE, "D2": Surface.DISK}
@@ -165,16 +153,16 @@ def _parse_invariants(text: str, offset: int) -> tuple[LocalInvariant, ...]:
     """The invariants in their written order, without those of order 1."""
     out = []
     for i, piece in enumerate(text.split(",") if text.strip() else ()):
-        m = _INVARIANT.fullmatch(piece)
-        b = int(m[2]) if m else 0
+        m = _RATIONAL.fullmatch(piece)
+        b = int(m[3] or 0) if m else 0
         if not b:
-            problem = ("invariant order must be >= 1, got" if m
+            problem = ("invariant order must be >= 1, got" if m and m[3]
                        else "bad invariant" if "/" in piece
                        else "local invariant must be written a/b, got")
             raise ParseError("position %d: %s %r"
                              % (_piece_at(text, offset, i), problem, piece.strip()))
         if b != 1:
-            out.append(LocalInvariant(int(m[1]), b))
+            out.append(LocalInvariant(int(m[1] + m[2]), b))
     return tuple(out)
 
 
@@ -262,6 +250,11 @@ def parse_fibration(text: str) -> FiberedOrbifold:
 #
 # Each command returns (exit code, output): a JSON payload under --json,
 # else its text, or None when it prints nothing.  `run_command` prints it.
+# A command imports `classify` or `groups` when it runs, as a module: each
+# call pays for that import statement, and `import seifert_orbifolds.X as X`
+# is cheaper than a relative `from .X import ...`, which resolves the
+# package name on every call.  The atlas sweep, run once per command,
+# imports the names its loop calls.
 
 
 def _key_json(k):
@@ -277,13 +270,17 @@ def _answer(f: FiberedOrbifold):
     """(normal form, its ValidationResult, invariant) of f; the invariant,
     the fibration set or DiffeoKey, is None unless f is valid and
     spherical."""
+    import seifert_orbifolds.classify as classify
+
     g = normalize(f)
     res = validate(g)
-    return g, res, _invariant(g) if res.ok and is_spherical(g) else None
+    return g, res, classify._invariant(g) if res.ok and is_spherical(g) else None
 
 
 def _report(f, g, res, invariant) -> dict:
     """The expression report of f from its `_answer`."""
+    import seifert_orbifolds.classify as classify
+
     report = {
         "input": str(f),
         "normalized": str(g),
@@ -295,7 +292,7 @@ def _report(f, g, res, invariant) -> dict:
     }
     if not res.ok:
         report["problems"] = list(res.problems)
-    elif isinstance(invariant, DiffeoKey):
+    elif isinstance(invariant, classify.DiffeoKey):
         report["count"] = "infinite"
         report["diffeo_key"] = _key_json(invariant)
         report["lens"] = {"p": invariant.lens.p, "q": invariant.lens.q}
@@ -332,13 +329,15 @@ def _cmd_classify(args):
     if args.json:
         report = expression_report(f)
         return (0 if report["valid"] else 1), report
+    import seifert_orbifolds.classify as classify
+
     g, res, invariant = _answer(f)
     if not res.ok:
         return 1, "invalid: %s" % "; ".join(res.problems)
     if invariant is None:
         return 0, "not spherical; fibration count undetermined here"
     return 0, "spherical; fibrations: %s" % (
-        "infinite" if isinstance(invariant, DiffeoKey) else len(invariant))
+        "infinite" if isinstance(invariant, classify.DiffeoKey) else len(invariant))
 
 
 def _cmd_chi(args):
@@ -348,12 +347,14 @@ def _cmd_chi(args):
 
 
 def _cmd_fibrations(args):
+    import seifert_orbifolds.classify as classify
+
     f = parse_fibration(args.expr)
-    g = _require_normal_spherical(f)
-    invariant = _invariant(g)
+    g = classify._require_normal_spherical(f)
+    invariant = classify._invariant(g)
     if args.json:
         return 0, _report(f, g, _VALID, invariant)
-    if isinstance(invariant, DiffeoKey):
+    if isinstance(invariant, classify.DiffeoKey):
         k = invariant
         return 0, ("infinitely many fibrations; key: class=%s lens=%s iota=(%d,%d) mode=%s"
                    % (k.orbifold_class.value, k.lens, *k.iota, k.mode.value))
@@ -361,31 +362,37 @@ def _cmd_fibrations(args):
 
 
 def _cmd_diffeo(args):
-    f = _require_normal_spherical(parse_fibration(args.expr1))
-    g = _require_normal_spherical(parse_fibration(args.expr2))
-    same = _are_diffeomorphic(f, g)
+    import seifert_orbifolds.classify as classify
+
+    f = classify._require_normal_spherical(parse_fibration(args.expr1))
+    g = classify._require_normal_spherical(parse_fibration(args.expr2))
+    same = classify._are_diffeomorphic(f, g)
     return (0 if same else 3), (
         {"left": str(f), "right": str(g), "diffeomorphic": bool(same)} if args.json
         else "diffeomorphic" if same else "not diffeomorphic")
 
 
 def _cmd_quotient(args):
-    g = parse_group(args.group)
-    out = (quotient_antihopf if args.anti_hopf else quotient_hopf)(g)
+    import seifert_orbifolds.groups as groups
+
+    g = groups.parse_group(args.group)
+    out = (groups.quotient_antihopf if args.anti_hopf else groups.quotient_hopf)(g)
     side = "anti-Hopf" if args.anti_hopf else "Hopf"
-    if out is NO_INVARIANT_FIBRATION:
+    if out is groups.NO_INVARIANT_FIBRATION:
         return 0, ({"group": str(g), "side": side, "fibration": None} if args.json
                    else "%s preserves no fibration on the %s side" % (g, side))
-    return 0, ({"group": str(g), "side": side, "order": group_order(g),
+    return 0, ({"group": str(g), "side": side, "order": groups.group_order(g),
                 "fibration": str(out)} if args.json else str(out))
 
 
 def _cmd_lens(args):
-    f = _require_normal_spherical(parse_fibration(args.expr))
-    g = _representative(f)
+    import seifert_orbifolds.classify as classify
+
+    f = classify._require_normal_spherical(parse_fibration(args.expr))
+    g = classify._representative(f)
     if g is None:
         raise ValueError("lens data applies to orbifolds with infinitely many fibrations")
-    k = _key(g)
+    k = classify._key(g)
     return 0, ({"input": str(f), "lens": {"p": k.lens.p, "q": k.lens.q},
                 "iota": list(k.iota), "mode": k.mode.value} if args.json else str(k.lens))
 
@@ -411,6 +418,11 @@ def _atlas_classes(max_order: int):
     `member_of` maps every member of an enumerated fibration set to its
     class.  A group's name and order are read once for both of its rows.
     """
+    from .classify import (_NOT_SPHERICAL, DiffeoKey, _invariant,
+                           _require_normal_spherical, _signature)
+    from .groups import (NO_INVARIANT_FIBRATION, enumerate_quotient_groups, group_order,
+                         quotient_antihopf, quotient_hopf)
+
     classes = {}
     member_of = {}
     rows = []
@@ -461,6 +473,8 @@ def _cmd_atlas(args):
 
 
 def _atlas_text(max_order: int, as_json: bool) -> str:
+    import json
+
     classes, rows = _atlas_classes(max_order)
     if as_json:
         lines = [
@@ -510,6 +524,8 @@ _COMMANDS = {
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `seifert` argument parser, built once per process on first use."""
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="seifert",
         description="Exact classification of Seifert fibered spherical 3-orbifolds",
@@ -531,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_argv(argv):
-    """The Namespace `build_parser().parse_args(argv)` returns, for an argv
+    """A SimpleNamespace with the attributes of the Namespace
+    `build_parser().parse_args(argv)` returns, for an argv
     `[--json] <command> <positionals...>` of a table command, where each of
     the command's flags may appear once anywhere after its name; None for
     every other argv, which argparse reads instead, so that help, usage and
@@ -551,8 +568,8 @@ def _read_argv(argv):
             return None
     if len(positionals) != len(names):
         return None
-    args = argparse.Namespace(json=bool(start), command=argv[start], fn=fn,
-                              **dict(zip(names, positionals)))
+    args = SimpleNamespace(json=bool(start), command=argv[start], fn=fn,
+                           **dict(zip(names, positionals)))
     for flag in flags:
         setattr(args, flag[2:].replace("-", "_"), flag in given)
     return args
@@ -568,7 +585,11 @@ def run_command(argv) -> int:
     try:
         code, out = args.fn(args)
         if out is not None:
-            print(out if isinstance(out, str) else json.dumps(out, sort_keys=True))
+            if not isinstance(out, str):
+                import json
+
+                out = json.dumps(out, sort_keys=True)
+            print(out)
         return code
     except UnsupportedFamilyError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -38,6 +38,12 @@ class Surface(Enum):
     __hash__ = object.__hash__
 
 
+class UnsupportedFamilyError(Exception):
+    """Raised for families whose quotient data is out of scope here.  It is
+    raised by `groups`, which re-exports it, and defined here so that the
+    command line catches it without loading `groups`."""
+
+
 def _integer(n, what: str) -> int:
     """n as an int; ValueError for anything that is not integral (a float
     such as 2.5 or 3.0 included), instead of a silent truncation."""

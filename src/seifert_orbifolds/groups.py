@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .core import Surface, _integer, _normal_form
+from .core import Surface, UnsupportedFamilyError, _integer, _normal_form
 
 
 class Family(Enum):
@@ -84,10 +84,6 @@ class Family(Enum):
     # Members are singletons, so the identity hash (computed in C) agrees
     # with ==, as for core.Surface.
     __hash__ = object.__hash__
-
-
-class UnsupportedFamilyError(Exception):
-    """Raised for families whose quotient data is out of scope here."""
 
 
 class NoInvariantFibration:

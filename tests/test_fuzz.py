@@ -13,7 +13,7 @@ from unittest import mock
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from seifert_orbifolds import cli
+from seifert_orbifolds import groups
 from seifert_orbifolds.cli import parse_fibration, run_command
 from seifert_orbifolds.groups import Family, parse_group
 
@@ -121,8 +121,8 @@ def _first_groups(real):
 def test_run_command_returns_a_documented_exit_code(argv):
     # --out (or an abbreviation) would write a file named by the fuzz.
     assume(not any(arg.startswith("--o") for arg in argv))
-    sweep = _first_groups(cli.enumerate_quotient_groups)
-    with mock.patch.object(cli, "enumerate_quotient_groups", sweep), \
+    sweep = _first_groups(groups.enumerate_quotient_groups)
+    with mock.patch.object(groups, "enumerate_quotient_groups", sweep), \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = run_command(argv)
     assert code in (0, 1, 2, 3), (argv, code)

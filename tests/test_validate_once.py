@@ -122,8 +122,7 @@ def test_atlas_builds_each_hopf_quotient_once(monkeypatch):
         calls[g] += 1
         return original(g)
 
-    for mod in (groups, cli):
-        monkeypatch.setattr(mod, "quotient_hopf", counted)
+    monkeypatch.setattr(groups, "quotient_hopf", counted)
     classes = _atlas_json(60)
     assert set(calls) == set(enumerate_quotient_groups(60))
     assert set(calls.values()) == {1}
@@ -315,8 +314,8 @@ def test_text_mode_computes_only_what_it_prints(monkeypatch, argv, text_calls):
             return original(*args)
         return wrapper
 
-    monkeypatch.setattr(cli, "group_order", counting("group_order", cli.group_order))
-    monkeypatch.setattr(cli, "_invariant", counting("_invariant", cli._invariant))
+    monkeypatch.setattr(groups, "group_order", counting("group_order", groups.group_order))
+    monkeypatch.setattr(classify, "_invariant", counting("_invariant", classify._invariant))
     monkeypatch.setattr(core.FiberedOrbifold, "__str__",
                         counting("str", core.FiberedOrbifold.__str__))
     with contextlib.redirect_stdout(io.StringIO()):
