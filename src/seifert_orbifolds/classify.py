@@ -40,11 +40,20 @@ A fibration's shape is its surface, its numbers of cone points and of
 corners, and the numerators of its order-2 cone and corner invariants.  A
 pattern reads four shapes only: its fixed invariants alone (x = 1), with a
 free 0/2 or 1/2 added (x = 2), and with a free invariant of higher order
-added (x > 2).  At import, `_MOVES` files each rule, once per direction,
-and `_BRIDGES_BY_SHAPE` each bridge row under the shapes its source
-pattern reads, in table order.  `_rewrites` and `_bridge` read f
-against the entries filed under f's shape and skip the rest, which could
-not match; the first bridge row that reads f still wins.
+added (x > 2).  At import, `_MOVES` groups the moves, each rule once per
+direction, by source pattern, and files each (source, moves) pair, as
+`_BRIDGES_BY_SHAPE` files each bridge row, under the shapes the source
+pattern reads, in table order.  `_rewrites` and `_bridge` read f by the
+patterns filed under f's shape and skip the rest, which could not match;
+one read serves every move of a source, and the first bridge row that
+reads f still wins.
+
+A closure reads each member once by each source pattern filed under its
+shape, when the member joins, and files each reading: (pattern, (x, y))
+to the member that pattern reads with (x, y), in a dict that lives for
+that closure only.  A move whose target (pattern, parameters) is filed
+takes that member; only an unfiled target is built, so each member but
+the input is built once.
 
 Each public function validates its arguments once, through
 `_require_normal_spherical`, and hands the normal form to a private core
@@ -332,38 +341,68 @@ def _shape(f: FiberedOrbifold):
     return f.base.surface, len(cones), len(corners), _halves(cones), _halves(corners)
 
 
-def _by_shape(entries):
-    """Dict from base shape to the entries, in the given order, whose
-    pattern (each entry's second item) can read a fibration of that shape."""
+def _by_shape(filed):
+    """Dict from base shape to the items, in the given order, whose pattern
+    can read a fibration of that shape, from (pattern, item) pairs."""
     index = {}
-    for entry in entries:
-        for shape in entry[1].shapes():
-            index.setdefault(shape, []).append(entry)
+    for pattern, item in filed:
+        for shape in pattern.shapes():
+            index.setdefault(shape, []).append(item)
     return {shape: tuple(found) for shape, found in index.items()}
 
 
-# Each rule in both directions, as (name, source, target, move, domain):
-# source(x, y) with (x, y) in the domain is rewritten to target(move(x, y)).
-_MOVES = _by_shape(
-    entry
-    for name, left, right, (there, back), domain in _RULES
-    for entry in (
-        (name, left, right, there, domain),
-        (name, right, left, back, lambda x, y, back=back, domain=domain: domain(*back(x, y))),
-    )
-)
-_BRIDGES_BY_SHAPE = _by_shape(_BRIDGES)
+def _by_source(rules):
+    """(source, moves) for each pattern on either side of the rules, in
+    order of first appearance, with moves the tuple of (name, target, move,
+    domain): source(x, y) with (x, y) in the domain is rewritten to
+    target(move(x, y))."""
+    moves = {}
+    for name, left, right, (there, back), domain in rules:
+        moves.setdefault(left, []).append((name, right, there, domain))
+        moves.setdefault(right, []).append(
+            (name, left, back, lambda x, y, back=back, domain=domain: domain(*back(x, y))))
+    return [(source, tuple(found)) for source, found in moves.items()]
 
 
-def _rewrites(f: FiberedOrbifold):
-    """(rule name, fibration) for each displayed move with f on one side."""
-    for name, source, target, move, domain in _MOVES.get(_shape(f), ()):
+# Each rule in both directions, grouped by source pattern as (source, moves).
+_MOVES = _by_shape((entry[0], entry) for entry in _by_source(_RULES))
+_BRIDGES_BY_SHAPE = _by_shape((row[1], row) for row in _BRIDGES)
+
+
+def _readings(f: FiberedOrbifold, filed: dict):
+    """((x, y), moves) for each source pattern filed under f's shape that
+    reads f with (x, y); each reading is also filed, as filed[id(source),
+    (x, y)] = f."""
+    found = []
+    for source, moves in _MOVES.get(_shape(f), ()):
         xy = source.read(f)
-        if xy is not None and domain(*xy):
-            yield name, target.build(*move(*xy))
+        if xy is not None:
+            filed[id(source), xy] = f
+            found.append((xy, moves))
+    return found
+
+
+def _moves(f: FiberedOrbifold, readings, filed: dict):
+    """(rule name, fibration) for each move of f's readings whose domain
+    holds, then f's sporadic partner: a target already filed is that
+    member, any other is built."""
+    for xy, moves in readings:
+        for name, target, move, domain in moves:
+            if domain(*xy):
+                to = move(*xy)
+                h = filed.get((id(target), to))
+                yield name, target.build(*to) if h is None else h
     partner = _SPORADIC.get(f)
     if partner is not None:
         yield "sporadic", partner
+
+
+def _rewrites(f: FiberedOrbifold):
+    """(rule name, fibration) for each displayed move with f on one side:
+    f is read once by each source pattern filed under its shape, and each
+    target but f itself is built."""
+    filed = {}
+    return _moves(f, _readings(f, filed), filed)
 
 
 def single_step(f: FiberedOrbifold) -> set[FiberedOrbifold]:
@@ -437,18 +476,22 @@ def enumerate_fibrations(f: FiberedOrbifold) -> set[FiberedOrbifold]:
 
 
 def _enumerate_fibrations(f: FiberedOrbifold) -> set[FiberedOrbifold]:
-    """The closure of the finite-class normal form f under the rewrites;
-    each member is checked finite once, when it is added."""
+    """The closure of the finite-class normal form f under the rewrites.
+
+    Each member is checked finite and read by the source patterns filed
+    under its shape once, when it joins; a move whose target is already
+    filed reuses that member, so each member but f is built once."""
+    filed = {}
     seen = {f}
-    frontier = [f]
+    frontier = [(f, _readings(f, filed))]
     while frontier:
-        g = frontier.pop()
-        for _, h in _rewrites(g):
+        g, readings = frontier.pop()
+        for _, h in _moves(g, readings, filed):
             if h not in seen:
                 if _fibration_class(h) is not FibrationClass.FINITE:
                     raise AssertionError("rewrite left the finite class: %s -> %s" % (g, h))
                 seen.add(h)
-                frontier.append(h)
+                frontier.append((h, _readings(h, filed)))
         if len(seen) > 3:
             raise AssertionError("rewrite closure exceeded three fibrations: %s" % seen)
     return seen

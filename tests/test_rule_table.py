@@ -6,6 +6,7 @@ fundamental group, which does not depend on the fibration chosen.
 
 from collections import Counter
 from fractions import Fraction as F
+from functools import cache
 from itertools import product
 
 from seifert_orbifolds.classify import (
@@ -14,8 +15,10 @@ from seifert_orbifolds.classify import (
     _SPORADIC,
     FibrationClass,
     _bridge,
+    _enumerate_fibrations,
     _rewrites,
     fibration_class,
+    single_step,
 )
 from seifert_orbifolds.cli import _atlas_classes, parse_fibration
 from seifert_orbifolds.core import (
@@ -49,11 +52,13 @@ SHAPES = (
 )
 
 
+@cache
 def grid(limit=20):
     """Every spherical fibration of the shapes of criterion 4 plus D2(b;)
     and RP2(b), for b, |c| <= limit, in both orientations; b = 1 drops the
     label-b point.  The sum relation leaves the invariant over b one of
-    -c, (b-c)/2 and b/2-c (mod b)."""
+    -c, (b-c)/2 and b/2-c (mod b).  Computed once per limit, as a frozen
+    set, for the tests below that share it."""
     out = set()
     for b, c in product(range(1, limit + 1), range(1, limit + 1)):
         for a in {-c % b, (b - c) // 2 % b, (b // 2 - c) % b}:
@@ -65,7 +70,7 @@ def grid(limit=20):
                     continue
                 if validate(f).ok:
                     out |= {f, reverse_orientation(f)}
-    return out
+    return frozenset(out)
 
 
 def test_every_move_and_bridge_keeps_the_orbifold_order():
@@ -129,15 +134,28 @@ def bridge_by_full_scan(f):
     return None
 
 
+def closure_by_full_scan(f):
+    """The breadth-first closure of f under the unindexed matcher, which
+    builds every target and reuses nothing, as its layers: {f}, then the
+    fibrations each step adds."""
+    layers, seen = [{f}], {f}
+    while layers[-1]:
+        step = {g for h in layers[-1] for _, g in rewrites_by_full_scan(h)} - seen
+        seen |= step
+        layers.append(step)
+    return layers[:-1]
+
+
+@cache
 def atlas_values(max_order):
     """Every quotient of the atlas sweep and every member of its fibration
-    set, as normal forms."""
+    set, as normal forms, in a frozen set computed once per order."""
     texts = set()
     _, rows = _atlas_classes(max_order)
     for (_, fibrations, _, _), _, _, _, quotient, _ in rows:
         texts.add(quotient)
         texts.update(fibrations or ())
-    return {normalize(parse_fibration(text)) for text in texts}
+    return frozenset(normalize(parse_fibration(text)) for text in texts)
 
 
 def test_sporadic_dict_holds_each_pair_both_ways():
@@ -157,3 +175,18 @@ def test_shape_index_matches_the_full_scan():
         moved += sum(got.values())
         bridged += hit is not None
     assert len(values) > 8000 and moved > 9000 and bridged > 250
+
+
+def test_closure_matches_the_full_scan():
+    """The closure that files its readings and reuses filed members finds
+    the fibrations the unindexed breadth-first closure finds, and its
+    first step is single_step."""
+    values = grid() | atlas_values(200) | set(_SPORADIC)
+    sizes = Counter()
+    for f in values:
+        if fibration_class(f) is FibrationClass.FINITE:
+            layers = closure_by_full_scan(f)
+            assert _enumerate_fibrations(f) == set().union(*layers), f
+            assert single_step(f) == (layers[1] if len(layers) > 1 else set()), f
+            sizes[sum(map(len, layers))] += 1
+    assert set(sizes) == {1, 2, 3} and sizes[3] > 200
