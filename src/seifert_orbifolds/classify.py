@@ -413,9 +413,15 @@ def single_step(f: FiberedOrbifold) -> set[FiberedOrbifold]:
     out = {g for _, g in _rewrites(f)}
     out.discard(f)
     for g in out:
-        if _fibration_class(g) is not FibrationClass.FINITE:
-            raise AssertionError("rewrite left the finite class: %s -> %s" % (f, g))
+        _still_finite(f, g)
     return out
+
+
+def _still_finite(f: FiberedOrbifold, g: FiberedOrbifold) -> FiberedOrbifold:
+    """g, a rewrite of f; AssertionError if g left the finite class."""
+    if _fibration_class(g) is not FibrationClass.FINITE:
+        raise AssertionError("rewrite left the finite class: %s -> %s" % (f, g))
+    return g
 
 
 def _bridge(f: FiberedOrbifold):
@@ -488,9 +494,7 @@ def _enumerate_fibrations(f: FiberedOrbifold) -> set[FiberedOrbifold]:
         g, readings = frontier.pop()
         for _, h in _moves(g, readings, filed):
             if h not in seen:
-                if _fibration_class(h) is not FibrationClass.FINITE:
-                    raise AssertionError("rewrite left the finite class: %s -> %s" % (g, h))
-                seen.add(h)
+                seen.add(_still_finite(g, h))
                 frontier.append((h, _readings(h, filed)))
         if len(seen) > 3:
             raise AssertionError("rewrite closure exceeded three fibrations: %s" % seen)

@@ -62,7 +62,7 @@ _LABEL = re.compile(r"\s*([0-9]+)\s*")
 # only after the sign and around the '/', none between two digits
 _RATIONAL = re.compile(r"\s*([+-]?) *([0-9]+)(?: */ *([0-9]+))?\s*")
 _STRUCTURE = re.compile(r"[();]")
-_SURFACES = {"S2": Surface.SPHERE, "RP2": Surface.PROJECTIVE_PLANE, "D2": Surface.DISK}
+_SURFACES = {s.value: s for s in Surface}
 
 
 def _split_top(text: str, offset: int) -> list[tuple[str, int]]:
@@ -591,12 +591,9 @@ def run_command(argv) -> int:
                 out = json.dumps(out, sort_keys=True)
             print(out)
         return code
-    except UnsupportedFamilyError as exc:
+    except (UnsupportedFamilyError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ParseError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UnsupportedFamilyError) else 1
 
 
 def main() -> None:

@@ -28,14 +28,16 @@ from operator import index
 Rational = Fraction
 
 
-class Surface(Enum):
-    SPHERE = "S2"
-    PROJECTIVE_PLANE = "RP2"
-    DISK = "D2"
-
+class _IdentityEnum(Enum):
     # Members are singletons, so the identity hash (computed in C) agrees
     # with ==; Enum's own hash is the hash of the name, computed in Python.
     __hash__ = object.__hash__
+
+
+class Surface(_IdentityEnum):
+    SPHERE = "S2"
+    PROJECTIVE_PLANE = "RP2"
+    DISK = "D2"
 
 
 class UnsupportedFamilyError(Exception):
@@ -244,8 +246,6 @@ class FiberedOrbifold:
 
 
 def format_rational(q: Fraction) -> str:
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
@@ -358,16 +358,12 @@ def validate(f: FiberedOrbifold) -> ValidationResult:
     """
     problems = []
     # Base labels are stored sorted, so only the orders are sorted here.
-    orders, labels = sorted(i.b for i in f.cone_invariants), list(f.base.cone_labels)
-    if orders != labels:
-        problems.append(
-            "cone invariant orders %s do not match base cone labels %s" % (orders, labels)
-        )
-    orders, labels = sorted(i.b for i in f.corner_invariants), list(f.base.corner_labels)
-    if orders != labels:
-        problems.append(
-            "corner invariant orders %s do not match base corner labels %s" % (orders, labels)
-        )
+    for side, invariants, labels in (("cone", f.cone_invariants, f.base.cone_labels),
+                                     ("corner", f.corner_invariants, f.base.corner_labels)):
+        orders, labels = sorted(i.b for i in invariants), list(labels)
+        if orders != labels:
+            problems.append("%s invariant orders %s do not match base %s labels %s"
+                            % (side, orders, side, labels))
     n, d = _twice_relation(f.cone_invariants, f.corner_invariants, f.euler)
     twice = n + d * sum(f.xi)
     if twice % (2 * d):

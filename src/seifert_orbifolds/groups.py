@@ -23,15 +23,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .core import Surface, UnsupportedFamilyError, _integer, _normal_form
+from .core import Surface, UnsupportedFamilyError, _IdentityEnum, _integer, _normal_form
 
 
-class Family(Enum):
+class Family(_IdentityEnum):
     F1 = "F1"
     F1P = "F1'"
     F2 = "F2"
@@ -80,10 +79,6 @@ class Family(Enum):
     F33P = "F33'"
     F34 = "F34"
     F34BIS = "F34bis"
-
-    # Members are singletons, so the identity hash (computed in C) agrees
-    # with ==, as for core.Surface.
-    __hash__ = object.__hash__
 
 
 class NoInvariantFibration:

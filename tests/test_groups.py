@@ -421,6 +421,9 @@ class TestBuiltGroups:
     def test_family_hashes_by_identity(self):
         assert Family.__hash__ is object.__hash__
 
+    def test_surface_hashes_by_identity(self):
+        assert Surface.__hash__ is object.__hash__
+
     def test_pickle_round_trip(self):
         for g in (parse_group("F2(n=2,m=3)"), parse_group("F20"), *self._built(40)):
             h = pickle.loads(pickle.dumps(g))

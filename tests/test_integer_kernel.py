@@ -11,7 +11,7 @@ from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seifert_orbifolds.classify import are_diffeomorphic, diffeo_signature
@@ -149,6 +149,10 @@ def fibered(draw):
 
 
 @given(fibered())
+@example(  # cone orders, corner orders and the relation all fail
+    FiberedOrbifold(TwoOrbifold(D2, [3], [5]), [LocalInvariant(1, 2)], [LocalInvariant(1, 4)],
+                    F(1, 3), (0,))
+)
 @settings(max_examples=300, deadline=None)
 def test_validate_matches_fraction_reference(f):
     res = validate(f)

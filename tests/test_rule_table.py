@@ -11,11 +11,14 @@ from itertools import product
 
 from seifert_orbifolds.classify import (
     _BRIDGES,
+    _MOVES,
     _RULES,
     _SPORADIC,
     FibrationClass,
     _bridge,
     _enumerate_fibrations,
+    _moves,
+    _readings,
     _rewrites,
     fibration_class,
     single_step,
@@ -190,3 +193,38 @@ def test_closure_matches_the_full_scan():
             assert single_step(f) == (layers[1] if len(layers) > 1 else set()), f
             sizes[sum(map(len, layers))] += 1
     assert set(sizes) == {1, 2, 3} and sizes[3] > 200
+
+
+def decoys(readings):
+    """(decoy, target) for each move of the readings whose domain holds, with
+    target what the move builds and decoy what each other source pattern
+    builds, reads back and files under the same (x, y)."""
+    sources = {id(s): s for index in _MOVES.values() for s, _ in index}.values()
+    for xy, moves in readings:
+        for _, target, move, domain in moves:
+            if domain(*xy):
+                to = move(*xy)
+                for other in sources:
+                    try:
+                        decoy = other.build(*to)
+                    except ValueError:  # no fibration of that pattern at (x, y)
+                        continue
+                    if other is not target and other.read(decoy) == to:
+                        yield decoy, target.build(*to)
+
+
+def test_closure_files_readings_by_pattern_and_parameters():
+    """A closure files each member's readings by (pattern, (x, y)), and a
+    move takes a filed member only from its own target pattern: with a
+    decoy that another pattern reads with the move's (x, y) filed in the
+    same dict first, the moves are still the full scan's."""
+    differ = 0
+    for f in grid():
+        if fibration_class(f) is FibrationClass.FINITE:
+            filed = {}
+            readings = _readings(f, filed)
+            for decoy, target in decoys(readings):
+                _readings(decoy, filed)
+                differ += decoy != target
+            assert Counter(_moves(f, readings, filed)) == Counter(rewrites_by_full_scan(f)), f
+    assert differ > 10000
