@@ -461,7 +461,7 @@ def _cmd_atlas(args):
     bound = args.max_order.strip()
     if not _NATURAL.fullmatch(bound) or int(bound) < 1:
         raise ValueError("--max-order must be a positive integer, got %r" % args.max_order)
-    if not args.out:
+    if args.out is None:
         return 0, _atlas_text(int(bound), args.json)
     # Opened before the sweep, so an unwritable path fails at once.
     try:

@@ -10,7 +10,9 @@ equivalent to the original.
 
 Each family is one row of `_TABLE`: its parameter letters, its order, its
 Hopf quotient, its anti-Hopf partner, the parameters its quotient data
-does not cover and the parameters its constraints exclude.  The
+does not cover and the parameters its constraints exclude.  `Family` is
+built from the rows' names by one rule, `'` becoming `P` and `bis` becoming
+`BIS`: F26'' is `Family.F26PP` and F2bis is `Family.F2BIS`.  The
 constructor, `group_order`, the quotient operations and the enumerators
 all read that one row.  `group_order` accepts everything the
 family constraints allow, while the quotient operations also apply the
@@ -28,57 +30,6 @@ from math import gcd
 from typing import Callable, NamedTuple
 
 from .core import Surface, UnsupportedFamilyError, _IdentityEnum, _integer, _normal_form
-
-
-class Family(_IdentityEnum):
-    F1 = "F1"
-    F1P = "F1'"
-    F2 = "F2"
-    F2BIS = "F2bis"
-    F3 = "F3"
-    F3BIS = "F3bis"
-    F4 = "F4"
-    F4BIS = "F4bis"
-    F5 = "F5"
-    F6 = "F6"
-    F7 = "F7"
-    F8 = "F8"
-    F9 = "F9"
-    F10 = "F10"
-    F11 = "F11"
-    F11P = "F11'"
-    F12 = "F12"
-    F12BIS = "F12bis"
-    F13 = "F13"
-    F13BIS = "F13bis"
-    F14 = "F14"
-    F15 = "F15"
-    F16 = "F16"
-    F17 = "F17"
-    F18 = "F18"
-    F19 = "F19"
-    F20 = "F20"
-    F21 = "F21"
-    F21P = "F21'"
-    F22 = "F22"
-    F23 = "F23"
-    F24 = "F24"
-    F25 = "F25"
-    F26 = "F26"
-    F26P = "F26'"
-    F26PP = "F26''"
-    F27 = "F27"
-    F28 = "F28"
-    F29 = "F29"
-    F30 = "F30"
-    F31 = "F31"
-    F31P = "F31'"
-    F32 = "F32"
-    F32P = "F32'"
-    F33 = "F33"
-    F33P = "F33'"
-    F34 = "F34"
-    F34BIS = "F34bis"
 
 
 class NoInvariantFibration:
@@ -128,8 +79,10 @@ def _platonic_pair(order: int) -> _Row:
     return _Row((), lambda: order, NO_INVARIANT_FIBRATION, NO_INVARIANT_FIBRATION)
 
 
-# One row per family; every function in a row takes the parameter values
-# in the order of `params`:
+# One row per family, keyed by its printed name.  `Family` is built from the
+# names (' becomes P, bis becomes BIS: "F26''" is F26PP), then `_TABLE` is
+# re-keyed by member and each swap name resolved.  Every function in a row
+# takes the parameter values in the order of `params`:
 #   - order: the group order (the "order of G" table column);
 #   - hopf: the Hopf quotient as (surface, cone pairs, corner pairs, Euler
 #     class), with invariants as (numerator, order) pairs reduced mod 1 at
@@ -137,9 +90,9 @@ def _platonic_pair(order: int) -> _Row:
 #     NO_INVARIANT_FIBRATION for the platonic-by-platonic families 20-32';
 #     for 1, 1', 11, 11' (whose quotient tables live outside this module)
 #     and 12bis, the message of the UnsupportedFamilyError raised instead;
-#   - swap: the family whose Hopf quotient, with m and n exchanged and the
-#     orientation reversed, is the anti-Hopf quotient; NO_INVARIANT_FIBRATION
-#     when the swapped left factor is platonic;
+#   - swap: the name of the family whose Hopf quotient, with m and n
+#     exchanged and the orientation reversed, is the anti-Hopf quotient;
+#     NO_INVARIANT_FIBRATION when the swapped left factor is platonic;
 #   - reject: (predicate, reason) pairs, first match wins, for the
 #     parameters the quotient data does not cover;
 #   - require: (predicate, reason) pairs in the same form, for the
@@ -157,112 +110,117 @@ def _platonic_pair(order: int) -> _Row:
 #     n = 1 duplicates F13(m, 2), F13/F13bis at n = 1 fall into the
 #     infinitely-fibered regime).
 _TABLE = {
-    Family.F1: _Row(_MNRS, lambda m, n, r, s: 2 * m * n * r, _EXTERNAL, require=(_GCD_SR,)),
-    Family.F1P: _Row(
+    "F1": _Row(_MNRS, lambda m, n, r, s: 2 * m * n * r, _EXTERNAL, require=(_GCD_SR,)),
+    "F1'": _Row(
         _MNRS, lambda m, n, r, s: m * n * r // 2, _EXTERNAL, require=(_GCD_SR, _ODD_MN_EVEN_R)),
-    Family.F2: _Row(
+    "F2": _Row(
         _MN, lambda m, n: 4 * m * n,
-        lambda m, n: (_S2, [(m, n), (m, 2), (m, 2)], [], Fraction(-m, n)), Family.F2BIS, (_LENS,)),
-    Family.F2BIS: _Row(
+        lambda m, n: (_S2, [(m, n), (m, 2), (m, 2)], [], Fraction(-m, n)), "F2bis", (_LENS,)),
+    "F2bis": _Row(
         _MN, lambda m, n: 4 * m * n,
-        lambda m, n: (_D2 if n % 2 == 0 else _RP2, [(m, n)], [], Fraction(-m, n)), Family.F2),
-    Family.F3: _Row(
+        lambda m, n: (_D2 if n % 2 == 0 else _RP2, [(m, n)], [], Fraction(-m, n)), "F2"),
+    "F3": _Row(
         _MN, lambda m, n: 4 * m * n,
         lambda m, n: (_S2, [(m, n), (m + 1, 2), (m + 1, 2)], [], Fraction(-m, n)),
-        Family.F3BIS, (_LENS,)),
-    Family.F3BIS: _Row(
+        "F3bis", (_LENS,)),
+    "F3bis": _Row(
         _MN, lambda m, n: 4 * m * n,
-        lambda m, n: (_D2 if n % 2 == 1 else _RP2, [(m, n)], [], Fraction(-m, n)), Family.F3),
-    Family.F4: _Row(
+        lambda m, n: (_D2 if n % 2 == 1 else _RP2, [(m, n)], [], Fraction(-m, n)), "F3"),
+    "F4": _Row(
         _MN, lambda m, n: 8 * m * n,
         lambda m, n: (_S2, [(m + n, 2 * n), (m, 2), (m + 1, 2)], [], Fraction(-m, 2 * n)),
-        Family.F4BIS, ((lambda m, n: n < 2, "n = 1 duplicates F3(m, 2)"),)),
-    Family.F4BIS: _Row(
+        "F4bis", ((lambda m, n: n < 2, "n = 1 duplicates F3(m, 2)"),)),
+    "F4bis": _Row(
         _MN, lambda m, n: 8 * m * n,
-        lambda m, n: (_D2, [(m + n, 2 * n)], [], Fraction(-m, 2 * n)), Family.F4, (_M1,)),
-    Family.F5: _platonic_left(
+        lambda m, n: (_D2, [(m + n, 2 * n)], [], Fraction(-m, 2 * n)), "F4", (_M1,)),
+    "F5": _platonic_left(
         24, lambda m: (_S2, [(m, 2), (m, 3), (m, 3)], [], Fraction(-m, 6))),
-    Family.F6: _platonic_left(
+    "F6": _platonic_left(
         24, lambda m: (_S2, [(m, 2), (m + 1, 3), (m + 2, 3)], [], Fraction(-m, 6))),
-    Family.F7: _platonic_left(
+    "F7": _platonic_left(
         48, lambda m: (_S2, [(m, 2), (m, 3), (m, 4)], [], Fraction(-m, 12))),
-    Family.F8: _platonic_left(
+    "F8": _platonic_left(
         48, lambda m: (_S2, [(m + 1, 2), (m, 3), (m + 2, 4)], [], Fraction(-m, 12))),
-    Family.F9: _platonic_left(
+    "F9": _platonic_left(
         120, lambda m: (_S2, [(m, 2), (m, 3), (m, 5)], [], Fraction(-m, 30))),
-    Family.F10: _Row(
+    "F10": _Row(
         _MN, lambda m, n: 8 * m * n,
         lambda m, n: (_D2, [], [(m, n), (m, 2), (m, 2)], Fraction(-m, 2 * n)) if n % 2 == 0
-        else (_D2, [(m, 2)], [(m, n)], Fraction(-m, 2 * n)), Family.F10),
-    Family.F11: _Row(_MNRS, lambda m, n, r, s: 4 * m * n * r, _EXTERNAL, require=(_GCD_SR,)),
-    Family.F11P: _Row(
+        else (_D2, [(m, 2)], [(m, n)], Fraction(-m, 2 * n)), "F10"),
+    "F11": _Row(_MNRS, lambda m, n, r, s: 4 * m * n * r, _EXTERNAL, require=(_GCD_SR,)),
+    "F11'": _Row(
         _MNRS, lambda m, n, r, s: m * n * r, _EXTERNAL, require=(_GCD_SR, _ODD_MN_EVEN_R)),
-    Family.F12: _Row(
+    "F12": _Row(
         _MN, lambda m, n: 16 * m * n,
         lambda m, n: (_D2, [], [(m + n, 2 * n), (m, 2), (m + 1, 2)], Fraction(-m, 4 * n)),
-        Family.F12, (
+        "F12", (
             (lambda m, n: m < 2 and n < 2, "m = n = 1 falls into the infinitely-fibered regime"),
             (lambda m, n: n < 2, "n = 1 duplicates F13(m, 2)"))),
-    Family.F12BIS: _Row(
+    "F12bis": _Row(
         _MN, lambda m, n: 16 * m * n, "F12bis is reserved; its quotient data is not tabulated"),
-    Family.F13: _Row(
+    "F13": _Row(
         _MN, lambda m, n: 8 * m * n,
         lambda m, n: (_D2, [], [(m, n), (m + 1, 2), (m + 1, 2)], Fraction(-m, 2 * n)) if n % 2 == 0
         else (_D2, [(m + 1, 2)], [(m, n)], Fraction(-m, 2 * n)),
-        Family.F13BIS, (_M1, (lambda m, n: n < 2, "n = 1 duplicates F4bis(m, 1)"))),
-    Family.F13BIS: _Row(
+        "F13bis", (_M1, (lambda m, n: n < 2, "n = 1 duplicates F4bis(m, 1)"))),
+    "F13bis": _Row(
         _MN, lambda m, n: 8 * m * n,
         lambda m, n: (_D2, [], [(m, n), (m, 2), (m, 2)], Fraction(-m, 2 * n)) if n % 2 == 1
         else (_D2, [(m, 2)], [(m, n)], Fraction(-m, 2 * n)),
-        Family.F13, ((lambda m, n: n < 2, "n = 1 falls into the infinitely-fibered regime"),)),
-    Family.F14: _platonic_left(
+        "F13", ((lambda m, n: n < 2, "n = 1 falls into the infinitely-fibered regime"),)),
+    "F14": _platonic_left(
         48, lambda m: (_D2, [(m, 3)], [(m, 2)], Fraction(-m, 12))),
-    Family.F15: _platonic_left(
+    "F15": _platonic_left(
         96, lambda m: (_D2, [], [(m, 2), (m, 3), (m, 4)], Fraction(-m, 24))),
-    Family.F16: _platonic_left(
+    "F16": _platonic_left(
         48, lambda m: (_D2, [], [(m, 2), (m, 3), (m, 3)], Fraction(-m, 12))),
-    Family.F17: _platonic_left(
+    "F17": _platonic_left(
         96, lambda m: (_D2, [], [(m + 1, 2), (m, 3), (m + 2, 4)], Fraction(-m, 24)), (_M1,)),
-    Family.F18: _platonic_left(
+    "F18": _platonic_left(
         48, lambda m: (_D2, [], [(m, 2), (m + 1, 3), (m + 2, 3)], Fraction(-m, 12))),
-    Family.F19: _platonic_left(
+    "F19": _platonic_left(
         240, lambda m: (_D2, [], [(m, 2), (m, 3), (m, 5)], Fraction(-m, 60))),
-    Family.F20: _platonic_pair(288),
-    Family.F21: _platonic_pair(24),
-    Family.F21P: _platonic_pair(12),
-    Family.F22: _platonic_pair(96),
-    Family.F23: _platonic_pair(576),
-    Family.F24: _platonic_pair(1440),
-    Family.F25: _platonic_pair(1152),
-    Family.F26: _platonic_pair(48),
-    Family.F26P: _platonic_pair(24),
-    Family.F26PP: _platonic_pair(24),
-    Family.F27: _platonic_pair(192),
-    Family.F28: _platonic_pair(576),
-    Family.F29: _platonic_pair(2880),
-    Family.F30: _platonic_pair(7200),
-    Family.F31: _platonic_pair(120),
-    Family.F31P: _platonic_pair(60),
-    Family.F32: _platonic_pair(120),
-    Family.F32P: _platonic_pair(60),
-    Family.F33: _Row(
+    "F20": _platonic_pair(288),
+    "F21": _platonic_pair(24),
+    "F21'": _platonic_pair(12),
+    "F22": _platonic_pair(96),
+    "F23": _platonic_pair(576),
+    "F24": _platonic_pair(1440),
+    "F25": _platonic_pair(1152),
+    "F26": _platonic_pair(48),
+    "F26'": _platonic_pair(24),
+    "F26''": _platonic_pair(24),
+    "F27": _platonic_pair(192),
+    "F28": _platonic_pair(576),
+    "F29": _platonic_pair(2880),
+    "F30": _platonic_pair(7200),
+    "F31": _platonic_pair(120),
+    "F31'": _platonic_pair(60),
+    "F32": _platonic_pair(120),
+    "F32'": _platonic_pair(60),
+    "F33": _Row(
         _MN, lambda m, n: 8 * m * n,
         lambda m, n: (_D2, [], [(m, n), (m + 1, 2), (m + 1, 2)], Fraction(-m, 2 * n)) if n % 2 == 1
-        else (_D2, [(m + 1, 2)], [(m, n)], Fraction(-m, 2 * n)), Family.F33,
+        else (_D2, [(m + 1, 2)], [(m, n)], Fraction(-m, 2 * n)), "F33",
         require=(_N_NOT_1,)),
-    Family.F33P: _Row(
+    "F33'": _Row(
         _MN, lambda m, n: 4 * m * n,
         lambda m, n: (_D2, [], [((m + n) // 2, n), (m, 2), (m + 1, 2)], Fraction(-m, 4 * n)),
-        Family.F33P, require=(_N_NOT_1, _ODD_MN)),
-    Family.F34: _Row(
+        "F33'", require=(_N_NOT_1, _ODD_MN)),
+    "F34": _Row(
         _MN, lambda m, n: 2 * m * n,
         lambda m, n: (_S2, [((m + n) // 2, n), (m, 2), (m + 1, 2)], [], Fraction(-m, 2 * n)),
-        Family.F34BIS, (_LENS,), require=(_ODD_MN,)),
-    Family.F34BIS: _Row(
+        "F34bis", (_LENS,), require=(_ODD_MN,)),
+    "F34bis": _Row(
         _MN, lambda m, n: 2 * m * n,
-        lambda m, n: (_D2, [((m + n) // 2, n)], [], Fraction(-m, 2 * n)), Family.F34,
+        lambda m, n: (_D2, [((m + n) // 2, n)], [], Fraction(-m, 2 * n)), "F34",
         require=(_ODD_MN,)),
 }
+
+Family = _IdentityEnum(
+    "Family", [(k.replace("'", "P").replace("bis", "BIS"), k) for k in _TABLE], module=__name__)
+_TABLE = {Family(k): row._replace(swap=Family(row.swap)) if isinstance(row.swap, str) else row
+          for k, row in _TABLE.items()}
 
 
 @dataclass(frozen=True)

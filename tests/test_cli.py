@@ -296,6 +296,14 @@ class TestAtlas:
             1, "", "error: cannot write %s: %s\n" % (target, reason)
         )
 
+    @pytest.mark.parametrize("mode", [(), ("--json",)])
+    def test_empty_out_exits_1(self, mode):
+        """An empty --out is a path that cannot be opened, not a missing
+        --out: nothing goes to stdout."""
+        assert run(*mode, "atlas", "--max-order", "3", "--out", "") == (
+            1, "", "error: cannot write : No such file or directory\n"
+        )
+
     def test_unwritable_out_fails_before_the_sweep(self, tmp_path, monkeypatch):
         def sweep(max_order):
             raise AssertionError("the sweep ran before --out was opened")

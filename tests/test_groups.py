@@ -421,6 +421,25 @@ class TestBuiltGroups:
     def test_family_hashes_by_identity(self):
         assert Family.__hash__ is object.__hash__
 
+    def test_family_is_built_from_the_table_rows(self):
+        """48 members in the table's order, each named from its printed
+        value by one rule: ' becomes P and bis becomes BIS."""
+        assert len(Family) == 48 and list(Family) == list(_TABLE)
+        for family in Family:
+            assert family.name == family.value.replace("'", "P").replace("bis", "BIS")
+        assert Family.F26PP.value == "F26''" and Family.F34BIS.value == "F34bis"
+
+    def test_swap_is_a_member_or_marker_and_an_involution(self):
+        swaps = {row.swap for row in _TABLE.values()}
+        assert all(s is None or s is NO_INVARIANT_FIBRATION or type(s) is Family for s in swaps)
+        fixed = set()
+        for family, row in _TABLE.items():
+            if type(row.swap) is Family:
+                assert _TABLE[row.swap].swap is family, family
+                if row.swap is family:
+                    fixed.add(family)
+        assert fixed == {Family.F10, Family.F12, Family.F33, Family.F33P}
+
     def test_surface_hashes_by_identity(self):
         assert Surface.__hash__ is object.__hash__
 
