@@ -61,6 +61,17 @@ Each public function validates its arguments once, through
 cores trust their argument and call only other cores; the values the
 rules and bridges build are made and checked in one pass by
 `core._normal_form`.
+
+`_invariant(f)`, the frozen fibration set or the DiffeoKey of the normal
+form f, is memoized per process in one LRU cache bounded at
+`_MEMO_MAXSIZE` normal forms; its values are immutable, so no caller can
+change a cached answer.  `diffeo_signature`, the command line's reports
+and the atlas read it, and `_are_diffeomorphic`, past the orbifold-order
+short-cut, compares the signatures of two invariants.  `diffeo_key`, the
+`lens` command, the parser and the guard do not read the memo: lens
+recognitions seldom repeat their input, and a miss pays to hash a large
+value and then keeps it alive (a memo on those paths cost 13% of the
+benchmark's `lens` throughput).
 """
 
 from __future__ import annotations
@@ -68,6 +79,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .core import (
@@ -546,12 +558,18 @@ def _key(g: FiberedOrbifold) -> DiffeoKey:
     return DiffeoKey(side, _lens_label(cores, e), iota, mode)
 
 
+# 2,000 queries rounds of the benchmark (114k queries) met 483 distinct
+# normal forms; 1024 leaves twice that.
+_MEMO_MAXSIZE = 1024
+
+
+@lru_cache(maxsize=_MEMO_MAXSIZE)
 def _invariant(f: FiberedOrbifold):
-    """Fibration set (finite class) or DiffeoKey (infinite class) of the
-    normal form f."""
+    """Frozen fibration set (finite class) or DiffeoKey (infinite class) of
+    the normal form f, memoized: both values are immutable."""
     g = _representative(f)
     if g is None:
-        return _enumerate_fibrations(f)
+        return frozenset(_enumerate_fibrations(f))
     return _key(g)
 
 
@@ -563,12 +581,7 @@ def are_diffeomorphic(f: FiberedOrbifold, g: FiberedOrbifold) -> bool:
 def _are_diffeomorphic(f: FiberedOrbifold, g: FiberedOrbifold) -> bool:
     if not (is_bad(f.base) or is_bad(g.base)) and orbifold_order(f) != orbifold_order(g):
         return False  # the orders of the fundamental groups differ
-    rf, rg = _representative(f), _representative(g)
-    if (rf is None) != (rg is None):
-        return False
-    if rf is None:
-        return g in _enumerate_fibrations(f)
-    return _signature(_key(rf)) == _signature(_key(rg))
+    return _signature(_invariant(f)) == _signature(_invariant(g))
 
 
 def diffeo_signature(f: FiberedOrbifold):
@@ -592,9 +605,9 @@ _CROSS = {
 
 
 def _signature(invariant):
-    """diffeo_signature from a fibration set or a DiffeoKey."""
+    """diffeo_signature from a frozen fibration set or a DiffeoKey."""
     if not isinstance(invariant, DiffeoKey):
-        return frozenset(invariant)
+        return invariant
     k = invariant
     q = k.lens.q
     if k.mode is Mode.ORIENTED and q > 1:

@@ -447,10 +447,9 @@ def _atlas_classes(max_order: int):
                     cls = classes.setdefault(_signature(invariant),
                                              [len(classes), None, key, []])
                 else:
-                    members = frozenset(invariant)
-                    cls = classes[members] = [len(classes),
-                                              sorted(str(x) for x in members), None, []]
-                    member_of.update(dict.fromkeys(members, cls))
+                    cls = classes[invariant] = [len(classes),
+                                                sorted(str(x) for x in invariant), None, []]
+                    member_of.update(dict.fromkeys(invariant, cls))
             row = (cls, name, order, side, str(f), key)
             cls[3].append(row)
             rows.append(row)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -276,6 +277,13 @@ class TestAreDiffeomorphic:
             mk(S2, [], [], 4), mk(S2, [(1, 2), (1, 2)], [], -1)
         )
 
+    def test_inverse_labels_name_one_lens_space(self):
+        # L(15, 8) and L(15, 2): 2 * 8 = 1 (mod 15), so the cores exchange
+        a = mk(S2, [(1, 2)], [], F(-15, 2))
+        b = mk(S2, [(6, 7)], [], F(15, 7))
+        assert (diffeo_key(a).lens, diffeo_key(b).lens) == (LensSpace(15, 8), LensSpace(15, 2))
+        assert are_diffeomorphic(a, b) and are_diffeomorphic(b, a)
+
     def test_mirror_lens_orbifolds_differ(self):
         assert not are_diffeomorphic(
             mk(S2, [(2, 4), (2, 4)], [], -1), mk(S2, [(2, 4), (2, 4)], [], 1)
@@ -319,6 +327,55 @@ class TestInvolution:
             assert are_diffeomorphic(f, g) == are_diffeomorphic(
                 reverse_orientation(f), reverse_orientation(g)
             )
+
+
+def test_one_signature_comparison_agrees_with_the_two_branch_decision():
+    """are_diffeomorphic compares the signatures of the two invariants.
+    The decision it replaced is the oracle: g in the closure of f for a
+    finite pair, equal signatures of the small-base representatives' keys
+    for an infinite pair, and no to a mixed pair.  Every ordered pair of
+    equal orbifold order among the atlas-100 quotients and their mirrors is
+    compared."""
+    import contextlib
+    import io
+    import json
+
+    from seifert_orbifolds.classify import (
+        _enumerate_fibrations,
+        _key,
+        _representative,
+        _signature,
+    )
+    from seifert_orbifolds.cli import parse_fibration, run_command
+    from seifert_orbifolds.core import orbifold_order
+
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run_command(["--json", "atlas", "--max-order", "100"]) == 0
+    quotients = {parse_fibration(m["quotient"])
+                 for line in out.getvalue().splitlines()
+                 for m in json.loads(line)["members"]}
+    by_order = {}
+    for f in quotients | {reverse_orientation(f) for f in quotients}:
+        r = _representative(f)
+        old = (True, _enumerate_fibrations(f)) if r is None else (False, _signature(_key(r)))
+        by_order.setdefault(orbifold_order(f), []).append((f, old))
+
+    outcomes = Counter()
+    for same_order in by_order.values():
+        for f, (f_finite, f_old) in same_order:
+            for g, (g_finite, g_old) in same_order:
+                if f_finite != g_finite:
+                    expected = False
+                elif f_finite:
+                    expected = g in f_old
+                else:
+                    expected = f_old == g_old
+                assert are_diffeomorphic(f, g) == expected, (f, g)
+                outcomes[f_finite, g_finite, expected] += 1
+    assert sum(outcomes.values()) > 60000
+    assert all(outcomes[kind, kind, answer] > 100
+               for kind in (True, False) for answer in (True, False))
+    assert outcomes[True, False, False] > 0
 
 
 def test_transitivity_within_atlas_classes():

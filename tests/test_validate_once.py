@@ -372,3 +372,68 @@ def test_text_mode_computes_only_what_it_prints(monkeypatch, argv, text_calls):
     else:
         assert calls == Counter(normalize=1, validate=1,
                                 _invariant=int(payload["count"] is not None))
+
+
+# The README's three-member closure and one of its other members.
+PARTNER = "D2(2;); 0/2; ; 2; 0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["diffeo", str(FINITE), PARTNER],
+    ["--json", "fibrations", str(FINITE)],
+    ["classify", str(FINITE)],
+])
+def test_a_repeated_command_reads_the_invariant_memo(monkeypatch, argv):
+    """The second run of a command in one process enumerates no closure and
+    reads no representative, and answers with the same bytes and code."""
+    enumerations = _count_calls(monkeypatch, "_enumerate_fibrations")
+    representatives = _count_calls(monkeypatch, "_representative")
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run_command(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    first = run()
+    assert enumerations and representatives
+    del enumerations[:], representatives[:]
+    assert run() == first
+    assert enumerations == [] and representatives == []
+
+
+def test_invariant_memo_values_are_immutable():
+    """The memo hands the same value to every caller, so it stores a frozen
+    set or a frozen DiffeoKey; the public enumerate_fibrations still returns
+    a fresh set, and mutating it changes no later answer."""
+    finite, infinite = classify._invariant(FINITE), classify._invariant(INFINITE)
+    assert isinstance(finite, frozenset) and isinstance(infinite, classify.DiffeoKey)
+    with pytest.raises(AttributeError):
+        infinite.iota = (1, 1)
+    signature = diffeo_signature(FINITE)
+    members = enumerate_fibrations(FINITE)
+    members.clear()
+    members.add(INFINITE)
+    assert diffeo_signature(FINITE) == signature == finite
+    assert classify._invariant(FINITE) is finite
+
+
+def test_invariant_memo_is_bounded():
+    """An atlas-400 sweep asks for more distinct invariants than the memo
+    holds, and the memo keeps at most its maxsize."""
+    cli._atlas_classes(400)
+    info = classify._invariant.cache_info()
+    assert info.maxsize == classify._MEMO_MAXSIZE
+    assert info.misses > info.maxsize >= info.currsize
+
+
+def test_lens_paths_leave_the_invariant_memo_alone():
+    """diffeo_key and seifert lens read the key on paths of their own: their
+    inputs seldom repeat, and a memo entry would keep a large value alive."""
+    before = classify._invariant.cache_info()
+    for text in _LENS_TEXTS:
+        diffeo_key(parse_fibration(text))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_command(["lens", text]) == 0
+            assert run_command(["--json", "lens", text]) == 0
+    assert classify._invariant.cache_info() == before
