@@ -57,21 +57,22 @@ the input is built once.
 
 Each public function validates its arguments once, through
 `_require_normal_spherical`, and hands the normal form to a private core
-(`_fibration_class`, `_enumerate_fibrations`, `_key`, ...).  The
-cores trust their argument and call only other cores; the values the
-rules and bridges build are made and checked in one pass by
-`core._normal_form`.
+(`_invariant`, `_fibration_class`, `_key`, ...).  The cores trust their
+argument and call only other cores; the values the rules and bridges
+build are made and checked in one pass by `core._normal_form`.
 
 `_invariant(f)`, the frozen fibration set or the DiffeoKey of the normal
 form f, is memoized per process in one LRU cache bounded at
 `_MEMO_MAXSIZE` normal forms; its values are immutable, so no caller can
-change a cached answer.  `diffeo_signature`, the command line's reports
-and the atlas read it, and `_are_diffeomorphic`, past the orbifold-order
-short-cut, compares the signatures of two invariants.  `diffeo_key`, the
-`lens` command, the parser and the guard do not read the memo: lens
-recognitions seldom repeat their input, and a miss pays to hash a large
-value and then keeps it alive (a memo on those paths cost 13% of the
-benchmark's `lens` throughput).
+change a cached answer.  It is the one route to the content of a class:
+`fibration_count`, `enumerate_fibrations` (a copy), `diffeo_signature`,
+the command line's reports and the atlas read it, and
+`_are_diffeomorphic` compares the signatures of two invariants.
+`fibration_class` and `single_step` ask only whether a class is finite
+and build no closure.  `diffeo_key`, the `lens` command, the parser and
+the guard do not read the memo: lens recognitions seldom repeat their
+input, and a miss pays to hash a large value and then keeps it alive (a
+memo on those paths cost 13% of the benchmark's `lens` throughput).
 """
 
 from __future__ import annotations
@@ -88,10 +89,8 @@ from .core import (
     Surface,
     _normal_form,
     check_valid,
-    is_bad,
     is_spherical,
     normalize,
-    orbifold_order,
     validate,
 )
 from .lens import LensSpace, Mode, _cores, _lens_label
@@ -484,13 +483,14 @@ def _fibration_class(f: FiberedOrbifold) -> FibrationClass:
 
 def enumerate_fibrations(f: FiberedOrbifold) -> set[FiberedOrbifold]:
     """The complete set of inequivalent fibrations of a finite-class
-    orbifold (including f itself), each normalized."""
+    orbifold (including f itself), each normalized, as a fresh set."""
     f = _require_normal_spherical(f)
-    if _fibration_class(f) is not FibrationClass.FINITE:
+    invariant = _invariant(f)
+    if isinstance(invariant, DiffeoKey):
         raise InfiniteClassError(
             "%s admits infinitely many fibrations; see diffeo_key" % (f,)
         )
-    return _enumerate_fibrations(f)
+    return set(invariant)
 
 
 def _enumerate_fibrations(f: FiberedOrbifold) -> set[FiberedOrbifold]:
@@ -514,10 +514,10 @@ def _enumerate_fibrations(f: FiberedOrbifold) -> set[FiberedOrbifold]:
 
 
 def fibration_count(f: FiberedOrbifold) -> FibrationCount:
-    f = _require_normal_spherical(f)
-    if _fibration_class(f) is not FibrationClass.FINITE:
+    invariant = _invariant(_require_normal_spherical(f))
+    if isinstance(invariant, DiffeoKey):
         return FibrationCount.INFINITE
-    return FibrationCount(len(_enumerate_fibrations(f)))
+    return FibrationCount(len(invariant))
 
 
 def double_cover(f: FiberedOrbifold) -> FiberedOrbifold:
@@ -579,8 +579,6 @@ def are_diffeomorphic(f: FiberedOrbifold, g: FiberedOrbifold) -> bool:
 
 
 def _are_diffeomorphic(f: FiberedOrbifold, g: FiberedOrbifold) -> bool:
-    if not (is_bad(f.base) or is_bad(g.base)) and orbifold_order(f) != orbifold_order(g):
-        return False  # the orders of the fundamental groups differ
     return _signature(_invariant(f)) == _signature(_invariant(g))
 
 

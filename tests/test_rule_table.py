@@ -20,6 +20,8 @@ from seifert_orbifolds.classify import (
     _moves,
     _readings,
     _rewrites,
+    are_diffeomorphic,
+    diffeo_signature,
     fibration_class,
     single_step,
 )
@@ -28,6 +30,7 @@ from seifert_orbifolds.core import (
     FiberedOrbifold,
     Surface,
     _normal_form,
+    is_bad,
     normalize,
     orbifold_order,
     reverse_orientation,
@@ -228,3 +231,27 @@ def test_closure_files_readings_by_pattern_and_parameters():
                 differ += decoy != target
             assert Counter(_moves(f, readings, filed)) == Counter(rewrites_by_full_scan(f)), f
     assert differ > 10000
+
+
+# -- the diffeomorphism decision against the order -----------------------------
+
+
+def test_no_signature_spans_two_orbifold_orders():
+    """Diffeomorphic orbifolds have fundamental groups of one order, so
+    are_diffeomorphic needs no order short-cut in front of the signature
+    comparison: over the grid, the atlas-200 quotients, their members and
+    the mirrors of all these, each signature of a good base has one
+    orbifold order, and a pair of different orders is never diffeomorphic."""
+    values = grid() | atlas_values(200)
+    orders = {}
+    for f in values | {reverse_orientation(f) for f in values}:
+        if not is_bad(f.base):
+            orders.setdefault(diffeo_signature(f), {}).setdefault(orbifold_order(f), f)
+    assert len(orders) > 3800
+    assert [s for s, by_order in orders.items() if len(by_order) > 1] == []
+    signed = sorted((by_order.popitem() for by_order in orders.values()), key=lambda p: p[0])
+    (low, f_low), (high, f_high) = signed[0], signed[-1]
+    for order, f in signed:
+        g = f_low if order != low else f_high
+        assert order != orbifold_order(g)
+        assert are_diffeomorphic(f, g) is False, (f, g)

@@ -418,6 +418,37 @@ def test_invariant_memo_values_are_immutable():
     assert classify._invariant(FINITE) is finite
 
 
+def test_library_counts_and_enumerations_read_the_invariant_memo(monkeypatch):
+    """fibration_count and enumerate_fibrations answer from the memo: one
+    closure serves a count and two enumerations, each enumeration is a
+    fresh set, and clearing one leaves the memo's value as it was; an
+    infinite class reads its representative once for both."""
+    enumerations = _count_calls(monkeypatch, "_enumerate_fibrations")
+    representatives = _count_calls(monkeypatch, "_representative")
+    assert fibration_count(FINITE) is classify.FibrationCount.THREE
+    first, second = enumerate_fibrations(FINITE), enumerate_fibrations(FINITE)
+    assert len(enumerations) == 1
+    assert first == second and first is not second
+    memo = classify._invariant(FINITE)
+    first.clear()
+    assert classify._invariant(FINITE) is memo and memo == second and len(memo) == 3
+    del representatives[:]
+    assert fibration_count(INFINITE) is classify.FibrationCount.INFINITE
+    with pytest.raises(classify.InfiniteClassError):
+        enumerate_fibrations(INFINITE)
+    assert len(representatives) == 1 and len(enumerations) == 1
+
+
+@pytest.mark.parametrize("fn", [fibration_class, single_step])
+def test_finiteness_questions_build_no_closure(monkeypatch, fn):
+    """fibration_class and single_step ask only whether the class is
+    finite: on a cold memo they enumerate no closure and fill no entry."""
+    enumerations = _count_calls(monkeypatch, "_enumerate_fibrations")
+    fn(FINITE)
+    assert enumerations == []
+    assert classify._invariant.cache_info().currsize == 0
+
+
 def test_invariant_memo_is_bounded():
     """An atlas-400 sweep asks for more distinct invariants than the memo
     holds, and the memo keeps at most its maxsize."""
