@@ -18,6 +18,13 @@ around the '/' (- 4 / 3); a blank between two digits of a number is a
 positioned parse error.  Groups are written family(parameters), e.g.
 F2(m=3,n=2) or F20.
 
+An expression is read in one of two ways, to the same value.  One
+pattern, compiled on first use, takes the notation as it is normally
+written, as `str` prints it or bare; one `findall` per field reads its
+numbers.  Any text that pattern does not take, or whose numbers fail a
+check, goes to the field walker, which reads it or raises the positioned
+ParseError that explains the rejection.
+
 Only `core` is imported here.  Each command imports `classify` (which
 loads `lens`) or `groups` when it runs, `argparse` is imported only for an
 argv the command table does not read, and `json` only where JSON is
@@ -185,7 +192,86 @@ def parse_fibration(text: str) -> FiberedOrbifold:
     is built from the converted fields without converting them again.  An
     error's position is that of the first character of the bad piece in
     `text` as given.
+
+    Two readers share the work and return the same value.  A text written
+    as usual, whose numbers pass every check, is read by `_read_fibration`,
+    one pattern match and one `findall` per field.  Any other text goes to
+    the field walker `_walk_fibration`, which reads it or raises the
+    positioned ParseError.
     """
+    f = _read_fibration(text)
+    return _walk_fibration(text) if f is None else f
+
+
+@functools.cache
+def _fibration_patterns():
+    """(the notation, the parts of one invariant a/b), compiled on first
+    use: a command that reads no fibration does not pay for them.
+
+    The notation's groups: outer '(', surface, disk surface, cone labels,
+    corner labels, cone invariants, corner invariants, then the Euler
+    class's sign, numerator and denominator and the boundary bit.  Blanks
+    stand where `_LABEL` and `_RATIONAL` let them.  A label or an order is
+    written without a leading 0 and is not 0.  On a disk the corner slot
+    is required and the bit optional; on S2 and RP2 the corner slot may be
+    left out or left blank, and there is no bit."""
+    natural = r"[1-9][0-9]*"
+    labels = r"(\s*(?:{0}\s*(?:,\s*{0}\s*)*)?)".format(natural)
+    invariant = r"[+-]? *[0-9]+ */ *" + natural
+    invariants = r"(\s*(?:{0}\s*(?:,\s*{0}\s*)*)?)".format(invariant)
+    notation = (
+        r"\s*(\()?\s*((D2)|S2|RP2)(?:\({L}(?:;{L})?\))?\s*;{I};"
+        r"(?(3){I};|(?:\s*;)?)"
+        r"\s*([+-]?) *([0-9]+)(?: */ *({N}))?\s*"
+        r"(?(3)(?:;\s*([01])\s*)?)(?(1)\))\s*"
+    ).format(L=labels, I=invariants, N=natural)
+    return re.compile(notation), re.compile(r"([+-]?) *([0-9]+) */ *([0-9]+)")
+
+
+# A label or an order the notation pattern takes is written without a
+# leading 0, so "1" is the only way it writes 1: an order-1 point, dropped.
+def _labels(span: str) -> tuple[int, ...]:
+    return tuple(sorted([int(n) for n in _NATURAL.findall(span) if n != "1"])) if span else ()
+
+
+def _invariants(pattern: re.Pattern, span: str) -> tuple[LocalInvariant, ...]:
+    return tuple([LocalInvariant(int(s + a), int(b)) for s, a, b in pattern.findall(span)
+                  if b != "1"]) if span else ()
+
+
+def _read_fibration(text: str) -> FiberedOrbifold | None:
+    """The value `_walk_fibration(text)` returns, for a text the notation
+    pattern takes whose numbers pass every check; None for any other text,
+    among them those with corners on S2 or RP2, no solvable boundary bit or
+    a count mismatch."""
+    notation, invariant = _fibration_patterns()
+    m = notation.fullmatch(text)
+    if m is None:
+        return None
+    (_, name, disk, cone_labels, corner_labels, cones, corners,
+     sign, num, den, bit) = m.groups("")
+    cone_labels, corner_labels = _labels(cone_labels), _labels(corner_labels)
+    cones, corners = _invariants(invariant, cones), _invariants(invariant, corners)
+    if (corner_labels and not disk
+            or len(cone_labels) + len(corner_labels) != len(cones) + len(corners)):
+        return None
+    e = Fraction(int(sign + num), int(den or 1))
+    xi = ()
+    if bit:
+        xi = (int(bit),)
+    elif disk:
+        try:
+            xi = (solve_xi(cones, corners, e),)
+        except ValueError:
+            return None
+    return _trusted(_trusted_base(_SURFACES[name], cone_labels, corner_labels),
+                    cones, corners, e, xi)
+
+
+def _walk_fibration(text: str) -> FiberedOrbifold:
+    """`parse_fibration` field by field: split on the top-level ';', then
+    read the base and each field in turn, raising the positioned
+    ParseError of the first bad piece."""
     stripped = text.strip()
     offset = _at(text, 0)
     parts = None

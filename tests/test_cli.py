@@ -877,15 +877,85 @@ _TOKENS = ("S2", "RP2", "D2", "(", ")", ";", "; ", ",", "/", " ", "-", "+", "0",
            "2", "3", "12", "1/2", "1/3", "-1", "0/1", "3/4", "1/0", "x")
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(
+_GENERATED_TEXTS = st.one_of(
     st.lists(st.sampled_from(_TOKENS), max_size=16).map("".join),
     st.builds(_grid_text, st.sampled_from(("S2", "RP2", "D2")), st.sampled_from(_GRID_CONES),
               st.sampled_from(_GRID_CORNERS), st.sampled_from(_GRID_EULER),
               st.sampled_from(_GRID_XI), st.booleans()),
-))
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_GENERATED_TEXTS)
 def test_parser_matches_reference_on_generated_texts(text):
     assert_parses_like_reference(text)
+
+
+# `parse_fibration` reads a text with the pattern reader `_read_fibration`
+# and, when that declines, with the field walker `_walk_fibration`.
+
+
+def read_like_walker(text):
+    """Whether the pattern reader took `text`; when it did, its value is
+    the walker's, field for field and type for type."""
+    got = cli._read_fibration(text)
+    if got is None:
+        return False
+    want = cli._walk_fibration(text)
+    assert _fields(got) == _fields(want), text
+    assert type(got.euler) is Fraction and type(got.xi) is tuple, text
+    assert all(type(x) is int for x in got.xi + got.base.cone_labels + got.base.corner_labels)
+    return True
+
+
+def test_pattern_reader_agrees_with_walker_on_grid_and_named_texts():
+    grid = [_grid_text(*args) for args in itertools.product(
+        ("S2", "RP2", "D2"), _GRID_CONES, _GRID_CORNERS, _GRID_EULER, _GRID_XI, (False, True))]
+    taken = Counter(read_like_walker(text) for text in grid + list(_MALFORMED.values()))
+    assert taken[True] > 500 and taken[False] > 5000
+
+
+@settings(max_examples=400, deadline=None)
+@given(_GENERATED_TEXTS)
+def test_pattern_reader_agrees_with_walker_on_generated_texts(text):
+    read_like_walker(text)
+
+
+def _printed_forms(f):
+    """str(f) and, on S2 and RP2, the same with a blank corner slot, each
+    with and without the outer parentheses."""
+    texts = [str(f)]
+    if f.base.surface is not Surface.DISK:
+        base, cones, euler = texts[0].rsplit("; ", 2)
+        texts.append("%s; %s; ; %s" % (base, cones, euler))
+    return texts + [text[1:-1] for text in texts]
+
+
+def test_pattern_reader_takes_every_printed_value():
+    """Every value the engine prints, and its mirror: the rule table's grid
+    and every quotient and finite-class member of the atlas to order 200."""
+    from test_rule_table import grid
+
+    from seifert_orbifolds.core import reverse_orientation
+
+    classes, rows = cli._atlas_classes(200)
+    printed = [row[4] for row in rows]
+    printed += [member for cls in classes.values() for member in cls[1] or ()]
+    values = set(grid()) | {cli._walk_fibration(text) for text in printed}
+    values |= {reverse_orientation(f) for f in values}
+    missed = [text for f in values for text in _printed_forms(f) if not read_like_walker(text)]
+    assert missed == []
+
+
+def test_pattern_reader_takes_every_readme_expression():
+    exprs = []
+    for line in _block("Command line", "sh").splitlines():
+        argv = [arg for arg in shlex.split(line, comments=True)[1:] if arg != "--json"]
+        if argv and argv[0] in ("validate", "normalize", "classify", "fibrations",
+                                "diffeo", "lens"):
+            exprs += argv[1:]
+    assert len(exprs) >= 8
+    assert [text for text in exprs if not read_like_walker(text)] == []
 
 
 @pytest.mark.parametrize("text, position", [

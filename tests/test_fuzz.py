@@ -13,7 +13,7 @@ from unittest import mock
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from seifert_orbifolds import groups
+from seifert_orbifolds import cli, groups
 from seifert_orbifolds.cli import parse_fibration, run_command
 from seifert_orbifolds.groups import Family, parse_group
 
@@ -38,7 +38,9 @@ def _joined(tokens):
 def expressions(draw):
     """Well-formed tuples over random labels, with the Euler class closing
     the sum relation or not, so that the text reaches the classifier; a
-    label or a numerator is at times written in other digits."""
+    label or a numerator is at times written in other digits.  On S2 and
+    RP2 the corner slot is left blank or left out, and the tuple is at
+    times wrapped in parentheses, as `str` prints it."""
     surface = draw(st.sampled_from(["S2", "RP2", "D2"]))
     labels = st.one_of(st.integers(1, 13), st.integers(1, 10**12))
     numerators = st.one_of(st.integers(-13, 13), st.integers(-(10**12), 10**12))
@@ -59,7 +61,9 @@ def expressions(draw):
               text(e)]
     if surface == "D2" and draw(st.booleans()):
         fields.append(str(draw(st.integers(0, 1))))
-    return "; ".join(fields)
+    elif surface != "D2" and draw(st.booleans()):
+        del fields[2]
+    return draw(st.sampled_from(["%s", "(%s)"])) % "; ".join(fields)
 
 
 fibration_texts = st.one_of(
@@ -88,6 +92,19 @@ def test_parse_fibration_raises_only_value_errors(text):
         parse_fibration(text)
     except ValueError:  # ParseError is a ValueError
         pass
+
+
+@given(fibration_texts)
+@settings(max_examples=500, deadline=None)
+def test_pattern_reader_returns_none_or_the_walkers_value(text):
+    """`parse_fibration` reads a text with `_read_fibration` and, when that
+    returns None, with the field walker: the first reader may decline any
+    text, but a value it returns is the walker's."""
+    got = cli._read_fibration(text)
+    if got is not None:
+        want = cli._walk_fibration(text)
+        assert got == want and str(got) == str(want), text
+        assert type(got.euler) is Fraction and all(type(x) is int for x in got.xi), text
 
 
 @given(group_texts)

@@ -290,8 +290,9 @@ _LENS_TEXTS = (
 @pytest.mark.parametrize("text", _LENS_TEXTS)
 def test_command_converts_and_checks_each_expression_once(monkeypatch, argv, text):
     """The parser builds the value from the numbers it has converted and
-    checked, so no constructor converts them again; it splits each
-    parenthesized expression once; and the guard normalizes each once."""
+    checked, so no constructor converts them again; the pattern reader
+    takes each expression, so the field walker never splits one; and the
+    guard normalizes each once."""
     calls = Counter()
 
     def counting(name, original):
@@ -300,10 +301,18 @@ def test_command_converts_and_checks_each_expression_once(monkeypatch, argv, tex
             return original(*args)
         return wrapper
 
+    def reading(original):
+        def wrapper(*args):
+            f = original(*args)
+            calls["_read_fibration" if f is not None else "declined"] += 1
+            return f
+        return wrapper
+
     for cls in (core.TwoOrbifold, core.FiberedOrbifold):
         monkeypatch.setattr(cls, "__post_init__",
                             counting(cls.__name__, cls.__post_init__))
     monkeypatch.setattr(cli, "_split_top", counting("_split_top", cli._split_top))
+    monkeypatch.setattr(cli, "_read_fibration", reading(cli._read_fibration))
     wrapped = counting("normalize", core.normalize)
     for mod in (core, classify, cli):
         monkeypatch.setattr(mod, "normalize", wrapped)
@@ -312,7 +321,7 @@ def test_command_converts_and_checks_each_expression_once(monkeypatch, argv, tex
     assert code in (0, 3)  # 3: diffeo answered "not diffeomorphic"
     assert out.getvalue().startswith(("L(", "{", "diffeomorphic", "not diffeomorphic"))
     expressions = 2 if argv[0] == "diffeo" else 1
-    assert calls == {"_split_top": expressions, "normalize": expressions}
+    assert calls == {"_read_fibration": expressions, "normalize": expressions}
 
 
 BROKEN = "S2(2,2,3); 0/2,0/2,1/3; ; -1/2"  # fails the sum relation
