@@ -21,9 +21,10 @@ F2(m=3,n=2) or F20.
 An expression is read in one of two ways, to the same value.  One
 pattern, compiled on first use, takes the notation as it is normally
 written, as `str` prints it or bare; one `findall` per field reads its
-numbers.  Any text that pattern does not take, or whose numbers fail a
-check, goes to the field walker, which reads it or raises the positioned
-ParseError that explains the rejection.
+numbers.  Any text that pattern does not take, or that puts corners on
+S2 or RP2, goes to the field walker, which reads it or raises the
+positioned ParseError that explains the rejection.  Both build the value
+in `_build`, which raises the errors that have no position.
 
 Only `core` is imported here.  Each command imports `classify` (which
 loads `lens`) or `groups` when it runs, `argparse` is imported only for an
@@ -193,10 +194,10 @@ def parse_fibration(text: str) -> FiberedOrbifold:
     error's position is that of the first character of the bad piece in
     `text` as given.
 
-    Two readers share the work and return the same value.  A text written
-    as usual, whose numbers pass every check, is read by `_read_fibration`,
-    one pattern match and one `findall` per field.  Any other text goes to
-    the field walker `_walk_fibration`, which reads it or raises the
+    Two readers share the work and return the same value or raise the
+    same error.  A text written as usual is read by `_read_fibration`, one
+    pattern match and one `findall` per field.  Any other text goes to the
+    field walker `_walk_fibration`, which reads it or raises the
     positioned ParseError.
     """
     f = _read_fibration(text)
@@ -214,16 +215,21 @@ def _fibration_patterns():
     stand where `_LABEL` and `_RATIONAL` let them.  A label or an order is
     written without a leading 0 and is not 0.  On a disk the corner slot
     is required and the bit optional; on S2 and RP2 the corner slot may be
-    left out or left blank, and there is no bit."""
+    left out or left blank, and there is no bit.
+
+    Each run of blanks is taken by one term only, and spaces follow a sign
+    only when there is one, so a text the pattern declines is declined in
+    time linear in its length: with two terms sharing a run, each invariant
+    of a long list would double the ways to try."""
     natural = r"[1-9][0-9]*"
     labels = r"(\s*(?:{0}\s*(?:,\s*{0}\s*)*)?)".format(natural)
-    invariant = r"[+-]? *[0-9]+ */ *" + natural
+    invariant = r"(?:[+-] *)?[0-9]+ */ *" + natural
     invariants = r"(\s*(?:{0}\s*(?:,\s*{0}\s*)*)?)".format(invariant)
     notation = (
-        r"\s*(\()?\s*((D2)|S2|RP2)(?:\({L}(?:;{L})?\))?\s*;{I};"
+        r"\s*(?:(\()\s*)?((D2)|S2|RP2)(?:\({L}(?:;{L})?\))?\s*;{I};"
         r"(?(3){I};|(?:\s*;)?)"
-        r"\s*([+-]?) *([0-9]+)(?: */ *({N}))?\s*"
-        r"(?(3)(?:;\s*([01])\s*)?)(?(1)\))\s*"
+        r"\s*(?:([+-]) *)?([0-9]+)(?: */ *({N}))?\s*"
+        r"(?(3)(?:;\s*([01])\s*)?)(?(1)\)\s*)"
     ).format(L=labels, I=invariants, N=natural)
     return re.compile(notation), re.compile(r"([+-]?) *([0-9]+) */ *([0-9]+)")
 
@@ -240,32 +246,49 @@ def _invariants(pattern: re.Pattern, span: str) -> tuple[LocalInvariant, ...]:
 
 
 def _read_fibration(text: str) -> FiberedOrbifold | None:
-    """The value `_walk_fibration(text)` returns, for a text the notation
-    pattern takes whose numbers pass every check; None for any other text,
-    among them those with corners on S2 or RP2, no solvable boundary bit or
-    a count mismatch."""
+    """`_walk_fibration(text)` for a text the notation pattern takes, with
+    no corner labels on S2 or RP2: the same value or the same ParseError,
+    which then carries no position.  None for any other text."""
     notation, invariant = _fibration_patterns()
     m = notation.fullmatch(text)
     if m is None:
         return None
     (_, name, disk, cone_labels, corner_labels, cones, corners,
      sign, num, den, bit) = m.groups("")
-    cone_labels, corner_labels = _labels(cone_labels), _labels(corner_labels)
-    cones, corners = _invariants(invariant, cones), _invariants(invariant, corners)
-    if (corner_labels and not disk
-            or len(cone_labels) + len(corner_labels) != len(cones) + len(corners)):
-        return None
-    e = Fraction(int(sign + num), int(den or 1))
+    corner_labels = _labels(corner_labels)
+    if corner_labels and not disk:
+        return None  # the walker's error gives the position
+    return _build(_trusted_base(_SURFACES[name], _labels(cone_labels), corner_labels),
+                  _invariants(invariant, cones), _invariants(invariant, corners),
+                  Fraction(int(sign + num), int(den or 1)), bit)
+
+
+def _build(base: TwoOrbifold, cones: tuple[LocalInvariant, ...],
+           corners: tuple[LocalInvariant, ...], e: Fraction, bit: str) -> FiberedOrbifold:
+    """The value of fields each reader has checked, `bit` being the
+    boundary bit "0" or "1" as written, or "" when it is left out.  Raises
+    the ParseErrors that carry no position: no boundary bit satisfies the
+    sum relation, or the counts of labels and invariants differ."""
     xi = ()
     if bit:
         xi = (int(bit),)
-    elif disk:
+    elif base.surface is Surface.DISK:
         try:
             xi = (solve_xi(cones, corners, e),)
-        except ValueError:
-            return None
-    return _trusted(_trusted_base(_SURFACES[name], cone_labels, corner_labels),
-                    cones, corners, e, xi)
+        except ValueError as exc:
+            raise ParseError(
+                "xi omitted but no boundary bit satisfies the sum relation; "
+                "give xi explicitly"
+            ) from exc
+
+    n_labels = len(base.cone_labels) + len(base.corner_labels)
+    n_invs = len(cones) + len(corners)
+    if n_labels != n_invs:
+        raise ParseError(
+            "label/invariant count mismatch: base has %d singular labels, "
+            "%d invariants given" % (n_labels, n_invs)
+        )
+    return _trusted(base, cones, corners, e, xi)
 
 
 def _walk_fibration(text: str) -> FiberedOrbifold:
@@ -304,32 +327,14 @@ def _walk_fibration(text: str) -> FiberedOrbifold:
                 % (_at(*parts[2]), base.surface.value)
             )
     e = _parse_rational(*parts[3 if disk else -1])
-    if not disk:
-        xi = ()
-    elif len(parts) == 5:
-        xi_txt = parts[4][0].strip()
-        if xi_txt not in ("0", "1"):
+    bit = ""
+    if len(parts) == 5:  # a disk's boundary bit
+        bit = parts[4][0].strip()
+        if bit not in ("0", "1"):
             raise ParseError(
-                "position %d: xi must be 0 or 1, got %r" % (_at(*parts[4]), xi_txt)
+                "position %d: xi must be 0 or 1, got %r" % (_at(*parts[4]), bit)
             )
-        xi = (int(xi_txt),)
-    else:
-        try:
-            xi = (solve_xi(cones, corners, e),)
-        except ValueError as exc:
-            raise ParseError(
-                "xi omitted but no boundary bit satisfies the sum relation; "
-                "give xi explicitly"
-            ) from exc
-
-    n_labels = len(base.cone_labels) + len(base.corner_labels)
-    n_invs = len(cones) + len(corners)
-    if n_labels != n_invs:
-        raise ParseError(
-            "label/invariant count mismatch: base has %d singular labels, "
-            "%d invariants given" % (n_labels, n_invs)
-        )
-    return _trusted(base, cones, corners, e, xi)
+    return _build(base, cones, corners, e, bit)
 
 
 # -- commands ---------------------------------------------------------------

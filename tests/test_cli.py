@@ -889,6 +889,7 @@ _GENERATED_TEXTS = st.one_of(
 @given(_GENERATED_TEXTS)
 def test_parser_matches_reference_on_generated_texts(text):
     assert_parses_like_reference(text)
+    read_like_walker(text)
 
 
 # `parse_fibration` reads a text with the pattern reader `_read_fibration`
@@ -897,8 +898,15 @@ def test_parser_matches_reference_on_generated_texts(text):
 
 def read_like_walker(text):
     """Whether the pattern reader took `text`; when it did, its value is
-    the walker's, field for field and type for type."""
-    got = cli._read_fibration(text)
+    the walker's, field for field and type for type, or it raised the
+    walker's error."""
+    try:
+        got = cli._read_fibration(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as walked:
+            cli._walk_fibration(text)
+        assert str(exc) == str(walked.value), text
+        return True
     if got is None:
         return False
     want = cli._walk_fibration(text)
@@ -915,10 +923,18 @@ def test_pattern_reader_agrees_with_walker_on_grid_and_named_texts():
     assert taken[True] > 500 and taken[False] > 5000
 
 
-@settings(max_examples=400, deadline=None)
-@given(_GENERATED_TEXTS)
-def test_pattern_reader_agrees_with_walker_on_generated_texts(text):
-    read_like_walker(text)
+@pytest.mark.parametrize("tail", ["; ; -1/0", "; ; -1/2 x", "; 1/2; -1/2", ", 1/0; ; -1/2"])
+def test_pattern_declines_a_long_list_in_linear_time(tail):
+    """Each run of blanks in the notation pattern is taken by one term, so
+    a long invariant list with a bad tail is declined at once: were the
+    blanks before an unsigned invariant split between two terms, each
+    invariant would double the ways the pattern tries."""
+    text = "S2; " + ", ".join(["1/2"] * 24) + tail
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=r"^position \d+: "):
+        parse_fibration(text)
+    assert time.perf_counter() - start < 0.5
+    assert cli._read_fibration(text) is None
 
 
 def _printed_forms(f):
