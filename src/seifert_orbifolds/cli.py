@@ -489,25 +489,30 @@ def _cmd_lens(args):
 
 
 def _atlas_classes(max_order: int):
-    """The atlas sweep: (classes, rows), each row filed under its oriented
-    diffeomorphism class as soon as its invariant is known.
+    """The atlas sweep: (classes, rows), each group's two rows filed under
+    the oriented diffeomorphism class of its Hopf quotient.
 
     `classes` maps each diffeo_signature to its class, a list
     [id, sorted fibration strings or None, first member's key JSON or None,
     rows], numbered in order of first appearance.  `rows` holds one tuple
-    (class, group, order, side, quotient, own key JSON or None) per quotient
-    fibration, in sweep order.
+    (class, group, order, side, quotient, value or None) per quotient
+    fibration, in sweep order: `quotient` is the printed fibration, and
+    `value` the fibration itself in a row of an infinite class, whose text
+    line shows the row's own lens key, else None.
 
     Both sides come straight from `groups`: `quotient_hopf(g)` and
     `quotient_antihopf(g)`, where a ValueError or NO_INVARIANT_FIBRATION
-    from the anti-Hopf call leaves that row out.  A Hopf quotient is a
-    check_valid normal form, so a Hopf row checks only sphericity.  An
-    anti-Hopf value is a checked normal form too, yet it still passes the
-    full guard `_require_normal_spherical`, the atlas's only
-    `core.normalize` call: the benchmark's self-check fails an atlas that
-    makes none.  Each finite class is enumerated and sorted once:
-    `member_of` maps every member of an enumerated fibration set to its
-    class.  A group's name and order are read once for both of its rows.
+    from the anti-Hopf call leaves that row out.  Both are fibrations of
+    the one orbifold S^3/G, so a group's class is found or made once, from
+    its Hopf quotient: `member_of` maps every member of an enumerated
+    fibration set to its class, and a Hopf quotient it does not hold is
+    classified.  Each finite class is thus enumerated and sorted once.  A
+    Hopf quotient is a check_valid normal form, so a Hopf row checks only
+    sphericity.  An anti-Hopf value is a checked normal form too, and is
+    never classified, yet it still passes the full guard
+    `_require_normal_spherical`, the atlas's only `core.normalize` call:
+    the benchmark's self-check fails an atlas that makes none.  A group's
+    name and order are read once for both of its rows.
     """
     from .classify import (_NOT_SPHERICAL, DiffeoKey, _invariant,
                            _require_normal_spherical, _signature)
@@ -521,6 +526,16 @@ def _atlas_classes(max_order: int):
         h = quotient_hopf(g)
         if not is_spherical(h):
             raise ValueError(_NOT_SPHERICAL)
+        cls = member_of.get(h)
+        if cls is None:
+            invariant = _invariant(h)
+            if isinstance(invariant, DiffeoKey):
+                cls = classes.setdefault(_signature(invariant),
+                                         [len(classes), None, _key_json(invariant), []])
+            else:
+                cls = classes[invariant] = [len(classes),
+                                            sorted(str(x) for x in invariant), None, []]
+                member_of.update(dict.fromkeys(invariant, cls))
         sides = [("hopf", h)]
         try:
             a = quotient_antihopf(g)
@@ -528,20 +543,9 @@ def _atlas_classes(max_order: int):
             a = NO_INVARIANT_FIBRATION
         if a is not NO_INVARIANT_FIBRATION:
             sides.append(("anti-hopf", _require_normal_spherical(a)))
-        name, order = str(g), group_order(g)
+        name, order, infinite = str(g), group_order(g), cls[1] is None
         for side, f in sides:
-            cls, key = member_of.get(f), None
-            if cls is None:
-                invariant = _invariant(f)
-                if isinstance(invariant, DiffeoKey):
-                    key = _key_json(invariant)
-                    cls = classes.setdefault(_signature(invariant),
-                                             [len(classes), None, key, []])
-                else:
-                    cls = classes[invariant] = [len(classes),
-                                                sorted(str(x) for x in invariant), None, []]
-                    member_of.update(dict.fromkeys(invariant, cls))
-            row = (cls, name, order, side, str(f), key)
+            row = (cls, name, order, side, str(f), f if infinite else None)
             cls[3].append(row)
             rows.append(row)
     return classes, rows
@@ -552,23 +556,32 @@ def _cmd_atlas(args):
     if not _NATURAL.fullmatch(bound) or int(bound) < 1:
         raise ValueError("--max-order must be a positive integer, got %r" % args.max_order)
     if args.out is None:
-        return 0, _atlas_text(int(bound), args.json)
+        return 0, _atlas_text(int(bound), args.json) or None  # no rows print nothing
     # Opened before the sweep, so an unwritable path fails at once.
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_atlas_text(int(bound), args.json) + "\n")
+            text = _atlas_text(int(bound), args.json)
+            if text:
+                fh.write(text + "\n")
     except OSError as exc:
         raise ValueError("cannot write %s: %s" % (args.out, exc.strerror or exc)) from exc
     return 0, None
 
 
 def _atlas_text(max_order: int, as_json: bool) -> str:
+    """The atlas lines, joined: one per class under `as_json`, else one per
+    row, a row of an infinite class showing its own key, which is read
+    from the invariant memo as the line is written.  One encoder writes
+    every JSON line, with the bytes of `json.dumps(..., sort_keys=True)`."""
     import json
 
+    from .classify import _invariant
+
     classes, rows = _atlas_classes(max_order)
+    encode = json.JSONEncoder(sort_keys=True).encode
     if as_json:
         lines = [
-            json.dumps({
+            encode({
                 "class": cid,
                 "count": len(fibs) if fibs is not None else "infinite",
                 "fibrations": fibs,
@@ -576,16 +589,16 @@ def _atlas_text(max_order: int, as_json: bool) -> str:
                 "members": [{"group": group, "order": order, "side": side,
                              "quotient": quotient}
                             for _, group, order, side, quotient, _ in members],
-            }, sort_keys=True)
+            })
             for cid, fibs, key, members in classes.values()
         ]
     else:
         lines = [
             "class %d: %s order=%d %s quotient=%s %s"
             % (cls[0], group, order, side, quotient,
-               "key=%s" % json.dumps(key, sort_keys=True) if key
+               "key=%s" % encode(_key_json(_invariant(f))) if f is not None
                else "fibrations=[%s]" % " | ".join(cls[1]))
-            for cls, group, order, side, quotient, key in rows
+            for cls, group, order, side, quotient, f in rows
         ]
     return "\n".join(lines)
 

@@ -284,9 +284,9 @@ def parse_group(text: str) -> GroupFamily:
     """Parse a group spec like ``F2(m=3,n=2)`` or ``F20``."""
     text = text.strip().replace("′", "'")
     if "(" in text:
-        if not text.endswith(")"):
-            raise ValueError("unbalanced parentheses in group spec %r" % text)
         name, _, inner = text[:-1].partition("(")
+        if not text.endswith(")") or "(" in inner or ")" in inner:
+            raise ValueError("unbalanced parentheses in group spec %r" % text)
         params = {}
         inner = inner.strip()
         if inner:

@@ -284,7 +284,20 @@ class TestAtlas:
     def test_out_file(self, tmp_path):
         target = tmp_path / "atlas.txt"
         code, out, _ = run("atlas", "--max-order", "30", "--out", str(target))
-        assert code == 0 and target.read_text().strip()
+        assert code == 0 and not out
+        assert target.read_text() == run("atlas", "--max-order", "30")[1] + "\n"
+
+    @pytest.mark.parametrize("mode", [(), ("--json",)])
+    def test_empty_atlas_prints_nothing(self, tmp_path, mode):
+        """No group has order 1, so that atlas has no rows: stdout and the
+        --out file stay empty, with no blank line."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert run_command([*mode, "atlas", "--max-order", "1"]) == 0
+        assert out.getvalue() == err.getvalue() == ""
+        target = tmp_path / "atlas.txt"
+        assert run(*mode, "atlas", "--max-order", "1", "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == b""
 
     @pytest.mark.parametrize(
         "where, reason",

@@ -81,6 +81,18 @@ class TestParsing:
         with pytest.raises(ValueError, match="ASCII digits"):
             parse_group(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["F2((m=3,n=2)", "F2(m=3,n=2))", "F2(m=(3,n=2)", "F2(m=3),n=2)", "F2(m=3,n=2"],
+    )
+    def test_stray_parenthesis_rejected(self, text):
+        """A '(' or ')' inside the parameter list is an unbalanced
+        parenthesis, not a parameter name or value."""
+        message = "unbalanced parentheses in group spec %r" % text
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_group(text)
+        assert quotient_cli(text) == (1, "", "error: %s\n" % message)
+
     def test_constraints(self):
         with pytest.raises(ValueError):
             parse_group("F1(m=1,n=1,r=4,s=2)")  # gcd(s, r) != 1

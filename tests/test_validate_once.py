@@ -25,6 +25,7 @@ from seifert_orbifolds.core import reverse_orientation
 from seifert_orbifolds.groups import (
     NO_INVARIANT_FIBRATION,
     enumerate_quotient_groups,
+    quotient_antihopf,
     quotient_hopf,
     swapped_group,
 )
@@ -100,11 +101,14 @@ def test_atlas_enumerates_each_finite_class_once(monkeypatch):
     assert len(sets) == sum(1 for obj in classes if obj["count"] != "infinite")
 
 
-def test_atlas_signature_matches_diffeo_signature():
+@pytest.mark.parametrize("max_order", [60, 400])
+def test_atlas_signature_matches_diffeo_signature(max_order):
     """Every member of a class has the signature the class is filed under,
     classes are numbered in order of first appearance, and the rows are
-    exactly the members of the classes."""
-    classes, rows = cli._atlas_classes(60)
+    exactly the members of the classes.  An anti-Hopf row joins the class
+    of its group's Hopf quotient unclassified; its own signature, computed
+    here, is that class's."""
+    classes, rows = cli._atlas_classes(max_order)
     assert rows
     assert [cls[0] for cls in classes.values()] == list(range(len(classes)))
     for signature, cls in classes.items():
@@ -112,6 +116,30 @@ def test_atlas_signature_matches_diffeo_signature():
             assert row[0] is cls
             assert diffeo_signature(parse_fibration(row[4])) == signature
     assert sorted(map(id, rows)) == sorted(id(row) for cls in classes.values() for row in cls[3])
+
+
+def test_atlas_classifies_each_group_once(monkeypatch):
+    """Both quotients of a group are fibrations of the one orbifold S^3/G,
+    so the sweep classifies a group by its Hopf quotient, at most once, and
+    never a value that only an anti-Hopf quotient gives (57 of the sweep's
+    320 calls were anti-Hopf values when every row was classified)."""
+    calls = _count_calls(monkeypatch, "_invariant")
+    _atlas_json(60)
+    hopf = Counter()
+    anti = set()
+    for g in enumerate_quotient_groups(60):
+        hopf[quotient_hopf(g)] += 1
+        try:
+            a = quotient_antihopf(g)
+        except ValueError:
+            continue
+        if a is not NO_INVARIANT_FIBRATION:
+            anti.add(a)
+    anti_only = anti - set(hopf)
+    classified = Counter(f for (f,), _ in calls)
+    assert calls and anti_only
+    assert not anti_only & set(classified)
+    assert all(n <= hopf[f] for f, n in classified.items())
 
 
 def test_atlas_builds_each_hopf_quotient_once(monkeypatch):
