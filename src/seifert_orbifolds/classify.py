@@ -57,9 +57,15 @@ the input is built once.
 
 Each public function validates its arguments once, through
 `_require_normal_spherical`, and hands the normal form to a private core
-(`_invariant`, `_fibration_class`, `_key`, ...).  The cores trust their
-argument and call only other cores; the values the rules and bridges
-build are made and checked in one pass by `core._normal_form`.
+(`_invariant`, `_fibration_class`, `_key`, ...).  The guard decides
+"valid and spherical" in one integer pass, `core._valid_spherical`, and
+calls `validate` only to word the error of an invalid argument, which is
+reported before a non-spherical one; the command line's report takes its
+verdict from the same pass.  The cores trust their argument and call only
+other cores; the values the rules and bridges build are made and checked
+in one pass by `core._normal_form`.  `_key` reads the Euler class as
+integers and hands `_lens_label` its reduced numerator and denominator,
+or those of 2e on the disk side.
 
 `_invariant(f)`, the frozen fibration set or the DiffeoKey of the normal
 form f, is memoized per process in one LRU cache bounded at
@@ -88,8 +94,8 @@ from .core import (
     LocalInvariant,
     Surface,
     _normal_form,
+    _valid_spherical,
     check_valid,
-    is_spherical,
     normalize,
     validate,
 )
@@ -135,12 +141,13 @@ _NOT_SPHERICAL = "not spherical: chi(base) <= 0 or e = 0"
 
 def _require_normal_spherical(f: FiberedOrbifold) -> FiberedOrbifold:
     """The guard of the public functions and of the command line: the
-    normal form of f, checked valid and spherical."""
+    normal form of f, checked valid and spherical in one pass.  Only a
+    failed check calls `validate`, to word the error."""
     f = normalize(f)
-    res = validate(f)
-    if not res.ok:
-        raise ValueError("invalid fibration: %s" % "; ".join(res.problems))
-    if not is_spherical(f):
+    spherical = _valid_spherical(f)
+    if not spherical:
+        if spherical is None:
+            raise ValueError("invalid fibration: %s" % "; ".join(validate(f).problems))
         raise ValueError(_NOT_SPHERICAL)
     return f
 
@@ -548,14 +555,20 @@ def diffeo_key(f: FiberedOrbifold) -> DiffeoKey:
 
 def _key(g: FiberedOrbifold) -> DiffeoKey:
     """Key of the small-base normal form g: its cones and e on a sphere, its
-    corners and 2e on a disk (the double cover, without building it)."""
+    corners and 2e on a disk (the double cover, without building it).
+
+    The Euler class goes to `_lens_label` as its reduced (numerator,
+    denominator); 2n/d is reduced to n/(d/2) when d is even."""
+    e = g.euler
+    n, d = e.numerator, e.denominator
     if g.base.surface is _S2:
-        side, invariants, e = OrbifoldClass.SPHERE_CLASS, g.cone_invariants, g.euler
+        side, invariants = OrbifoldClass.SPHERE_CLASS, g.cone_invariants
     else:
-        side, invariants, e = OrbifoldClass.DISK_CLASS, g.corner_invariants, 2 * g.euler
+        side, invariants = OrbifoldClass.DISK_CLASS, g.corner_invariants
+        n, d = (n, d // 2) if d % 2 == 0 else (2 * n, d)
     cores, iota = _cores(invariants)
     mode = Mode.ORIENTED if iota[0] == iota[1] else Mode.FIXED_CORES
-    return DiffeoKey(side, _lens_label(cores, e), iota, mode)
+    return DiffeoKey(side, _lens_label(cores, n, d), iota, mode)
 
 
 # 2,000 queries rounds of the benchmark (114k queries) met 483 distinct

@@ -49,6 +49,7 @@ from .core import (
     UnsupportedFamilyError,
     _trusted,
     _trusted_base,
+    _valid_spherical,
     euler_characteristic,
     format_rational,
     is_spherical,
@@ -360,12 +361,15 @@ def _key_json(k):
 def _answer(f: FiberedOrbifold):
     """(normal form, its ValidationResult, invariant) of f; the invariant,
     the fibration set or DiffeoKey, is None unless f is valid and
-    spherical."""
+    spherical.  The guard's one pass decides both, and only an invalid f
+    is handed to `validate`, for its problems."""
     import seifert_orbifolds.classify as classify
 
     g = normalize(f)
-    res = validate(g)
-    return g, res, classify._invariant(g) if res.ok and is_spherical(g) else None
+    spherical = _valid_spherical(g)
+    if spherical is None:
+        return g, validate(g), None
+    return g, _VALID, classify._invariant(g) if spherical else None
 
 
 def _report(f, g, res, invariant) -> dict:

@@ -251,16 +251,25 @@ def format_rational(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def _twice_relation(cones, corners, euler: Fraction) -> tuple[int, int]:
-    """(n, d) with d = lcm(den e, every order b) and
-    n = 2*d*(e + sum cone a/b + (1/2) sum corner a/b), an integer.
+def _twice_relation(cones, corners, euler: Fraction, d: int | None = None
+                    ) -> tuple[int, int]:
+    """(n, d) with d = lcm(den e, every order b), unless a common multiple
+    of those is given, and n = 2*d*(e + sum cone a/b + (1/2) sum corner
+    a/b), an integer.
 
     The sum relation with boundary bits xi holds iff
-    n + d*sum(xi) = 0 (mod 2d).
+    n + d*sum(xi) = 0 (mod 2d).  The sums are plain loops: over a few
+    invariants a generator costs more than the arithmetic.
     """
-    d = lcm(euler.denominator, *(i.b for i in cones), *(i.b for i in corners))
-    n = 2 * (euler.numerator * (d // euler.denominator) + sum(i.a * (d // i.b) for i in cones))
-    return n + sum(i.a * (d // i.b) for i in corners), d
+    if d is None:
+        d = lcm(euler.denominator, *(i.b for i in cones), *(i.b for i in corners))
+    n = euler.numerator * (d // euler.denominator)
+    for i in cones:
+        n += i.a * (d // i.b)
+    n *= 2
+    for i in corners:
+        n += i.a * (d // i.b)
+    return n, d
 
 
 def solve_xi(cone_invariants, corner_invariants, euler) -> int:
@@ -287,8 +296,11 @@ def _twice_chi(base: TwoOrbifold) -> tuple[int, int]:
     """(n, L) with L = lcm of the labels and chi(base) = n/(2L)."""
     common = lcm(*base.cone_labels, *base.corner_labels)
     n = 2 * common * (2 if base.surface is Surface.SPHERE else 1)
-    n -= sum(2 * (common - common // k) for k in base.cone_labels)
-    return n - sum(common - common // k for k in base.corner_labels), common
+    for k in base.cone_labels:
+        n -= 2 * (common - common // k)
+    for k in base.corner_labels:
+        n -= common - common // k
+    return n, common
 
 
 def euler_characteristic(base: TwoOrbifold) -> Fraction:
@@ -477,6 +489,28 @@ def reverse_orientation(f: FiberedOrbifold) -> FiberedOrbifold:
 def is_spherical(f: FiberedOrbifold) -> bool:
     """Spherical geometry detection: chi(base) > 0 and e != 0."""
     return f.euler != 0 and _twice_chi(f.base)[0] > 0
+
+
+def _valid_spherical(f: FiberedOrbifold) -> bool | None:
+    """None when `validate(f)` fails, else `is_spherical(f)`, for a normal
+    form f, in one integer pass.
+
+    The orders of a normal form are sorted, as the labels are, so they
+    match the labels exactly when the two tuples are equal.  Then the lcm
+    of the labels, which `_twice_chi` takes, is that of the orders, and
+    the relation's d follows from it and the denominator of e.
+    """
+    base = f.base
+    cones, corners = f.cone_invariants, f.corner_invariants
+    if (tuple([i.b for i in cones]) != base.cone_labels
+            or tuple([i.b for i in corners]) != base.corner_labels):
+        return None
+    chi, common = _twice_chi(base)
+    e = f.euler
+    n, d = _twice_relation(cones, corners, e, lcm(common, e.denominator))
+    if (n + d * sum(f.xi)) % (2 * d):
+        return None
+    return chi > 0 and e.numerator != 0
 
 
 def s3_fibration(u: int, v: int, sign: int = 1) -> FiberedOrbifold:

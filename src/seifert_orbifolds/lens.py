@@ -4,9 +4,11 @@ Lens space computation and oriented classification.
 A fibered orbifold over a sphere with at most two cone points has a lens
 space as underlying manifold.  `_cores` reads its two cores, ordered and
 reduced by their singularity indices, and `_lens_label` names the oriented
-lens space from them and the Euler class, in integers.  The public route
-through two-fraction data (`classical_from_fibration`, then
-`lens_from_classical`) gives the same label.
+lens space from them and the Euler class e = n/d, given as the integers n
+and d; every check runs in integers and builds no Fraction.  The public
+route through two-fraction data (`classical_from_fibration`, then
+`lens_from_classical`, which hands its Fraction's numerator and
+denominator to the same `_lens_label`) gives the same label.
 
 Lens spaces are named by the quotient model
 
@@ -127,15 +129,24 @@ def classical_from_fibration(f: FiberedOrbifold) -> tuple[ClassicalSeifert, int,
     return ClassicalSeifert((reduced[0] + shift, reduced[1])), i1, i2
 
 
-def _match_fibration(p, q, cores, euler) -> bool:
-    """Whether L(p, q) carries the fibration with the given core data.
+def _trusted_lens(p: int, q: int) -> LensSpace:
+    """LensSpace(p, q) for ints p > 0 and 0 <= q < p, built without
+    checking them again."""
+    lens = object.__new__(LensSpace)
+    object.__setattr__(lens, "p", p)
+    object.__setattr__(lens, "q", q)
+    return lens
+
+
+def _match_fibration(p, q, cores, n, d) -> bool:
+    """Whether L(p, q) carries the fibration with the given core data and
+    Euler class e = n/d, d > 0.
 
     cores = ((a1, b1), (a2, b2)) in a fixed order (pole 1, pole 2); the
     flow vector is pinned by w1 = b1 > 0 and e = -p/(w1*w2).  All checks
-    run in integers, with e = n/d.
+    run in integers.
     """
     (a1, b1), (a2, b2) = cores
-    n, d = euler.numerator, euler.denominator
     w1 = b1
     w2, rem = divmod(-p * d, n * w1)
     if rem or abs(w2) != b2:
@@ -164,8 +175,9 @@ def _match_fibration(p, q, cores, euler) -> bool:
     return (n * b1 * b2 + ((-x) % b1) * d * b2 + a2x * d * b1) % (d * b1 * b2) == 0
 
 
-def _lens_label(cores, e: Fraction) -> LensSpace:
-    """Oriented lens space carrying the two-core fibration, cores ordered.
+def _lens_label(cores, n: int, d: int) -> LensSpace:
+    """Oriented lens space carrying the two-core fibration with Euler class
+    e = n/d, d > 0, cores ordered.
 
     cores = ((a1, b1), (a2, b2)) with gcd(ai, bi) = 1; the returned q uses
     the convention that pole 1 is the first core, so fixed-core
@@ -177,24 +189,23 @@ def _lens_label(cores, e: Fraction) -> LensSpace:
     q = (w2 - a1^-1*p)/b1 (mod p), returned only if the matcher accepts it.
     """
     (a1, b1), (a2, b2) = cores
-    if e == 0:
+    if n == 0:
         raise ValueError("p = 0: total space is not spherical")
-    p, rem = divmod(abs(e.numerator) * b1 * b2, e.denominator)
+    p, rem = divmod(abs(n) * b1 * b2, d)
     if rem:
         raise ValueError("inconsistent lens data")
     if p == 1:
-        return LensSpace(1, 0)
-    w2, rem = divmod(-p * e.denominator, e.numerator * b1)  # w2 = -p/(e*b1)
+        return _trusted_lens(1, 0)
+    w2, rem = divmod(-p * d, n * b1)  # w2 = -p/(e*b1)
     if not rem and gcd(a1, b1) == 1:
         q, rem = divmod(w2 - pow(a1, -1, b1) * p, b1)
         q %= p
         if not rem and gcd(q, p) == 1 and _match_fibration(
-            p, q, ((a1 % b1, b1), (a2 % b2, b2)), e
+            p, q, ((a1 % b1, b1), (a2 % b2, b2)), n, d
         ):
-            return LensSpace(p, q)
-    raise ValueError(
-        "no lens space carries the fibration (%s/%s, %s/%s; %s)" % (a1, b1, a2, b2, e)
-    )
+            return _trusted_lens(p, q)
+    raise ValueError("no lens space carries the fibration (%s/%s, %s/%s; %s)"
+                     % (a1, b1, a2, b2, Fraction(n, d)))
 
 
 def lens_from_classical(c: ClassicalSeifert) -> LensSpace:
@@ -206,7 +217,8 @@ def lens_from_classical(c: ClassicalSeifert) -> LensSpace:
     """
     a1, b1 = c.fractions[0].numerator, c.fractions[0].denominator
     a2, b2 = c.fractions[1].numerator, c.fractions[1].denominator
-    return _lens_label(((a1, b1), (a2, b2)), c.euler)
+    e = c.euler
+    return _lens_label(((a1, b1), (a2, b2)), e.numerator, e.denominator)
 
 
 def lens_equiv(x: LensSpace, y: LensSpace, mode: Mode = Mode.ORIENTED) -> bool:

@@ -434,7 +434,8 @@ def test_decorated_core_keys_agree_across_fibrations():
                 e = F(-p, w1 * w2)
                 for a1 in range(w1):
                     for a2 in range(abs(w2)):
-                        if _match_fibration(p, q, ((a1, w1), (a2, abs(w2))), e):
+                        if _match_fibration(p, q, ((a1, w1), (a2, abs(w2))), e.numerator,
+                                            e.denominator):
                             out.append(((a1, w1), (a2, abs(w2)), e))
         return out
 
@@ -458,27 +459,6 @@ def test_decorated_core_keys_agree_across_fibrations():
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
                     assert are_diffeomorphic(members[i], members[j])
-
-
-@pytest.fixture(scope="module")
-def two_label_grid():
-    """Every valid spherical S2(b1,b2) and D2(;b1,b2) fibration with labels
-    <= 12 (label 1: no singular point) and 0 < |e| <= 1, a set closed
-    under orientation reversal."""
-    out = set()
-    for b1 in range(1, 13):
-        for b2 in range(b1, 13):
-            for a1 in range(b1):
-                for a2 in range(b2):
-                    pairs, s = [(a1, b1), (a2, b2)], F(a1, b1) + F(a2, b2)
-                    for k in range(-1, 3):
-                        if 0 < abs(k - s) <= 1:
-                            out.add(mk(S2, pairs, [], k - s))
-                        for xi in (0, 1):
-                            e = k - (s + xi) / 2
-                            if 0 < abs(e) <= 1:
-                                out.add(mk(D2, [], pairs, e, xi))
-    return sorted(out, key=str)
 
 
 def test_key_agrees_with_the_two_fraction_route(two_label_grid):

@@ -382,10 +382,11 @@ def test_text_mode_computes_only_what_it_prints(monkeypatch, argv, text_calls):
     fibrations prints only the fibrations it lists, so none of these is
     computed: each fibration printed costs one str call, and no other is
     made.  --json computes the report once: the group order once for
-    quotient, and for an expression one normalize, one validate and, for a
-    valid spherical fibration, one _invariant call, counted in every module
-    that holds normalize and validate (fibrations checks its input through
-    the guard in classify)."""
+    quotient, and for an expression one normalize, one `_valid_spherical`
+    pass (validity and sphericity in one), one validate only for an
+    invalid fibration, to word its problems, and, for a valid spherical
+    fibration, one _invariant call, counted in every module that holds
+    them (fibrations checks its input through the guard in classify)."""
     calls = Counter()
 
     def counting(name, original):
@@ -402,7 +403,7 @@ def test_text_mode_computes_only_what_it_prints(monkeypatch, argv, text_calls):
         text_code = run_command(argv)
     assert calls == text_calls
     calls.clear()
-    for name in ("normalize", "validate"):
+    for name in ("normalize", "validate", "_valid_spherical"):
         wrapped = counting(name, getattr(core, name))
         for mod in (cli, classify):
             if getattr(mod, name, None) is getattr(core, name):
@@ -415,7 +416,8 @@ def test_text_mode_computes_only_what_it_prints(monkeypatch, argv, text_calls):
     if argv[0] == "quotient":
         assert calls == {"group_order": 1} and payload["order"] == 24
     else:
-        assert calls == Counter(normalize=1, validate=1,
+        assert calls == Counter(normalize=1, _valid_spherical=1,
+                                validate=int(not payload["valid"]),
                                 _invariant=int(payload["count"] is not None))
 
 
