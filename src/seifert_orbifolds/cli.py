@@ -47,6 +47,7 @@ from .core import (
     Surface,
     TwoOrbifold,
     UnsupportedFamilyError,
+    _too_long,
     _trusted,
     _trusted_base,
     _valid_spherical,
@@ -106,10 +107,16 @@ def _at(text: str, offset: int) -> int:
     return offset + len(text) - len(text.lstrip())
 
 
-def _piece_at(text: str, offset: int, i: int) -> int:
-    """Position of the i-th comma-separated piece of `text`."""
-    pieces = text.split(",")
-    return _at(pieces[i], offset + sum(len(p) + 1 for p in pieces[:i]))
+def _number(m: re.Match, group: int, at: int) -> int:
+    """int() of the digits of group `group` of m, a match of a piece found
+    at `at`; a ParseError at the number when it has more digits than int()
+    converts."""
+    digits = m[group]
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("position %d: %s"
+                         % (at + m.start(group), _too_long("number", digits))) from None
 
 
 def _parse_labels(text: str, offset: int, zero: int | None) -> tuple[list[int], int | None]:
@@ -117,16 +124,18 @@ def _parse_labels(text: str, offset: int, zero: int | None) -> tuple[list[int], 
     points, and the position of the first label 0: `zero` when an earlier
     text held one, else the first 0 here, or None."""
     out = []
-    for i, piece in enumerate(text.split(",") if text.strip() else ()):
+    start = offset  # of the piece
+    for piece in text.split(",") if text.strip() else ():
         m = _LABEL.fullmatch(piece)
         if m is None:
             raise ParseError("position %d: expected a label, got %r"
-                             % (_piece_at(text, offset, i), piece.strip()))
-        n = int(m[1])
+                             % (_at(piece, start), piece.strip()))
+        n = _number(m, 1, start)
         if n > 1:
             out.append(n)
         elif not n and zero is None:
-            zero = _piece_at(text, offset, i)
+            zero = _at(piece, start)
+        start += len(piece) + 1
     return out, zero
 
 
@@ -161,26 +170,29 @@ def parse_base(text: str, offset: int = 0) -> TwoOrbifold:
 def _parse_invariants(text: str, offset: int) -> tuple[LocalInvariant, ...]:
     """The invariants in their written order, without those of order 1."""
     out = []
-    for i, piece in enumerate(text.split(",") if text.strip() else ()):
+    start = offset  # of the piece
+    for piece in text.split(",") if text.strip() else ():
         m = _RATIONAL.fullmatch(piece)
-        b = int(m[3] or 0) if m else 0
+        b = _number(m, 3, start) if m and m[3] else 0
         if not b:
             problem = ("invariant order must be >= 1, got" if m and m[3]
                        else "bad invariant" if "/" in piece
                        else "local invariant must be written a/b, got")
-            raise ParseError("position %d: %s %r"
-                             % (_piece_at(text, offset, i), problem, piece.strip()))
+            raise ParseError("position %d: %s %r" % (_at(piece, start), problem, piece.strip()))
         if b != 1:
-            out.append(LocalInvariant(int(m[1] + m[2]), b))
+            a = _number(m, 2, start)
+            out.append(LocalInvariant(-a if m[1] == "-" else a, b))
+        start += len(piece) + 1
     return tuple(out)
 
 
 def _parse_rational(text: str, offset: int) -> Fraction:
     m = _RATIONAL.fullmatch(text)
-    den = int(m[3] or 1) if m else 0
+    den = (_number(m, 3, offset) if m[3] else 1) if m else 0
     if not den:
         raise ParseError("position %d: bad rational %r" % (_at(text, offset), text))
-    return Fraction(int(m[1] + m[2]), den)
+    num = _number(m, 2, offset)
+    return Fraction(-num if m[1] == "-" else num, den)
 
 
 def parse_fibration(text: str) -> FiberedOrbifold:
@@ -199,9 +211,15 @@ def parse_fibration(text: str) -> FiberedOrbifold:
     same error.  A text written as usual is read by `_read_fibration`, one
     pattern match and one `findall` per field.  Any other text goes to the
     field walker `_walk_fibration`, which reads it or raises the
-    positioned ParseError.
+    positioned ParseError; so does a text holding a number with more
+    digits than `int()` converts (`sys.get_int_max_str_digits()`).
     """
-    f = _read_fibration(text)
+    try:
+        f = _read_fibration(text)
+    except ParseError:
+        raise
+    except ValueError:  # a number int() does not convert: the walker says where
+        f = None
     return _walk_fibration(text) if f is None else f
 
 
@@ -557,14 +575,18 @@ def _atlas_classes(max_order: int):
 
 def _cmd_atlas(args):
     bound = args.max_order.strip()
-    if not _NATURAL.fullmatch(bound) or int(bound) < 1:
+    try:
+        max_order = int(bound) if _NATURAL.fullmatch(bound) else 0
+    except ValueError:
+        raise ValueError(_too_long("--max-order", bound)) from None
+    if max_order < 1:
         raise ValueError("--max-order must be a positive integer, got %r" % args.max_order)
     if args.out is None:
-        return 0, _atlas_text(int(bound), args.json) or None  # no rows print nothing
+        return 0, _atlas_text(max_order, args.json) or None  # no rows print nothing
     # Opened before the sweep, so an unwritable path fails at once.
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            text = _atlas_text(int(bound), args.json)
+            text = _atlas_text(max_order, args.json)
             if text:
                 fh.write(text + "\n")
     except OSError as exc:

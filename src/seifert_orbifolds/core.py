@@ -19,6 +19,7 @@ label/invariant matching.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -53,6 +54,13 @@ def _integer(n, what: str) -> int:
         return index(n)
     except TypeError:
         raise ValueError("%s must be integers, got %r" % (what, n)) from None
+
+
+def _too_long(what: str, digits: str) -> str:
+    """The message for a number with more digits than int() converts
+    (sys.get_int_max_str_digits())."""
+    return "%s too long: %d digits, at most %d" % (what, len(digits),
+                                                  sys.get_int_max_str_digits())
 
 
 def _as_rational(q, what: str = "the Euler class") -> Fraction:

@@ -29,7 +29,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .core import Surface, UnsupportedFamilyError, _IdentityEnum, _integer, _normal_form
+from .core import (Surface, UnsupportedFamilyError, _IdentityEnum, _integer, _normal_form,
+                   _too_long)
 
 
 class NoInvariantFibration:
@@ -281,31 +282,35 @@ def _checked_group(family: Family, row: _Row, values: tuple[int, ...]) -> GroupF
 
 
 def parse_group(text: str) -> GroupFamily:
-    """Parse a group spec like ``F2(m=3,n=2)`` or ``F20``."""
+    """Parse a group spec like ``F2(m=3,n=2)`` or ``F20``.
+
+    The one parameter list follows a family name and ends the spec; any
+    other '(' or ')' is an unbalanced parenthesis."""
     text = text.strip().replace("′", "'")
-    if "(" in text:
-        name, _, inner = text[:-1].partition("(")
-        if not text.endswith(")") or "(" in inner or ")" in inner:
-            raise ValueError("unbalanced parentheses in group spec %r" % text)
-        params = {}
-        inner = inner.strip()
-        if inner:
-            for piece in inner.split(","):
-                key, eq, val = piece.partition("=")
-                if not eq:
-                    raise ValueError("group parameters must be given as name=value")
-                key, val = key.strip(), val.strip()
-                if key in params:
-                    raise ValueError("group parameter %s is given twice" % key)
-                # ASCII digits only: int() also reads other scripts' digits
-                if not re.fullmatch("[0-9]+", val):
-                    raise ValueError(
-                        "group parameter %s must be written in ASCII digits, got %r"
-                        % (key, val)
-                    )
+    name, paren, inner = text.partition("(")
+    if ")" in name or paren and (not name.strip() or not inner.endswith(")")
+                                 or "(" in inner or ")" in inner[:-1]):
+        raise ValueError("unbalanced parentheses in group spec %r" % text)
+    params = {}
+    inner = inner[:-1].strip()
+    if inner:
+        for piece in inner.split(","):
+            key, eq, val = piece.partition("=")
+            if not eq:
+                raise ValueError("group parameters must be given as name=value")
+            key, val = key.strip(), val.strip()
+            if key in params:
+                raise ValueError("group parameter %s is given twice" % key)
+            # ASCII digits only: int() also reads other scripts' digits
+            if not re.fullmatch("[0-9]+", val):
+                raise ValueError(
+                    "group parameter %s must be written in ASCII digits, got %r"
+                    % (key, val)
+                )
+            try:
                 params[key] = int(val)
-    else:
-        name, params = text, {}
+            except ValueError:
+                raise ValueError(_too_long("group parameter %s" % key, val)) from None
     name = name.strip()
     try:
         family = Family(name)

@@ -6,6 +6,7 @@ import json
 import operator
 import re
 import shlex
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -519,6 +520,44 @@ def test_parameter_cap_env_is_ignored(monkeypatch, value):
 def test_validate_flags_order_mismatch():
     code, out, _ = run("validate", "S2(2,3); 1/2,1/4; ; -3/4")
     assert code == 1 and "do not match" in out
+
+
+def _over_the_digit_limit():
+    """A number one digit longer than int() converts, and the limit."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("int() converts numbers of any length here")
+    return "7" * (limit + 1), limit
+
+
+@pytest.mark.parametrize("template, position", [
+    ("S2(2); 1/2; ; -{}", 15),  # the Euler class, read by the pattern
+    ("S2(2); 1/2; ; -1/{}", 17),  # its denominator
+    ("S2(2,{}); 1/2,1/7; ; -1", 5),  # a label
+    ("S2(2); {}/2; ; -1", 7),  # a numerator
+    ("S2(2); 1/{}; ; -1", 9),  # an order
+    ("  ( S2(2); - {}/2; -1 )", 13),  # the walker's path: spaces after the sign
+])
+@pytest.mark.parametrize("command", ["classify", "validate", "lens"])
+def test_a_number_longer_than_int_converts_is_positioned(command, template, position):
+    digits, limit = _over_the_digit_limit()
+    code, out, err = run(command, template.format(digits))
+    assert (code, out) == (1, "")
+    assert err == "error: position %d: number too long: %d digits, at most %d\n" % (
+        position, limit + 1, limit)
+
+
+def test_a_base_label_longer_than_int_converts_is_positioned():
+    digits, limit = _over_the_digit_limit()
+    assert run("chi", "D2(2;3,%s)" % digits) == (
+        1, "", "error: position 7: number too long: %d digits, at most %d\n"
+        % (limit + 1, limit))
+
+
+def test_a_max_order_longer_than_int_converts_exits_1():
+    digits, limit = _over_the_digit_limit()
+    assert run("atlas", "--max-order", digits) == (
+        1, "", "error: --max-order too long: %d digits, at most %d\n" % (limit + 1, limit))
 
 
 def test_huge_euler_class_is_answered_quickly():

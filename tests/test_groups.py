@@ -83,12 +83,24 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "text",
-        ["F2((m=3,n=2)", "F2(m=3,n=2))", "F2(m=(3,n=2)", "F2(m=3),n=2)", "F2(m=3,n=2"],
+        ["F2((m=3,n=2)", "F2(m=3,n=2))", "F2(m=(3,n=2)", "F2(m=3),n=2)", "F2(m=3,n=2",
+         "(F2)", "F2)(m=3,n=2)", "F20)", "(m=3,n=2)"],
     )
     def test_stray_parenthesis_rejected(self, text):
-        """A '(' or ')' inside the parameter list is an unbalanced
-        parenthesis, not a parameter name or value."""
+        """A '(' or ')' inside the parameter list, or anywhere but around
+        the parameter list after a family name, is an unbalanced
+        parenthesis, not a parameter name or value or a family name."""
         message = "unbalanced parentheses in group spec %r" % text
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_group(text)
+        assert quotient_cli(text) == (1, "", "error: %s\n" % message)
+
+    def test_parameter_longer_than_int_converts_is_named(self):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if not limit:
+            pytest.skip("int() converts numbers of any length here")
+        text = "F2(m=3,n=%s)" % ("7" * (limit + 1))
+        message = "group parameter n too long: %d digits, at most %d" % (limit + 1, limit)
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_group(text)
         assert quotient_cli(text) == (1, "", "error: %s\n" % message)
