@@ -16,10 +16,10 @@ order-2 labels, and puts one free invariant over the label x, as a cone
 point or a corner reflector (absent when x = 1).  The Euler class is
 y/(k*x), with k in {1, 2, 4} fixed per pattern, and the free invariant is
 -y/x, or ((x-y)/2)/x in the mixed patterns.  `_Pattern.read(f)` returns
-the (x, y) for which `build(x, y)` is f, if any: it checks the fixed
-invariants, that y = k*x*e is an integer, and the free invariant.  On a
-base whose labels are all 2 the free invariant is simply the one left
-over by the fixed ones.
+the (x, y) for which `build(x, y)` is f, if any, for an f of a shape the
+pattern is filed under (below), which settles the surface and the fixed
+invariants.  So `read` only solves for (x, y): x is the free order (1 if
+none), and it checks that y = k*x*e is an integer and the free numerator.
 
 A *rule* pairs a left and a right pattern with a parameter map and its
 inverse (swap (x, y) -> (|y|, -sgn(y)*x), halve y, or halve both) and a
@@ -38,15 +38,15 @@ reads y through |y| only, so the rules and bridges are closed under it.
 
 A fibration's shape is its surface, its numbers of cone points and of
 corners, and the numerators of its order-2 cone and corner invariants.  A
-pattern reads four shapes only: its fixed invariants alone (x = 1), with a
-free 0/2 or 1/2 added (x = 2), and with a free invariant of higher order
-added (x > 2).  At import, `_MOVES` groups the moves, each rule once per
-direction, by source pattern, and files each (source, moves) pair, as
-`_BRIDGES_BY_SHAPE` files each bridge row, under the shapes the source
-pattern reads, in table order.  `_rewrites` and `_bridge` read f by the
-patterns filed under f's shape and skip the rest, which could not match;
-one read serves every move of a source, and the first bridge row that
-reads f still wins.
+pattern builds four shapes only: its fixed invariants alone (x = 1), with
+a free 0/2 or 1/2 added (x = 2), and with a free invariant of higher
+order added (x > 2).  The index by shape is the one structural test.  At
+import, `_MOVES` groups the moves, each rule once per direction, by
+source pattern, and files each (source, moves) pair, as
+`_BRIDGES_BY_SHAPE` files each bridge row, under the shapes of the source
+pattern, in table order.  `_rewrites` and `_bridge` read f only by the
+patterns filed under f's shape; one read serves every move of a source,
+and the first bridge row that reads f still wins.
 
 A closure reads each member once by each source pattern filed under its
 shape, when the member joins, and files each reading: (pattern, (x, y))
@@ -72,8 +72,9 @@ form f, is memoized per process in one LRU cache bounded at
 `_MEMO_MAXSIZE` normal forms; its values are immutable, so no caller can
 change a cached answer.  It is the one route to the content of a class:
 `fibration_count`, `enumerate_fibrations` (a copy), `diffeo_signature`,
-the command line's reports and the atlas read it, and
-`_are_diffeomorphic` compares the signatures of two invariants.
+the command line's reports and the atlas sweep read it, and
+`_are_diffeomorphic` compares the signatures of two invariants.  The
+text atlas reads a row's key past the memo, which the sweep has filled.
 `fibration_class` and `single_step` ask only whether a class is finite
 and build no closure.  `diffeo_key`, the `lens` command, the parser and
 the guard do not read the memo: lens recognitions seldom repeat their
@@ -175,33 +176,23 @@ class _Pattern(NamedTuple):
         return (x - y) // 2 if self.mixed else -y
 
     def read(self, f: FiberedOrbifold):
-        """The (x, y) with build(x, y) == f, or None; f is a valid normal form."""
-        if f.base.surface is not self.surface:
-            return None
+        """The (x, y) with build(x, y) == f, or None.  f is a valid normal
+        form of one of `shapes()`, so only x and y are open: x is the last
+        order (the others are 2), or 1 when no invariant is free, and the
+        free numerator is what the fixed ones leave of the numerators' sum."""
         if self.free == "cone":
             have, fixed = f.cone_invariants, self.cones
-            if f.corner_invariants != self.corners:
-                return None
         else:
             have, fixed = f.corner_invariants, self.corners
-            if f.cone_invariants != self.cones:
-                return None
-        if have == fixed:
-            x, a = 1, 0
-        else:
-            for i, free in enumerate(have):
-                if have[:i] + have[i + 1:] == fixed:
-                    break
-            else:
-                return None
-            x, a = free.b, free.a
+        x = have[-1].b if len(have) > len(fixed) else 1
+        a = sum(i.a for i in have) - sum(i.a for i in fixed)
         y, rem = divmod(self.k * x * f.euler.numerator, f.euler.denominator)
         if rem or (self.mixed and (x - y) % 2) or a != self._numerator(x, y) % x:
             return None
         return x, y
 
     def shapes(self):
-        """The shapes of the fibrations `read` can match: the fixed
+        """The only shapes `read` is given and can match: the fixed
         invariants alone (x = 1), with a free 0/2 or 1/2 added (x = 2), or
         with a free invariant of higher order added (x > 2)."""
         cones, corners = _halves(self.cones), _halves(self.corners)
@@ -361,7 +352,8 @@ def _shape(f: FiberedOrbifold):
 
 def _by_shape(filed):
     """Dict from base shape to the items, in the given order, whose pattern
-    can read a fibration of that shape, from (pattern, item) pairs."""
+    builds that shape, from (pattern, item) pairs: the only ones to read
+    a fibration of the shape, whose structure it fixes."""
     index = {}
     for pattern, item in filed:
         for shape in pattern.shapes():

@@ -596,12 +596,13 @@ def _cmd_atlas(args):
 
 def _atlas_text(max_order: int, as_json: bool) -> str:
     """The atlas lines, joined: one per class under `as_json`, else one per
-    row, a row of an infinite class showing its own key, which is read
-    from the invariant memo as the line is written.  One encoder writes
-    every JSON line, with the bytes of `json.dumps(..., sort_keys=True)`."""
+    row, a row of an infinite class showing its own key, read from its
+    representative, not from the memo the sweep filled, as the line is
+    written.  One encoder writes every JSON line, with the bytes of
+    `json.dumps(..., sort_keys=True)`."""
     import json
 
-    from .classify import _invariant
+    from .classify import _key, _representative
 
     classes, rows = _atlas_classes(max_order)
     encode = json.JSONEncoder(sort_keys=True).encode
@@ -622,7 +623,7 @@ def _atlas_text(max_order: int, as_json: bool) -> str:
         lines = [
             "class %d: %s order=%d %s quotient=%s %s"
             % (cls[0], group, order, side, quotient,
-               "key=%s" % encode(_key_json(_invariant(f))) if f is not None
+               "key=%s" % encode(_key_json(_key(_representative(f)))) if f is not None
                else "fibrations=[%s]" % " | ".join(cls[1]))
             for cls, group, order, side, quotient, f in rows
         ]

@@ -51,11 +51,12 @@ from seifert_orbifolds.cli import run_command
 S2, RP2, D2 = Surface.SPHERE, Surface.PROJECTIVE_PLANE, Surface.DISK
 
 ATLAS_CLASSES_ORDER_200 = 1380  # frozen regression value from the first verified run
-# sha256 of the atlas-200 stdout, --json and text, and of the atlas-400
-# --json stdout, pinned in ROADMAP.md
+# sha256 of the atlas-200 and atlas-400 stdout, --json and text, pinned in
+# ROADMAP.md
 ATLAS_200_JSON_SHA256 = "f6fe62956e97bef42dcaad3f88e80782dba3574565f63cd71aa63b6db836ebae"
 ATLAS_200_TEXT_SHA256 = "a50c44ac21bbfb224edfc038b3b5e6641206f6e28ee8b1a0f8f5934033d7dd5a"
 ATLAS_400_JSON_SHA256 = "a94715bed149a780fd97f03181c96c60faa8d2fcbd3edbbdd5fdb9eeebe34a2e"
+ATLAS_400_TEXT_SHA256 = "cb1d27fb1ab77959b2d9156efae49313e870abd620c8c3e2c8227db3b92f5dc6"
 
 
 def mk(surface, cones, corners, e, xi=None):
@@ -394,6 +395,15 @@ def test_atlas_400_json_sha256():
     text = _atlas(400, "--json")
     assert len(text.splitlines()) == 3327
     assert _sha256(text) == ATLAS_400_JSON_SHA256
+
+
+def test_atlas_400_text_sha256():
+    """The text atlas at order 400, where the sweep's classes overflow the
+    invariant memo, so most infinite-class rows read a key it no longer
+    holds."""
+    text = _atlas(400)
+    assert len(text.splitlines()) == 6452
+    assert _sha256(text) == ATLAS_400_TEXT_SHA256
 
 
 def _manifold_tuples():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seifert_orbifolds import cli
+from seifert_orbifolds import classify, cli
 from seifert_orbifolds.classify import diffeo_key
 from seifert_orbifolds.cli import (
     ParseError,
@@ -281,6 +281,25 @@ class TestAtlas:
         assert infinite and all(row[5] is None for row in infinite)
         for row in infinite:
             assert row[6] == cli._key_json(diffeo_key(parse_fibration(row[4])))
+
+    def test_text_atlas_reads_no_key_through_the_memo(self, monkeypatch):
+        """The text atlas calls `_invariant` only where the --json sweep
+        does: an infinite-class row reads its key from its small-base
+        representative, not through the bounded memo, which the sweep at
+        order 400 has overfilled."""
+        original, calls = classify._invariant, []
+
+        def counted(f):
+            calls.append(f)
+            return original(f)
+
+        monkeypatch.setattr(classify, "_invariant", counted)
+        counts = []
+        for as_json in (True, False):
+            calls.clear()
+            cli._atlas_text(400, as_json)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "atlas.txt"
