@@ -23,37 +23,41 @@ none), and it checks that y = k*x*e is an integer and the free numerator.
 
 A *rule* pairs a left and a right pattern with a parameter map and its
 inverse (swap (x, y) -> (|y|, -sgn(y)*x), halve y, or halve both) and a
-domain on the left parameters.  `_rewrites` reads f against both sides of
-the rules and builds the other side, so each move applies in both
-directions and rewriting is involutive by construction.  The sporadic
-pairs on S2(2,3,b) / D2(;2,3,b) / D2(3;2) bases are constant data, a dict
-from each fibration to its partner.  A *bridge* row takes an exceptional
-tuple of the infinite regime (|y| = 1) to a representative over a base
-with at most two cone points or corners; the first row that reads f wins.
-The class, the key and the diffeomorphism decision all read that one
-small-base fibration, `_representative`.  The two sporadic orbifolds
-fibering over both S2(2,2) and D2 connect the sphere and disk classes.
-Orientation reversal takes build(x, y) to build(x, -y), and every domain
-reads y through |y| only, so the rules and bridges are closed under it.
+domain on the left parameters.  A move reads f against either side of a
+rule and builds the other side, so each rule applies in both directions
+and rewriting is involutive by construction.  The sporadic pairs on
+S2(2,3,b) / D2(;2,3,b) / D2(3;2) bases are constant data, a dict from
+each fibration to its partner.  A *bridge* row takes an exceptional tuple
+of the infinite regime (|y| = 1) to a representative over a base with at
+most two cone points or corners; the first row that reads f with
+parameters in its domain wins.  The class, the key and the
+diffeomorphism decision all read that one small-base fibration,
+`_representative`.  The two sporadic orbifolds fibering over both
+S2(2,2) and D2 connect the sphere and disk classes.  Orientation
+reversal takes build(x, y) to build(x, -y), and every domain reads y
+through |y| only, so the rules and bridges are closed under it.
 
 A fibration's shape is its surface, its numbers of cone points and of
 corners, and the numerators of its order-2 cone and corner invariants.  A
 pattern builds four shapes only: its fixed invariants alone (x = 1), with
 a free 0/2 or 1/2 added (x = 2), and with a free invariant of higher
 order added (x > 2).  The index by shape is the one structural test.  At
-import, `_MOVES` groups the moves, each rule once per direction, by
-source pattern, and files each (source, moves) pair, as
-`_BRIDGES_BY_SHAPE` files each bridge row, under the shapes of the source
-pattern, in table order.  `_rewrites` and `_bridge` read f only by the
-patterns filed under f's shape; one read serves every move of a source,
-and the first bridge row that reads f still wins.
+import, `_INDEX` files each rule side, as a source, under its shapes,
+together with its moves (each rule once per direction) and the bridge
+rows it is the source of.  Every bridge source is a rule side, and under
+every shape the bridge rows come in table order.  So `_readings` reads f
+once by each source filed under its shape, and those readings serve both
+f's moves and its bridge: `_bridge` takes the first bridge row of the
+readings whose domain holds, and reads nothing itself.
 
-A closure reads each member once by each source pattern filed under its
-shape, when the member joins, and files each reading: (pattern, (x, y))
-to the member that pattern reads with (x, y), in a dict that lives for
-that closure only.  A move whose target (pattern, parameters) is filed
-takes that member; only an unfiled target is built, so each member but
-the input is built once.
+A closure reads each member once, when it joins, and files each
+reading: (pattern, (x, y)) to the member that pattern reads with (x, y),
+in a dict that lives for that closure only.  The same readings check
+that the member is still finite (`_still_finite`: its base is not small
+and no bridge row holds) and give its moves.  A move whose target
+(pattern, parameters) is filed takes that member; only an unfiled target
+is built.  So each member is shaped and read once, and each but the input
+is built once.
 
 Each public function validates its arguments once, through
 `_require_normal_spherical`, and hands the normal form to a private core
@@ -350,45 +354,41 @@ def _shape(f: FiberedOrbifold):
     return f.base.surface, len(cones), len(corners), _halves(cones), _halves(corners)
 
 
-def _by_shape(filed):
-    """Dict from base shape to the items, in the given order, whose pattern
-    builds that shape, from (pattern, item) pairs: the only ones to read
-    a fibration of the shape, whose structure it fixes."""
-    index = {}
-    for pattern, item in filed:
-        for shape in pattern.shapes():
-            index.setdefault(shape, []).append(item)
-    return {shape: tuple(found) for shape, found in index.items()}
-
-
-def _by_source(rules):
-    """(source, moves) for each pattern on either side of the rules, in
-    order of first appearance, with moves the tuple of (name, target, move,
-    domain): source(x, y) with (x, y) in the domain is rewritten to
-    target(move(x, y))."""
+def _by_shape(rules, bridges):
+    """The shape index: dict from base shape to (source, moves, bridge
+    rows) for each pattern on either side of the rules that builds the
+    shape, in order of first appearance.  moves is the tuple of (name,
+    target, move, domain), each rule once per direction: source(x, y) with
+    (x, y) in the domain is rewritten to target(move(x, y)).  The bridge
+    rows are those of `bridges` with that source, in table order; every
+    bridge source is a rule side.  Only the patterns filed under a shape
+    read a fibration of it, whose structure the shape fixes."""
     moves = {}
     for name, left, right, (there, back), domain in rules:
         moves.setdefault(left, []).append((name, right, there, domain))
         moves.setdefault(right, []).append(
             (name, left, back, lambda x, y, back=back, domain=domain: domain(*back(x, y))))
-    return [(source, tuple(found)) for source, found in moves.items()]
+    index = {}
+    for source, found in moves.items():
+        entry = source, tuple(found), tuple(row for row in bridges if row[1] is source)
+        for shape in source.shapes():
+            index.setdefault(shape, []).append(entry)
+    return {shape: tuple(entries) for shape, entries in index.items()}
 
 
-# Each rule in both directions, grouped by source pattern as (source, moves).
-_MOVES = _by_shape((entry[0], entry) for entry in _by_source(_RULES))
-_BRIDGES_BY_SHAPE = _by_shape((row[1], row) for row in _BRIDGES)
+_INDEX = _by_shape(_RULES, _BRIDGES)
 
 
 def _readings(f: FiberedOrbifold, filed: dict):
-    """((x, y), moves) for each source pattern filed under f's shape that
-    reads f with (x, y); each reading is also filed, as filed[id(source),
-    (x, y)] = f."""
+    """((x, y), moves, bridge rows) for each source pattern filed under f's
+    shape that reads f with (x, y); each reading is also filed, as
+    filed[id(source), (x, y)] = f."""
     found = []
-    for source, moves in _MOVES.get(_shape(f), ()):
+    for source, moves, bridges in _INDEX.get(_shape(f), ()):
         xy = source.read(f)
         if xy is not None:
             filed[id(source), xy] = f
-            found.append((xy, moves))
+            found.append((xy, moves, bridges))
     return found
 
 
@@ -396,7 +396,7 @@ def _moves(f: FiberedOrbifold, readings, filed: dict):
     """(rule name, fibration) for each move of f's readings whose domain
     holds, then f's sporadic partner: a target already filed is that
     member, any other is built."""
-    for xy, moves in readings:
+    for xy, moves, _ in readings:
         for name, target, move, domain in moves:
             if domain(*xy):
                 to = move(*xy)
@@ -407,39 +407,34 @@ def _moves(f: FiberedOrbifold, readings, filed: dict):
         yield "sporadic", partner
 
 
-def _rewrites(f: FiberedOrbifold):
-    """(rule name, fibration) for each displayed move with f on one side:
-    f is read once by each source pattern filed under its shape, and each
-    target but f itself is built."""
-    filed = {}
-    return _moves(f, _readings(f, filed), filed)
-
-
 def single_step(f: FiberedOrbifold) -> set[FiberedOrbifold]:
     """All fibrations one displayed move away from f (finite class only)."""
     f = _require_normal_spherical(f)
     if _fibration_class(f) is not FibrationClass.FINITE:
         raise InfiniteClassError("single_step requires a finite-class fibration")
-    out = {g for _, g in _rewrites(f)}
+    filed = {}
+    out = {g for _, g in _moves(f, _readings(f, filed), filed)}
     out.discard(f)
     for g in out:
-        _still_finite(f, g)
+        _still_finite(f, g, _readings(g, {}))
     return out
 
 
-def _still_finite(f: FiberedOrbifold, g: FiberedOrbifold) -> FiberedOrbifold:
-    """g, a rewrite of f; AssertionError if g left the finite class."""
-    if _fibration_class(g) is not FibrationClass.FINITE:
+def _still_finite(f: FiberedOrbifold, g: FiberedOrbifold, readings):
+    """g's readings, for g a rewrite of f; AssertionError if g left the
+    finite class: its base is small or one of its bridge rows holds."""
+    if _small_base(g) or _bridge(g, readings) is not None:
         raise AssertionError("rewrite left the finite class: %s -> %s" % (f, g))
-    return g
+    return readings
 
 
-def _bridge(f: FiberedOrbifold):
-    """(row name, target) of the first bridge row that reads f, or None."""
-    for name, source, domain, target in _BRIDGES_BY_SHAPE.get(_shape(f), ()):
-        xy = source.read(f)
-        if xy is not None and domain(*xy):
-            return name, _normal_form(*target(*xy, f.euler))
+def _bridge(f: FiberedOrbifold, readings):
+    """(row name, target) of the first bridge row of f's readings whose
+    domain holds, or None; it reads nothing itself."""
+    for xy, _, bridges in readings:
+        for name, _, domain, target in bridges:
+            if domain(*xy):
+                return name, _normal_form(*target(*xy, f.euler))
     return None
 
 
@@ -449,7 +444,8 @@ def enumerate_bridges(f: FiberedOrbifold):
     Returns the partner fibration displayed for f (for any parameter and
     either orientation), or None when f matches no exceptional pattern.
     """
-    hit = _bridge(_require_normal_spherical(f))
+    f = _require_normal_spherical(f)
+    hit = _bridge(f, _readings(f, {}))
     return None if hit is None else hit[1]
 
 
@@ -463,12 +459,10 @@ def _representative(f: FiberedOrbifold):
     bridge target), or None when f is in the finite class."""
     if _small_base(f):
         return f
-    hit = _bridge(f)
-    if hit is None:
-        return None
-    if not _small_base(hit[1]):
+    hit = _bridge(f, _readings(f, {}))
+    if hit is not None and not _small_base(hit[1]):
         raise AssertionError("bridge of %s landed in the finite class" % (f,))
-    return hit[1]
+    return None if hit is None else hit[1]
 
 
 def _fibration_class(f: FiberedOrbifold) -> FibrationClass:
@@ -495,9 +489,10 @@ def enumerate_fibrations(f: FiberedOrbifold) -> set[FiberedOrbifold]:
 def _enumerate_fibrations(f: FiberedOrbifold) -> set[FiberedOrbifold]:
     """The closure of the finite-class normal form f under the rewrites.
 
-    Each member is checked finite and read by the source patterns filed
-    under its shape once, when it joins; a move whose target is already
-    filed reuses that member, so each member but f is built once."""
+    Each member is read by the source patterns filed under its shape once,
+    when it joins, and those readings check it finite and give its moves;
+    a move whose target is already filed reuses that member, so each
+    member but f is built once."""
     filed = {}
     seen = {f}
     frontier = [(f, _readings(f, filed))]
@@ -505,8 +500,8 @@ def _enumerate_fibrations(f: FiberedOrbifold) -> set[FiberedOrbifold]:
         g, readings = frontier.pop()
         for _, h in _moves(g, readings, filed):
             if h not in seen:
-                seen.add(_still_finite(g, h))
-                frontier.append((h, _readings(h, filed)))
+                seen.add(h)
+                frontier.append((h, _still_finite(g, h, _readings(h, filed))))
         if len(seen) > 3:
             raise AssertionError("rewrite closure exceeded three fibrations: %s" % seen)
     return seen

@@ -722,7 +722,11 @@ def run_command(argv) -> int:
             print(out)
         return code
     except (UnsupportedFamilyError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        message = str(exc)
+        if "integer string conversion;" in message:  # str(), not int(), refused a number
+            message = "answer too long to print: a number in it has more than %d digits" % (
+                sys.get_int_max_str_digits())
+        print("error: %s" % message, file=sys.stderr)
         return 2 if isinstance(exc, UnsupportedFamilyError) else 1
 
 

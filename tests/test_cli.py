@@ -579,6 +579,38 @@ def test_a_max_order_longer_than_int_converts_exits_1():
         1, "", "error: --max-order too long: %d digits, at most %d\n" % (limit + 1, limit))
 
 
+def _answer_too_long():
+    """A valid input whose every number int() converts, but whose lens p,
+    9 * (10**limit - 1), has one digit more than str() prints; and the
+    limit."""
+    _, limit = _over_the_digit_limit()
+    return "S2(3,3); 1/3,2/3; ; -%s" % ("9" * limit), limit
+
+
+@pytest.mark.parametrize("argv", [
+    ["lens"], ["fibrations"], ["--json", "validate"], ["--json", "normalize"],
+    ["--json", "classify"], ["--json", "fibrations"], ["--json", "lens"],
+])
+def test_an_answer_too_long_to_print_exits_1_with_a_message(argv):
+    text, limit = _answer_too_long()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv + [text])
+    assert (code, out.getvalue(), err.getvalue()) == (
+        1, "", "error: answer too long to print: a number in it has more than %d digits\n"
+        % limit)
+
+
+def test_text_reports_of_a_long_answer_print_no_long_number():
+    """Text classify prints no number; text validate and normalize print
+    the input's, which str() converts."""
+    text, limit = _answer_too_long()
+    assert run("classify", text) == (0, "spherical; fibrations: infinite", "")
+    for command in ("validate", "normalize"):
+        code, out, err = run(command, text)
+        assert (code, err) == (0, "") and "9" * limit in out
+
+
 def test_huge_euler_class_is_answered_quickly():
     start = time.perf_counter()
     code, out, err = run("lens", "S2; ; -1000000007")

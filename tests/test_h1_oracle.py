@@ -16,8 +16,10 @@ the fibre h.  With b0 = -(e + sum a_i/b_i), an integer on S2 and RP2:
     corner, where s_k stands for s_0 + xi h; with no corner, xi h = 0.
 The README's class, whose members lie over S2, D2 with a cone point and
 D2 with corners, and the quaternion space, fibered over S2(2,2,2) and
-over RP2, pin these conventions.  The oracle imports only `core` and the
-parser, and reads the atlas as the command line prints it.
+over RP2, pin these conventions.  `relations`, `invariant_factors` and
+`h1` use only `core` values and the parser; the classes are read as the
+command line prints them, from `--json atlas` and from `--json fibrations`
+on each value of `test_rule_table.grid()`.
 """
 
 import contextlib
@@ -29,6 +31,7 @@ from math import prod
 
 from seifert_orbifolds.cli import parse_fibration, run_command
 from seifert_orbifolds.core import Surface, normalize, reverse_orientation
+from test_rule_table import grid
 
 
 def relations(f):
@@ -181,3 +184,29 @@ def test_h1_order_divides_the_group_order():
             assert free == 0 and order % prod(torsion) == 0, (order, f)
             rows += 1
     assert rows > 6000
+
+
+def test_every_finite_grid_class_has_one_h1():
+    """Each finite class of the rule table's grid, as `seifert --json
+    fibrations` lists it, has one H1, and the mirror of each member has it
+    too: these are the closures the rewrite rules build, checked by an
+    invariant that shares no code with them."""
+    member_of = {}
+    counts = Counter()
+    for f in sorted(grid(), key=str):
+        if f in member_of:
+            continue
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run_command(["--json", "fibrations", str(f)]) == 0, f
+        report = json.loads(out.getvalue())
+        counts[report["count"]] += 1
+        if report["count"] == "infinite":
+            continue
+        members = [read(t) for t in report["fibrations"]]
+        assert f in members
+        found = {h1(g) for g in members} | {h1(reverse_orientation(g)) for g in members}
+        assert len(found) == 1, members
+        member_of.update(dict.fromkeys(members, members))
+    assert len(grid() & set(member_of)) == 7174 and len(member_of) > 7174
+    assert counts[3] > 100 and counts["infinite"] > 0

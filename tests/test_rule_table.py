@@ -11,8 +11,7 @@ from itertools import product
 
 from seifert_orbifolds.classify import (
     _BRIDGES,
-    _BRIDGES_BY_SHAPE,
-    _MOVES,
+    _INDEX,
     _RULES,
     _SPORADIC,
     FibrationClass,
@@ -20,7 +19,6 @@ from seifert_orbifolds.classify import (
     _enumerate_fibrations,
     _moves,
     _readings,
-    _rewrites,
     _shape,
     are_diffeomorphic,
     diffeo_signature,
@@ -81,14 +79,27 @@ def grid(limit=20):
     return frozenset(out)
 
 
+def rewrites(f):
+    """(rule name, fibration) for each displayed move with f on one side,
+    as a closure's first step finds them: f is read once by each source
+    pattern filed under its shape, and each target but f itself is built."""
+    filed = {}
+    return _moves(f, _readings(f, filed), filed)
+
+
+def bridge(f):
+    """(row name, target) of the first bridge row that reads f, or None."""
+    return _bridge(f, _readings(f, {}))
+
+
 def test_every_move_and_bridge_keeps_the_orbifold_order():
     fired = Counter()
     for f in grid():
         if fibration_class(f) is FibrationClass.FINITE:
-            for name, g in _rewrites(f):
+            for name, g in rewrites(f):
                 assert orbifold_order(g) == orbifold_order(f), (name, f, g)
                 fired[name] += 1
-        hit = _bridge(f)
+        hit = bridge(f)
         if hit is not None:
             name, g = hit
             assert orbifold_order(g) == orbifold_order(f), (name, f, g)
@@ -205,7 +216,9 @@ def test_sporadic_dict_holds_each_pair_both_ways():
 def test_shape_index_is_exact():
     """The index files a pattern under every shape the reference reader
     reads by it, and `_Pattern.read` agrees with the reference, None
-    included, on every value of a shape the pattern is filed under."""
+    included, on every value of a shape the pattern is filed under.  Under
+    every shape, the bridge rows in index order keep the table's order, so
+    the first row of a fibration's readings that holds is the table's."""
     values = grid() | atlas_values(200) | set(_SPORADIC)
     values |= {reverse_orientation(f) for f in values}
     patterns = {id(p): p for _, left, right, _, _ in _RULES for p in (left, right)}
@@ -214,8 +227,8 @@ def test_shape_index_is_exact():
     read = declined = 0
     for f in values:
         shape = _shape(f)
-        moved = {id(source) for source, _ in _MOVES.get(shape, ())}
-        bridged = {id(row) for row in _BRIDGES_BY_SHAPE.get(shape, ())}
+        moved = {id(source) for source, _, _ in _INDEX.get(shape, ())}
+        bridged = {id(row) for _, _, rows in _INDEX.get(shape, ()) for row in rows}
         for pattern in patterns.values():
             want = reference_read(pattern, f)
             if want is not None:
@@ -230,15 +243,23 @@ def test_shape_index_is_exact():
             if id(row) in bridged:
                 assert row[1].read(f) == reference_read(row[1], f), (row[0], f)
     assert len(values) > 8000 and read > 8000 and declined > 1000
+    table = {id(row): i for i, row in enumerate(_BRIDGES)}
+    shared = 0
+    for shape, entries in _INDEX.items():
+        assert all(row[1] is source for source, _, rows in entries for row in rows), shape
+        reached = [table[id(row)] for _, _, rows in entries for row in rows]
+        assert reached == sorted(reached), shape
+        shared += len(reached) > 1
+    assert shared > 0
 
 
 def test_shape_index_matches_the_full_scan():
     values = grid() | atlas_values(200) | set(_SPORADIC)
     moved = bridged = 0
     for f in values:
-        got = Counter(_rewrites(f))
+        got = Counter(rewrites(f))
         assert got == Counter(rewrites_by_full_scan(f)), f
-        hit = _bridge(f)
+        hit = bridge(f)
         assert hit == bridge_by_full_scan(f), f
         moved += sum(got.values())
         bridged += hit is not None
@@ -264,8 +285,8 @@ def decoys(readings):
     """(decoy, target) for each move of the readings whose domain holds, with
     target what the move builds and decoy what each other source pattern
     builds, reads back and files under the same (x, y)."""
-    sources = {id(s): s for index in _MOVES.values() for s, _ in index}.values()
-    for xy, moves in readings:
+    sources = {id(s): s for index in _INDEX.values() for s, _, _ in index}.values()
+    for xy, moves, _ in readings:
         for _, target, move, domain in moves:
             if domain(*xy):
                 to = move(*xy)

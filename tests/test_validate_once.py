@@ -158,12 +158,13 @@ def test_atlas_builds_each_hopf_quotient_once(monkeypatch):
 
 
 def test_atlas_reads_patterns_by_base_shape(monkeypatch):
-    """Only the rule sides and bridge rows filed under a fibration's shape,
-    its order-2 invariants included, read it, and a closure reads each
-    member once by each source pattern: 28,413 reads in the unindexed scan
-    of this sweep, 7,327 when filed by surface and counts alone, 3,363
-    when filed by shape, 2,771 before a closure filed its readings, and
-    2,049 now."""
+    """Only the source patterns filed under a fibration's shape, its
+    order-2 invariants included, read it, and a closure reads each member
+    once by each of them, for its moves and its bridge rows alike: 28,413
+    reads in the unindexed scan of this sweep, 7,327 when filed by surface
+    and counts alone, 3,363 when filed by shape, 2,771 before a closure
+    filed its readings, 1,999 while the bridge rows had an index of their
+    own, and 1,625 now."""
     original = classify._Pattern.read
     reads = []
 
@@ -173,7 +174,7 @@ def test_atlas_reads_patterns_by_base_shape(monkeypatch):
 
     monkeypatch.setattr(classify._Pattern, "read", counted)
     _atlas_json(100)
-    assert 0 < len(reads) <= 2100
+    assert 0 < len(reads) <= 1700
 
 
 def test_each_built_value_computes_the_relation_once(monkeypatch):
@@ -248,12 +249,38 @@ def test_closures_check_each_added_member_once(monkeypatch):
     """A closure asks whether a fibration stays in the finite class once
     for each member it adds, not for every rewrite output (884 calls for
     398 added members in an atlas-100 sweep)."""
-    checked = _count_calls(monkeypatch, "_fibration_class")
+    checked = _count_calls(monkeypatch, "_still_finite")
     enumerations = _count_calls(monkeypatch, "_enumerate_fibrations")
     _atlas_json(60)
     added = [h for (f,), members in enumerations for h in members if h != f]
     assert added
-    assert sorted(map(str, (g for (g,), _ in checked))) == sorted(map(str, added))
+    assert sorted(map(str, (g for (_, g, _), _ in checked))) == sorted(map(str, added))
+
+
+def test_closures_shape_each_member_once(monkeypatch):
+    """A closure shapes each member once, when it joins: one read of the
+    member serves both its finiteness check and its moves."""
+    original_shape = classify._shape
+    shaped = []
+
+    def counted_shape(f):
+        shaped.append(f)
+        return original_shape(f)
+
+    original = classify._enumerate_fibrations
+    closures = []
+
+    def counted(f):
+        before = len(shaped)
+        members = original(f)
+        closures.append((members, Counter(shaped[before:])))
+        return members
+
+    monkeypatch.setattr(classify, "_shape", counted_shape)
+    monkeypatch.setattr(classify, "_enumerate_fibrations", counted)
+    _atlas_json(100)
+    assert Counter(len(members) for members, _ in closures)[3] > 20
+    assert [(m, n) for m, n in closures if n != Counter(m)] == []
 
 
 def test_closures_build_each_member_once(monkeypatch):
@@ -290,16 +317,16 @@ def test_closures_build_each_member_once(monkeypatch):
 
 
 def test_closure_still_refuses_a_rewrite_that_leaves_the_finite_class(monkeypatch):
-    """With every fibration but FINITE itself reported infinite, the first
-    member the closure would add fails the check."""
-    original = classify._fibration_class
+    """With a bridge row holding for every fibration but FINITE itself, the
+    first member the closure would add fails the check."""
+    original = classify._bridge
 
-    def infinite_but_seed(f):
+    def bridged_but_seed(f, readings):
         if f == FINITE:
-            return original(f)
-        return classify.FibrationClass.INFINITE_SPHERE_SIDE
+            return original(f, readings)
+        return "a bridge", f
 
-    monkeypatch.setattr(classify, "_fibration_class", infinite_but_seed)
+    monkeypatch.setattr(classify, "_bridge", bridged_but_seed)
     with pytest.raises(AssertionError, match="rewrite left the finite class"):
         classify._enumerate_fibrations(FINITE)
     with pytest.raises(AssertionError, match="rewrite left the finite class"):
