@@ -31,9 +31,9 @@ each fibration to its partner.  A *bridge* row takes an exceptional tuple
 of the infinite regime (|y| = 1) to a representative over a base with at
 most two cone points or corners; the first row that reads f with
 parameters in its domain wins.  The class, the key and the
-diffeomorphism decision all read that one small-base fibration,
-`_representative`.  The two sporadic orbifolds fibering over both
-S2(2,2) and D2 connect the sphere and disk classes.  Orientation
+diffeomorphism decision all read that one small-base fibration, the
+representative `_read_class` finds.  The two sporadic orbifolds
+fibering over both S2(2,2) and D2 connect the sphere and disk classes.  Orientation
 reversal takes build(x, y) to build(x, -y), and every domain reads y
 through |y| only, so the rules and bridges are closed under it.
 
@@ -50,26 +50,30 @@ once by each source filed under its shape, and those readings serve both
 f's moves and its bridge: `_bridge` takes the first bridge row of the
 readings whose domain holds, and reads nothing itself.
 
-A closure reads each member once, when it joins, and files each
-reading: (pattern, (x, y)) to the member that pattern reads with (x, y),
-in a dict that lives for that closure only.  The same readings check
-that the member is still finite (`_still_finite`: its base is not small
-and no bridge row holds) and give its moves.  A move whose target
-(pattern, parameters) is filed takes that member; only an unfiled target
-is built.  So each member is shaped and read once, and each but the input
-is built once.
+Each input is read once.  `_read_class(f, filed)` is the one test of
+"small base, or a bridge row holds": a small-base f is its own
+representative and is neither shaped nor read; any other f is read once,
+its readings filed, and the first bridge row of those readings that holds
+gives its representative.  The class check, `_representative`,
+`_still_finite` and `single_step` all go through it.  A closure starts
+from the readings and the filed dict of its input's class check, reads
+each other member once, when it joins, and files each reading:
+(pattern, (x, y)) to the member that pattern reads with (x, y), in a dict
+that lives for that closure only.  The same readings check that the
+member is still finite (`_still_finite`) and give its moves.  A move
+whose target (pattern, parameters) is filed takes that member; only an
+unfiled target is built.  So each member, the input included, is shaped
+and read once, and each but the input is built once.
 
 Each public function validates its arguments once, through
 `_require_normal_spherical`, and hands the normal form to a private core
-(`_invariant`, `_fibration_class`, `_key`, ...).  The guard decides
-"valid and spherical" in one integer pass, `core._valid_spherical`, and
-calls `validate` only to word the error of an invalid argument, which is
-reported before a non-spherical one; the command line's report takes its
-verdict from the same pass.  The cores trust their argument and call only
-other cores; the values the rules and bridges build are made and checked
-in one pass by `core._normal_form`.  `_key` reads the Euler class as
-integers and hands `_lens_label` its reduced numerator and denominator,
-or those of 2e on the disk side.
+(`_invariant`, `_representative`, `_key`, ...).  The guard takes its
+verdict from `core._verdict`, the one verdict of every boundary, and
+reports an invalid argument before a non-spherical one.  The cores trust
+their argument and call only other cores; the values the rules and
+bridges build are made and checked in one pass by `core._normal_form`.
+`_key` reads the Euler class as integers and hands `_lens_label` its
+reduced numerator and denominator, or those of 2e on the disk side.
 
 `_invariant(f)`, the frozen fibration set or the DiffeoKey of the normal
 form f, is memoized per process in one LRU cache bounded at
@@ -99,10 +103,9 @@ from .core import (
     LocalInvariant,
     Surface,
     _normal_form,
-    _valid_spherical,
+    _verdict,
     check_valid,
     normalize,
-    validate,
 )
 from .lens import LensSpace, Mode, _cores, _lens_label
 
@@ -146,15 +149,14 @@ _NOT_SPHERICAL = "not spherical: chi(base) <= 0 or e = 0"
 
 def _require_normal_spherical(f: FiberedOrbifold) -> FiberedOrbifold:
     """The guard of the public functions and of the command line: the
-    normal form of f, checked valid and spherical in one pass.  Only a
-    failed check calls `validate`, to word the error."""
-    f = normalize(f)
-    spherical = _valid_spherical(f)
+    normal form of f, by `core._verdict`, or the ValueError of an invalid
+    f, which is reported before that of a non-spherical one."""
+    g, res, spherical = _verdict(f)
+    if not res.ok:
+        raise ValueError("invalid fibration: %s" % "; ".join(res.problems))
     if not spherical:
-        if spherical is None:
-            raise ValueError("invalid fibration: %s" % "; ".join(validate(f).problems))
         raise ValueError(_NOT_SPHERICAL)
-    return f
+    return g
 
 
 # -- patterns, rules and bridges ---------------------------------------------
@@ -408,33 +410,52 @@ def _moves(f: FiberedOrbifold, readings, filed: dict):
 
 
 def single_step(f: FiberedOrbifold) -> set[FiberedOrbifold]:
-    """All fibrations one displayed move away from f (finite class only)."""
+    """All fibrations one displayed move away from f (finite class only).
+    f is read once, for its class and for its moves."""
     f = _require_normal_spherical(f)
-    if _fibration_class(f) is not FibrationClass.FINITE:
-        raise InfiniteClassError("single_step requires a finite-class fibration")
     filed = {}
-    out = {g for _, g in _moves(f, _readings(f, filed), filed)}
-    out.discard(f)
-    for g in out:
-        _still_finite(f, g, _readings(g, {}))
+    g, readings = _read_class(f, filed)
+    if g is not None:
+        raise InfiniteClassError("single_step requires a finite-class fibration")
+    out = {h for _, h in _moves(f, readings, filed) if h != f}
+    for h in out:
+        _still_finite(f, h, filed)
     return out
 
 
-def _still_finite(f: FiberedOrbifold, g: FiberedOrbifold, readings):
-    """g's readings, for g a rewrite of f; AssertionError if g left the
-    finite class: its base is small or one of its bridge rows holds."""
-    if _small_base(g) or _bridge(g, readings) is not None:
+def _read_class(f: FiberedOrbifold, filed: dict):
+    """(g, readings) of the normal form f, read once: g is the small-base
+    fibration of f's class (f itself when its base is small, else the
+    target of its first bridge row that holds), or None when the class is
+    finite.  readings are f's `_readings`, filed in `filed`, or () for a
+    small base, which is neither shaped nor read."""
+    if _small_base(f):
+        return f, ()
+    readings = _readings(f, filed)
+    hit = _bridge(f, readings)
+    return (None if hit is None else hit[1]), readings
+
+
+def _still_finite(f: FiberedOrbifold, g: FiberedOrbifold, filed: dict):
+    """g's readings, filed in `filed`, for g a rewrite of f; AssertionError
+    if g left the finite class: its base is small or a bridge row holds."""
+    h, readings = _read_class(g, filed)
+    if h is not None:
         raise AssertionError("rewrite left the finite class: %s -> %s" % (f, g))
     return readings
 
 
 def _bridge(f: FiberedOrbifold, readings):
     """(row name, target) of the first bridge row of f's readings whose
-    domain holds, or None; it reads nothing itself."""
+    domain holds, or None; it reads nothing itself.  AssertionError if the
+    target's base is not small."""
     for xy, _, bridges in readings:
         for name, _, domain, target in bridges:
             if domain(*xy):
-                return name, _normal_form(*target(*xy, f.euler))
+                g = _normal_form(*target(*xy, f.euler))
+                if not _small_base(g):
+                    raise AssertionError("bridge of %s landed in the finite class" % (f,))
+                return name, g
     return None
 
 
@@ -451,27 +472,18 @@ def enumerate_bridges(f: FiberedOrbifold):
 
 def fibration_class(f: FiberedOrbifold) -> FibrationClass:
     """Finite count, or infinitely many on the sphere or on the disk side."""
-    return _fibration_class(_require_normal_spherical(f))
-
-
-def _representative(f: FiberedOrbifold):
-    """The small-base fibration of f's infinite class (f itself or its one
-    bridge target), or None when f is in the finite class."""
-    if _small_base(f):
-        return f
-    hit = _bridge(f, _readings(f, {}))
-    if hit is not None and not _small_base(hit[1]):
-        raise AssertionError("bridge of %s landed in the finite class" % (f,))
-    return None if hit is None else hit[1]
-
-
-def _fibration_class(f: FiberedOrbifold) -> FibrationClass:
-    g = _representative(f)
+    g = _representative(_require_normal_spherical(f))
     if g is None:
         return FibrationClass.FINITE
     if g.base.surface is _S2:
         return FibrationClass.INFINITE_SPHERE_SIDE
     return FibrationClass.INFINITE_DISK_SIDE
+
+
+def _representative(f: FiberedOrbifold):
+    """The small-base fibration of f's infinite class (f itself or its one
+    bridge target), or None when f is in the finite class."""
+    return _read_class(f, {})[0]
 
 
 def enumerate_fibrations(f: FiberedOrbifold) -> set[FiberedOrbifold]:
@@ -486,22 +498,22 @@ def enumerate_fibrations(f: FiberedOrbifold) -> set[FiberedOrbifold]:
     return set(invariant)
 
 
-def _enumerate_fibrations(f: FiberedOrbifold) -> set[FiberedOrbifold]:
-    """The closure of the finite-class normal form f under the rewrites.
+def _enumerate_fibrations(f: FiberedOrbifold, readings, filed: dict) -> set[FiberedOrbifold]:
+    """The closure of the finite-class normal form f under the rewrites,
+    from the readings of f that its class check filed in `filed`.
 
-    Each member is read by the source patterns filed under its shape once,
-    when it joins, and those readings check it finite and give its moves;
-    a move whose target is already filed reuses that member, so each
-    member but f is built once."""
-    filed = {}
+    Each other member is read by the source patterns filed under its shape
+    once, when it joins, and those readings check it finite and give its
+    moves; a move whose target is already filed reuses that member, so
+    each member but f is built once."""
     seen = {f}
-    frontier = [(f, _readings(f, filed))]
+    frontier = [(f, readings)]
     while frontier:
         g, readings = frontier.pop()
         for _, h in _moves(g, readings, filed):
             if h not in seen:
                 seen.add(h)
-                frontier.append((h, _still_finite(g, h, _readings(h, filed))))
+                frontier.append((h, _still_finite(g, h, filed)))
         if len(seen) > 3:
             raise AssertionError("rewrite closure exceeded three fibrations: %s" % seen)
     return seen
@@ -566,10 +578,12 @@ _MEMO_MAXSIZE = 1024
 @lru_cache(maxsize=_MEMO_MAXSIZE)
 def _invariant(f: FiberedOrbifold):
     """Frozen fibration set (finite class) or DiffeoKey (infinite class) of
-    the normal form f, memoized: both values are immutable."""
-    g = _representative(f)
+    the normal form f, memoized: both values are immutable.  f is read
+    once: its readings decide its class and start its closure."""
+    filed = {}
+    g, readings = _read_class(f, filed)
     if g is None:
-        return frozenset(_enumerate_fibrations(f))
+        return frozenset(_enumerate_fibrations(f, readings, filed))
     return _key(g)
 
 

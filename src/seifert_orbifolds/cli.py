@@ -50,13 +50,12 @@ from .core import (
     _too_long,
     _trusted,
     _trusted_base,
-    _valid_spherical,
+    _verdict,
     euler_characteristic,
     format_rational,
     is_spherical,
     normalize,
     solve_xi,
-    validate,
 )
 
 
@@ -377,17 +376,13 @@ def _key_json(k):
 
 
 def _answer(f: FiberedOrbifold):
-    """(normal form, its ValidationResult, invariant) of f; the invariant,
-    the fibration set or DiffeoKey, is None unless f is valid and
-    spherical.  The guard's one pass decides both, and only an invalid f
-    is handed to `validate`, for its problems."""
+    """(normal form, its ValidationResult, invariant) of f, from the
+    verdict of `core._verdict`; the invariant, the fibration set or
+    DiffeoKey, is None unless f is valid and spherical."""
     import seifert_orbifolds.classify as classify
 
-    g = normalize(f)
-    spherical = _valid_spherical(g)
-    if spherical is None:
-        return g, validate(g), None
-    return g, _VALID, classify._invariant(g) if spherical else None
+    g, res, spherical = _verdict(f)
+    return g, res, classify._invariant(g) if spherical else None
 
 
 def _report(f, g, res, invariant) -> dict:
@@ -425,8 +420,7 @@ def _cmd_validate(args):
     if args.json:
         report = expression_report(f)
         return (0 if report["valid"] else 1), report
-    g = normalize(f)
-    res = validate(g)
+    g, res, _ = _verdict(f)
     if res.ok:
         return 0, "ok: %s" % g
     return 1, "\n".join(["invalid: %s" % f] + ["  " + p for p in res.problems])

@@ -15,6 +15,13 @@ For an oriented fibered orbifold these data satisfy
 where i runs over cone points, j over corner reflectors and k over boundary
 components.  `validate` checks exactly this relation together with the
 label/invariant matching.
+
+Whether an input is valid and spherical is decided in one place,
+`_verdict`: it normalizes the input and decides both in one integer pass,
+`_valid_spherical`, and calls `validate` only for an invalid input, to
+word its problems.  The classifier's guard, the command line's report and
+its `validate` command, and the lens module's two-fraction route all take
+their verdict from it.
 """
 
 from __future__ import annotations
@@ -101,6 +108,7 @@ class TwoOrbifold:
     corner_labels: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "surface", Surface(self.surface))  # a member, or its name
         object.__setattr__(self, "cone_labels", _as_label_tuple(self.cone_labels))
         object.__setattr__(self, "corner_labels", _as_label_tuple(self.corner_labels))
         if self.corner_labels and self.surface is not Surface.DISK:
@@ -190,6 +198,8 @@ class FiberedOrbifold:
     _str = None
 
     def __post_init__(self):
+        if not isinstance(self.base, TwoOrbifold):
+            raise ValueError("the base must be a TwoOrbifold, got %r" % (self.base,))
         object.__setattr__(self, "cone_invariants", _as_invariants(self.cone_invariants))
         object.__setattr__(self, "corner_invariants", _as_invariants(self.corner_invariants))
         if not isinstance(self.euler, Fraction):
@@ -214,11 +224,7 @@ class FiberedOrbifold:
         """
         cones = _as_invariants(cone_pairs)
         corners = _as_invariants(corner_pairs)
-        base = TwoOrbifold(
-            Surface(surface) if not isinstance(surface, Surface) else surface,
-            tuple(i.b for i in cones),
-            tuple(i.b for i in corners),
-        )
+        base = TwoOrbifold(surface, tuple(i.b for i in cones), tuple(i.b for i in corners))
         e = _as_rational(euler)
         if base.boundary_components == 0:
             bits = ()
@@ -487,10 +493,7 @@ def reverse_orientation(f: FiberedOrbifold) -> FiberedOrbifold:
     cones = tuple(i.negated() for i in f.cone_invariants)
     corners = tuple(i.negated() for i in f.corner_invariants)
     e = -f.euler
-    if f.base.boundary_components:
-        xi = (solve_xi(cones, corners, e),)
-    else:
-        xi = ()
+    xi = (solve_xi(cones, corners, e),) if f.base.boundary_components else ()
     return normalize(FiberedOrbifold(f.base, cones, corners, e, xi))
 
 
@@ -519,6 +522,16 @@ def _valid_spherical(f: FiberedOrbifold) -> bool | None:
     if (n + d * sum(f.xi)) % (2 * d):
         return None
     return chi > 0 and e.numerator != 0
+
+
+def _verdict(f: FiberedOrbifold) -> tuple[FiberedOrbifold, ValidationResult, bool]:
+    """(normal form g of f, its ValidationResult, whether g is valid and
+    spherical): the one verdict of every public boundary, from one
+    `_valid_spherical` pass.  Only an invalid g is handed to `validate`,
+    to word its problems."""
+    g = normalize(f)
+    spherical = _valid_spherical(g)
+    return g, _VALID if spherical is not None else validate(g), bool(spherical)
 
 
 def s3_fibration(u: int, v: int, sign: int = 1) -> FiberedOrbifold:

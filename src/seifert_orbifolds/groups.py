@@ -237,6 +237,10 @@ class GroupFamily:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        try:  # a member, or its name
+            object.__setattr__(self, "family", Family(self.family))
+        except ValueError:
+            raise ValueError("unknown family %r" % (self.family,)) from None
         row = _TABLE[self.family]
         names = row.params
         given = dict(self.params)
@@ -311,12 +315,7 @@ def parse_group(text: str) -> GroupFamily:
                 params[key] = int(val)
             except ValueError:
                 raise ValueError(_too_long("group parameter %s" % key, val)) from None
-    name = name.strip()
-    try:
-        family = Family(name)
-    except ValueError:
-        raise ValueError("unknown family %r" % name) from None
-    return GroupFamily(family, params)
+    return GroupFamily(name.strip(), params)
 
 
 def _rejection(pairs, values):

@@ -44,7 +44,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .core import FiberedOrbifold, Surface, _as_rational, _integer, is_spherical, validate
+from .core import FiberedOrbifold, Surface, _as_rational, _integer, _verdict
 
 
 class Mode(Enum):
@@ -63,7 +63,8 @@ class ClassicalSeifert:
     fractions: tuple[Fraction, Fraction]
 
     def __post_init__(self):
-        fr = tuple(_as_rational(x, "classical fractions") for x in self.fractions)
+        fractions = self.fractions if isinstance(self.fractions, (tuple, list)) else ()
+        fr = tuple(_as_rational(x, "classical fractions") for x in fractions)
         if len(fr) != 2:
             raise ValueError("classical data has exactly two fractions")
         object.__setattr__(self, "fractions", fr)
@@ -81,8 +82,8 @@ class LensSpace:
     """Oriented lens space L(p, q), stored with p > 0 and 0 <= q < p.
 
     The defining data are invariant under simultaneous negation, so
-    constructors accept any (p, q) with p != 0 and flip both signs before
-    reducing q modulo p.
+    constructors accept any (p, q) with p != 0 and gcd(p, q) = 1, and flip
+    both signs before reducing q modulo p.
     """
 
     p: int
@@ -92,6 +93,8 @@ class LensSpace:
         p, q = _integer(self.p, "p and q"), _integer(self.q, "p and q")
         if p == 0:
             raise ValueError("p = 0 does not name a lens space")
+        if gcd(p, q) != 1:
+            raise ValueError("L(p, q) needs gcd(p, q) = 1, got p = %d, q = %d" % (p, q))
         if p < 0:
             p, q = -p, -q
         object.__setattr__(self, "p", p)
@@ -119,7 +122,7 @@ def classical_from_fibration(f: FiberedOrbifold) -> tuple[ClassicalSeifert, int,
     """
     if f.base.surface is not Surface.SPHERE or len(f.base.cone_labels) > 2:
         raise ValueError("base must be a sphere with at most two cone points")
-    if not validate(f).ok or not is_spherical(f):
+    if not _verdict(f)[2]:
         raise ValueError("expected a valid spherical fibration")
     cores, (i1, i2) = _cores(f.cone_invariants)
     reduced = [Fraction(a, b) for a, b in cores]

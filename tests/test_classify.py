@@ -343,7 +343,7 @@ def test_one_signature_comparison_agrees_with_the_two_branch_decision():
     from seifert_orbifolds.classify import (
         _enumerate_fibrations,
         _key,
-        _representative,
+        _read_class,
         _signature,
     )
     from seifert_orbifolds.cli import parse_fibration, run_command
@@ -356,8 +356,10 @@ def test_one_signature_comparison_agrees_with_the_two_branch_decision():
                  for m in json.loads(line)["members"]}
     by_order = {}
     for f in quotients | {reverse_orientation(f) for f in quotients}:
-        r = _representative(f)
-        old = (True, _enumerate_fibrations(f)) if r is None else (False, _signature(_key(r)))
+        filed = {}
+        r, readings = _read_class(f, filed)
+        old = ((True, _enumerate_fibrations(f, readings, filed)) if r is None
+               else (False, _signature(_key(r))))
         by_order.setdefault(orbifold_order(f), []).append((f, old))
 
     outcomes = Counter()

@@ -13,6 +13,8 @@ kept here as the oracle.
 from __future__ import annotations
 
 import contextlib
+import io
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd
 
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seifert_orbifolds import classify, cli, lens
+from seifert_orbifolds import classify, cli, core, lens
 from seifert_orbifolds.classify import DiffeoKey, OrbifoldClass, _require_normal_spherical
 from seifert_orbifolds.core import (
     _VALID,
@@ -241,6 +243,47 @@ def fibrations(draw):
 @given(fibrations())
 def test_guard_on_random_fibrations(f):
     check_guard(f)
+
+
+def _guard(f):
+    with contextlib.suppress(ValueError):
+        _require_normal_spherical(f)
+
+
+def _text_validate(f):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.run_command(["validate", str(f)])
+
+
+def _two_fraction_route(f):
+    with contextlib.suppress(ValueError):
+        lens.classical_from_fibration(f)
+
+
+@pytest.mark.parametrize("boundary", [_guard, cli._answer, _text_validate, _two_fraction_route])
+@pytest.mark.parametrize("text, invalid", [
+    ("S2(3,2); 1/3,1/2; ; -5/6", False),  # unsorted, valid and spherical
+    ("S2(3,3); 1/3,2/3; ; 0", False),  # valid, e = 0
+    ("S2(3,3); 1/3,1/3; ; -1", True),  # the relation fails
+])
+def test_each_boundary_takes_one_verdict(monkeypatch, boundary, text, invalid):
+    """The guard, the report, text-mode `validate` and the two-fraction
+    route each take their verdict from `core._verdict`: one normalize and
+    one `_valid_spherical` pass, and `validate` only for an invalid input,
+    counted in every module that holds them."""
+    calls = Counter()
+    for name in ("normalize", "_valid_spherical", "validate", "is_spherical"):
+        original = getattr(core, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for mod in (core, classify, cli, lens):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    boundary(cli.parse_fibration(text))
+    assert calls == Counter(normalize=1, _valid_spherical=1, validate=int(invalid))
 
 
 # -- the key -----------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_atlas_reads_patterns_by_base_shape(monkeypatch):
     reads in the unindexed scan of this sweep, 7,327 when filed by surface
     and counts alone, 3,363 when filed by shape, 2,771 before a closure
     filed its readings, 1,999 while the bridge rows had an index of their
-    own, and 1,625 now."""
+    own, 1,625 while a finite-class input was read twice, and 1,166 now."""
     original = classify._Pattern.read
     reads = []
 
@@ -174,7 +174,7 @@ def test_atlas_reads_patterns_by_base_shape(monkeypatch):
 
     monkeypatch.setattr(classify._Pattern, "read", counted)
     _atlas_json(100)
-    assert 0 < len(reads) <= 1700
+    assert 0 < len(reads) <= 1200
 
 
 def test_each_built_value_computes_the_relation_once(monkeypatch):
@@ -252,14 +252,15 @@ def test_closures_check_each_added_member_once(monkeypatch):
     checked = _count_calls(monkeypatch, "_still_finite")
     enumerations = _count_calls(monkeypatch, "_enumerate_fibrations")
     _atlas_json(60)
-    added = [h for (f,), members in enumerations for h in members if h != f]
+    added = [h for (f, *_), members in enumerations for h in members if h != f]
     assert added
     assert sorted(map(str, (g for (_, g, _), _ in checked))) == sorted(map(str, added))
 
 
 def test_closures_shape_each_member_once(monkeypatch):
-    """A closure shapes each member once, when it joins: one read of the
-    member serves both its finiteness check and its moves."""
+    """A closure shapes each member but its input once, when it joins: one
+    read of the member serves both its finiteness check and its moves.  Its
+    input was shaped by the class check, whose readings it starts from."""
     original_shape = classify._shape
     shaped = []
 
@@ -270,17 +271,55 @@ def test_closures_shape_each_member_once(monkeypatch):
     original = classify._enumerate_fibrations
     closures = []
 
-    def counted(f):
+    def counted(f, *rest):
         before = len(shaped)
-        members = original(f)
-        closures.append((members, Counter(shaped[before:])))
+        members = original(f, *rest)
+        closures.append((members, Counter(shaped[before:]), f))
         return members
 
     monkeypatch.setattr(classify, "_shape", counted_shape)
     monkeypatch.setattr(classify, "_enumerate_fibrations", counted)
     _atlas_json(100)
-    assert Counter(len(members) for members, _ in closures)[3] > 20
-    assert [(m, n) for m, n in closures if n != Counter(m)] == []
+    assert Counter(len(members) for members, _, _ in closures)[3] > 20
+    assert [(m, n) for m, n, f in closures if n != Counter(m - {f})] == []
+
+
+def test_each_input_is_shaped_once(monkeypatch):
+    """An `_invariant` call reads its input once: the readings that decide
+    its class also start its closure, so no fibration is shaped twice in
+    one call (357 of the 1,256 shapes of this sweep were a finite-class
+    input shaped a second time), and a small-base input is not shaped at
+    all.  single_step likewise shapes its input once, for its class check
+    and its moves."""
+    original_shape = classify._shape
+    shaped = []
+
+    def counted_shape(f):
+        shaped.append(f)
+        return original_shape(f)
+
+    original = classify._invariant
+    calls = []
+
+    def counted(f):
+        before = len(shaped)
+        invariant = original(f)
+        calls.append((f, invariant, Counter(shaped[before:])))
+        return invariant
+
+    monkeypatch.setattr(classify, "_shape", counted_shape)
+    monkeypatch.setattr(classify, "_invariant", counted)
+    _atlas_json(100)
+    finite = [(f, n) for f, invariant, n in calls if isinstance(invariant, frozenset) and n]
+    small = [n for f, _, n in calls if classify._small_base(f)]
+    assert len(finite) > 300 and small
+    assert [(f, n) for f, _, n in calls if any(k > 1 for k in n.values())] == []
+    assert all(n[f] == 1 for f, n in finite)
+    assert not any(small)
+    assert len(shaped) <= 900  # 1,256 when each finite-class input was shaped twice
+    del shaped[:]
+    assert single_step(FINITE)
+    assert shaped.count(FINITE) == 1
 
 
 def test_closures_build_each_member_once(monkeypatch):
@@ -299,9 +338,9 @@ def test_closures_build_each_member_once(monkeypatch):
     original = classify._enumerate_fibrations
     closures = []
 
-    def counted(f):
+    def counted(f, *rest):
         before = len(builds)
-        members = original(f)
+        members = original(f, *rest)
         closures.append((members, len(builds) - before))
         return members
 
@@ -328,7 +367,7 @@ def test_closure_still_refuses_a_rewrite_that_leaves_the_finite_class(monkeypatc
 
     monkeypatch.setattr(classify, "_bridge", bridged_but_seed)
     with pytest.raises(AssertionError, match="rewrite left the finite class"):
-        classify._enumerate_fibrations(FINITE)
+        classify._invariant.__wrapped__(FINITE)  # the closure, past the memo
     with pytest.raises(AssertionError, match="rewrite left the finite class"):
         single_step(FINITE)
 
@@ -432,7 +471,7 @@ def test_text_mode_computes_only_what_it_prints(monkeypatch, argv, text_calls):
     calls.clear()
     for name in ("normalize", "validate", "_valid_spherical"):
         wrapped = counting(name, getattr(core, name))
-        for mod in (cli, classify):
+        for mod in (core, cli, classify):
             if getattr(mod, name, None) is getattr(core, name):
                 monkeypatch.setattr(mod, name, wrapped)
     with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -461,7 +500,7 @@ def test_a_repeated_command_reads_the_invariant_memo(monkeypatch, argv):
     """The second run of a command in one process enumerates no closure and
     reads no representative, and answers with the same bytes and code."""
     enumerations = _count_calls(monkeypatch, "_enumerate_fibrations")
-    representatives = _count_calls(monkeypatch, "_representative")
+    representatives = _count_calls(monkeypatch, "_read_class")
 
     def run():
         with contextlib.redirect_stdout(io.StringIO()) as out, \
@@ -498,7 +537,7 @@ def test_library_counts_and_enumerations_read_the_invariant_memo(monkeypatch):
     fresh set, and clearing one leaves the memo's value as it was; an
     infinite class reads its representative once for both."""
     enumerations = _count_calls(monkeypatch, "_enumerate_fibrations")
-    representatives = _count_calls(monkeypatch, "_representative")
+    representatives = _count_calls(monkeypatch, "_read_class")
     assert fibration_count(FINITE) is classify.FibrationCount.THREE
     first, second = enumerate_fibrations(FINITE), enumerate_fibrations(FINITE)
     assert len(enumerations) == 1
