@@ -18,13 +18,13 @@ around the '/' (- 4 / 3); a blank between two digits of a number is a
 positioned parse error.  Groups are written family(parameters), e.g.
 F2(m=3,n=2) or F20.
 
-An expression is read in one of two ways, to the same value.  One
-pattern, compiled on first use, takes the notation as it is normally
-written, as `str` prints it or bare; one `findall` per field reads its
-numbers.  Any text that pattern does not take, or that puts corners on
-S2 or RP2, goes to the field walker, which reads it or raises the
-positioned ParseError that explains the rejection.  Both build the value
-in `_build`, which raises the errors that have no position.
+An expression has one value path.  One pattern, compiled on first use,
+takes every well-formed text, written as `str` prints it or bare, with
+or without leading 0s; one `findall` per field reads its numbers, and
+the value is built from them at once.  A text the pattern declines, or
+that puts corners on S2 or RP2, goes to the field walker, which builds
+nothing: it finds the first bad piece and raises its positioned
+ParseError.
 
 Only `core` is imported here.  Each command imports `classify` (which
 loads `lens`) or `groups` when it runs, `argparse` is imported only for an
@@ -39,6 +39,7 @@ import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import NoReturn
 
 from .core import (
     _VALID,
@@ -166,9 +167,11 @@ def parse_base(text: str, offset: int = 0) -> TwoOrbifold:
     return _trusted_base(surface, tuple(cones), tuple(corners))
 
 
-def _parse_invariants(text: str, offset: int) -> tuple[LocalInvariant, ...]:
-    """The invariants in their written order, without those of order 1."""
-    out = []
+def _check_invariants(text: str, offset: int) -> None:
+    """Raise the ParseError of the first bad invariant of a list: not
+    written a/b, of order 0, or with a number int() does not convert.  The
+    numerator of an order-1 invariant, which the value drops, is not
+    converted."""
     start = offset  # of the piece
     for piece in text.split(",") if text.strip() else ():
         m = _RATIONAL.fullmatch(piece)
@@ -179,19 +182,16 @@ def _parse_invariants(text: str, offset: int) -> tuple[LocalInvariant, ...]:
                        else "local invariant must be written a/b, got")
             raise ParseError("position %d: %s %r" % (_at(piece, start), problem, piece.strip()))
         if b != 1:
-            a = _number(m, 2, start)
-            out.append(LocalInvariant(-a if m[1] == "-" else a, b))
+            _number(m, 2, start)
         start += len(piece) + 1
-    return tuple(out)
 
 
-def _parse_rational(text: str, offset: int) -> Fraction:
+def _check_rational(text: str, offset: int) -> None:
+    """Raise the ParseError of a bad Euler class."""
     m = _RATIONAL.fullmatch(text)
-    den = (_number(m, 3, offset) if m[3] else 1) if m else 0
-    if not den:
+    if m is None or m[3] and not _number(m, 3, offset):
         raise ParseError("position %d: bad rational %r" % (_at(text, offset), text))
-    num = _number(m, 2, offset)
-    return Fraction(-num if m[1] == "-" else num, den)
+    _number(m, 2, offset)
 
 
 def parse_fibration(text: str) -> FiberedOrbifold:
@@ -206,12 +206,11 @@ def parse_fibration(text: str) -> FiberedOrbifold:
     error's position is that of the first character of the bad piece in
     `text` as given.
 
-    Two readers share the work and return the same value or raise the
-    same error.  A text written as usual is read by `_read_fibration`, one
-    pattern match and one `findall` per field.  Any other text goes to the
-    field walker `_walk_fibration`, which reads it or raises the
-    positioned ParseError; so does a text holding a number with more
-    digits than `int()` converts (`sys.get_int_max_str_digits()`).
+    `_read_fibration` reads the value with one pattern match and one
+    `findall` per field.  A text it declines, and a text holding a number
+    with more digits than `int()` converts (`sys.get_int_max_str_digits()`),
+    goes to the field walker `_explain_rejection`, which raises the
+    positioned ParseError.
     """
     try:
         f = _read_fibration(text)
@@ -219,27 +218,29 @@ def parse_fibration(text: str) -> FiberedOrbifold:
         raise
     except ValueError:  # a number int() does not convert: the walker says where
         f = None
-    return _walk_fibration(text) if f is None else f
+    return f or _explain_rejection(text)
 
 
 @functools.cache
 def _fibration_patterns():
-    """(the notation, the parts of one invariant a/b), compiled on first
-    use: a command that reads no fibration does not pay for them.
+    """(the notation, a label above 1, the parts of one invariant a/b of
+    order above 1), compiled on first use: a command that reads no
+    fibration does not pay for them.
 
     The notation's groups: outer '(', surface, disk surface, cone labels,
     corner labels, cone invariants, corner invariants, then the Euler
     class's sign, numerator and denominator and the boundary bit.  Blanks
-    stand where `_LABEL` and `_RATIONAL` let them.  A label or an order is
-    written without a leading 0 and is not 0.  On a disk the corner slot
-    is required and the bit optional; on S2 and RP2 the corner slot may be
-    left out or left blank, and there is no bit.
+    stand where `_LABEL` and `_RATIONAL` let them.  A label or an order
+    may be written with leading 0s but is not 0.  On a disk the corner
+    slot is required and the bit optional; on S2 and RP2 the corner slot
+    may be left out or left blank, and there is no bit.
 
     Each run of blanks is taken by one term only, and spaces follow a sign
     only when there is one, so a text the pattern declines is declined in
     time linear in its length: with two terms sharing a run, each invariant
     of a long list would double the ways to try."""
-    natural = r"[1-9][0-9]*"
+    natural = r"0*[1-9][0-9]*"
+    above_1 = r"0*([1-9][0-9]+|[2-9])"
     labels = r"(\s*(?:{0}\s*(?:,\s*{0}\s*)*)?)".format(natural)
     invariant = r"(?:[+-] *)?[0-9]+ */ *" + natural
     invariants = r"(\s*(?:{0}\s*(?:,\s*{0}\s*)*)?)".format(invariant)
@@ -249,70 +250,58 @@ def _fibration_patterns():
         r"\s*(?:([+-]) *)?([0-9]+)(?: */ *({N}))?\s*"
         r"(?(3)(?:;\s*([01])\s*)?)(?(1)\)\s*)"
     ).format(L=labels, I=invariants, N=natural)
-    return re.compile(notation), re.compile(r"([+-]?) *([0-9]+) */ *([0-9]+)")
+    return (re.compile(notation), re.compile(above_1),
+            re.compile(r"([+-]?) *([0-9]+) */ *" + above_1))
 
 
-# A label or an order the notation pattern takes is written without a
-# leading 0, so "1" is the only way it writes 1: an order-1 point, dropped.
-def _labels(span: str) -> tuple[int, ...]:
-    return tuple(sorted([int(n) for n in _NATURAL.findall(span) if n != "1"])) if span else ()
+# The `findall` patterns take a label or an order above 1 without its
+# leading 0s: an order-1 point or invariant, which the value drops, is
+# skipped by the match itself.
+def _labels(pattern: re.Pattern, span: str) -> tuple[int, ...]:
+    return tuple(sorted([int(n) for n in pattern.findall(span)])) if span else ()
 
 
 def _invariants(pattern: re.Pattern, span: str) -> tuple[LocalInvariant, ...]:
-    return tuple([LocalInvariant(int(s + a), int(b)) for s, a, b in pattern.findall(span)
-                  if b != "1"]) if span else ()
+    return tuple([LocalInvariant(int(s + a), int(b))
+                  for s, a, b in pattern.findall(span)]) if span else ()
 
 
 def _read_fibration(text: str) -> FiberedOrbifold | None:
-    """`_walk_fibration(text)` for a text the notation pattern takes, with
-    no corner labels on S2 or RP2: the same value or the same ParseError,
-    which then carries no position.  None for any other text."""
-    notation, invariant = _fibration_patterns()
+    """The value of a text the notation pattern takes, with no corner
+    labels on S2 or RP2; None for any other text.  Raises the two
+    ParseErrors that carry no position (no boundary bit satisfies the sum
+    relation, or the counts of labels and invariants differ), and int()'s
+    ValueError for a number with more digits than it converts."""
+    notation, label, invariant = _fibration_patterns()
     m = notation.fullmatch(text)
     if m is None:
         return None
     (_, name, disk, cone_labels, corner_labels, cones, corners,
      sign, num, den, bit) = m.groups("")
-    corner_labels = _labels(corner_labels)
+    corner_labels = _labels(label, corner_labels)
     if corner_labels and not disk:
         return None  # the walker's error gives the position
-    return _build(_trusted_base(_SURFACES[name], _labels(cone_labels), corner_labels),
-                  _invariants(invariant, cones), _invariants(invariant, corners),
-                  Fraction(int(sign + num), int(den or 1)), bit)
-
-
-def _build(base: TwoOrbifold, cones: tuple[LocalInvariant, ...],
-           corners: tuple[LocalInvariant, ...], e: Fraction, bit: str) -> FiberedOrbifold:
-    """The value of fields each reader has checked, `bit` being the
-    boundary bit "0" or "1" as written, or "" when it is left out.  Raises
-    the ParseErrors that carry no position: no boundary bit satisfies the
-    sum relation, or the counts of labels and invariants differ."""
-    xi = ()
-    if bit:
-        xi = (int(bit),)
-    elif base.surface is Surface.DISK:
+    base = _trusted_base(_SURFACES[name], _labels(label, cone_labels), corner_labels)
+    cones, corners = _invariants(invariant, cones), _invariants(invariant, corners)
+    e = Fraction(int(sign + num), int(den or 1))
+    xi = (int(bit),) if bit else ()
+    if disk and not bit:
         try:
             xi = (solve_xi(cones, corners, e),)
         except ValueError as exc:
-            raise ParseError(
-                "xi omitted but no boundary bit satisfies the sum relation; "
-                "give xi explicitly"
-            ) from exc
-
-    n_labels = len(base.cone_labels) + len(base.corner_labels)
-    n_invs = len(cones) + len(corners)
+            raise ParseError("xi omitted but no boundary bit satisfies the sum relation; "
+                             "give xi explicitly") from exc
+    n_labels, n_invs = len(base.cone_labels) + len(corner_labels), len(cones) + len(corners)
     if n_labels != n_invs:
-        raise ParseError(
-            "label/invariant count mismatch: base has %d singular labels, "
-            "%d invariants given" % (n_labels, n_invs)
-        )
+        raise ParseError("label/invariant count mismatch: base has %d singular labels, "
+                         "%d invariants given" % (n_labels, n_invs))
     return _trusted(base, cones, corners, e, xi)
 
 
-def _walk_fibration(text: str) -> FiberedOrbifold:
-    """`parse_fibration` field by field: split on the top-level ';', then
-    read the base and each field in turn, raising the positioned
-    ParseError of the first bad piece."""
+def _explain_rejection(text: str) -> NoReturn:
+    """Raise the positioned ParseError that explains why `_read_fibration`
+    does not read `text`: split on the top-level ';', then check the base
+    and each field in turn, up to the first bad piece.  Builds no value."""
     stripped = text.strip()
     offset = _at(text, 0)
     parts = None
@@ -325,34 +314,28 @@ def _walk_fibration(text: str) -> FiberedOrbifold:
         parts = _split_top(stripped, offset)
     if len(parts) < 2:
         raise ParseError("expected base and invariants separated by ';'")
-    base = parse_base(*parts[0])
+    surface = parse_base(*parts[0]).surface
 
     # A disk takes base; cones; corners; e(; xi), S2 and RP2 take
     # base; cones(; corners); e.
-    disk = base.surface is Surface.DISK
+    disk = surface is Surface.DISK
     if len(parts) - disk not in (3, 4):
         shape = (("disk", "cones; corners; e(; xi)") if disk
-                 else (base.surface.value, "cones(; corners); e"))
+                 else (surface.value, "cones(; corners); e"))
         raise ParseError("a %s-base fibration takes base; %s, got %d fields"
                          % (*shape, len(parts)))
-    cones = _parse_invariants(*parts[1])
-    corners = ()
+    _check_invariants(*parts[1])
     if len(parts) > 3:
-        corners = _parse_invariants(*parts[2])
+        _check_invariants(*parts[2])
         if not disk and parts[2][0].strip():
-            raise ParseError(
-                "position %d: %s bases carry no corner reflectors"
-                % (_at(*parts[2]), base.surface.value)
-            )
-    e = _parse_rational(*parts[3 if disk else -1])
-    bit = ""
+            raise ParseError("position %d: %s bases carry no corner reflectors"
+                             % (_at(*parts[2]), surface.value))
+    _check_rational(*parts[3 if disk else -1])
     if len(parts) == 5:  # a disk's boundary bit
         bit = parts[4][0].strip()
         if bit not in ("0", "1"):
-            raise ParseError(
-                "position %d: xi must be 0 or 1, got %r" % (_at(*parts[4]), bit)
-            )
-    return _build(base, cones, corners, e, bit)
+            raise ParseError("position %d: xi must be 0 or 1, got %r" % (_at(*parts[4]), bit))
+    raise AssertionError("the notation pattern declines %r, which has no bad piece" % text)
 
 
 # -- commands ---------------------------------------------------------------

@@ -83,9 +83,18 @@ def _as_rational(q, what: str = "the Euler class") -> Fraction:
         raise ValueError("%s must be an int or a Fraction, got %r" % (what, q)) from None
 
 
-def _as_label_tuple(labels) -> tuple[int, ...]:
+def _items(values, what: str):
+    """An iterator over values; ValueError naming `what` for an int or
+    anything else that is not iterable."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise ValueError("%s must be a tuple or list, got %r" % (what, values)) from None
+
+
+def _as_label_tuple(labels, side: str) -> tuple[int, ...]:
     out = []
-    for n in labels:
+    for n in _items(labels, side + " labels"):
         n = _integer(n, "singularity labels")
         if n < 1:
             raise ValueError("singularity labels must be positive integers, got %r" % (n,))
@@ -109,8 +118,8 @@ class TwoOrbifold:
 
     def __post_init__(self):
         object.__setattr__(self, "surface", Surface(self.surface))  # a member, or its name
-        object.__setattr__(self, "cone_labels", _as_label_tuple(self.cone_labels))
-        object.__setattr__(self, "corner_labels", _as_label_tuple(self.corner_labels))
+        object.__setattr__(self, "cone_labels", _as_label_tuple(self.cone_labels, "cone"))
+        object.__setattr__(self, "corner_labels", _as_label_tuple(self.corner_labels, "corner"))
         if self.corner_labels and self.surface is not Surface.DISK:
             raise ValueError("corner reflectors only occur on a disk base")
 
@@ -166,13 +175,19 @@ class LocalInvariant:
         return "%d/%d" % (self.a, self.b)
 
 
-def _as_invariants(pairs) -> tuple[LocalInvariant, ...]:
+def _as_invariants(pairs, side: str) -> tuple[LocalInvariant, ...]:
+    """The invariants of order > 1 among the `side` ("cone" or "corner")
+    invariants; ValueError unless each item of `pairs` is a LocalInvariant
+    or a two-item tuple or list."""
     out = []
-    for p in pairs:
-        inv = p if isinstance(p, LocalInvariant) else LocalInvariant(p[0], p[1])
-        if inv.b == 1:
-            continue  # invariant over a regular point; never stored
-        out.append(inv)
+    for p in _items(pairs, side + " invariants"):
+        if not isinstance(p, LocalInvariant):
+            if not isinstance(p, (tuple, list)) or len(p) != 2:
+                raise ValueError("%s invariants must be LocalInvariants or (a, b) pairs, "
+                                 "got %r" % (side, p))
+            p = LocalInvariant(*p)
+        if p.b != 1:  # an invariant over a regular point is never stored
+            out.append(p)
     return tuple(out)
 
 
@@ -200,10 +215,13 @@ class FiberedOrbifold:
     def __post_init__(self):
         if not isinstance(self.base, TwoOrbifold):
             raise ValueError("the base must be a TwoOrbifold, got %r" % (self.base,))
-        object.__setattr__(self, "cone_invariants", _as_invariants(self.cone_invariants))
-        object.__setattr__(self, "corner_invariants", _as_invariants(self.corner_invariants))
+        object.__setattr__(self, "cone_invariants", _as_invariants(self.cone_invariants, "cone"))
+        object.__setattr__(self, "corner_invariants",
+                           _as_invariants(self.corner_invariants, "corner"))
         if not isinstance(self.euler, Fraction):
             object.__setattr__(self, "euler", _as_rational(self.euler))
+        if not isinstance(self.xi, (tuple, list)):  # a dict was read through its keys
+            raise ValueError("xi must be a tuple or list, got %r" % (self.xi,))
         xi = tuple(_integer(x, "xi entries") for x in self.xi)
         if any(x not in (0, 1) for x in xi):
             raise ValueError("xi entries must be bits")
@@ -220,18 +238,17 @@ class FiberedOrbifold:
 
         Base labels are the invariant orders.  When ``xi`` is None and the
         base has a boundary, the unique xi making the sum relation hold is
-        chosen (ValueError if none exists).
+        chosen (ValueError if none exists).  A given ``xi``, a tuple or list
+        of bits or one int bit, goes to the constructor's checks as given.
         """
-        cones = _as_invariants(cone_pairs)
-        corners = _as_invariants(corner_pairs)
+        cones = _as_invariants(cone_pairs, "cone")
+        corners = _as_invariants(corner_pairs, "corner")
         base = TwoOrbifold(surface, tuple(i.b for i in cones), tuple(i.b for i in corners))
         e = _as_rational(euler)
-        if base.boundary_components == 0:
-            bits = ()
-        elif xi is None:
-            bits = (solve_xi(cones, corners, e),)
+        if xi is None:
+            bits = (solve_xi(cones, corners, e),) if base.boundary_components else ()
         else:
-            bits = tuple(xi) if hasattr(xi, "__iter__") else (xi,)
+            bits = xi if isinstance(xi, (tuple, list)) else (xi,)
         return cls(base, cones, corners, e, bits)
 
     def __hash__(self) -> int:
@@ -294,7 +311,7 @@ def solve_xi(cone_invariants, corner_invariants, euler) -> int:
     """
     euler = _as_rational(euler)
     return _boundary_bit(*_twice_relation(
-        _as_invariants(cone_invariants), _as_invariants(corner_invariants), euler
+        _as_invariants(cone_invariants, "cone"), _as_invariants(corner_invariants, "corner"), euler
     ))
 
 
@@ -467,8 +484,8 @@ def _normal_form(surface, cone_pairs=(), corner_pairs=(), euler=0) -> FiberedOrb
     orders.  One `_twice_relation` call solves xi on a disk and tests the
     relation on S2 and RP2.
     """
-    cones = tuple(sorted(_as_invariants(cone_pairs), key=_order_key))
-    corners = tuple(sorted(_as_invariants(corner_pairs), key=_order_key))
+    cones = tuple(sorted(_as_invariants(cone_pairs, "cone"), key=_order_key))
+    corners = tuple(sorted(_as_invariants(corner_pairs, "corner"), key=_order_key))
     if not isinstance(surface, Surface):
         surface = Surface(surface)
     if corners and surface is not Surface.DISK:

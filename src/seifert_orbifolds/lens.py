@@ -230,8 +230,11 @@ def lens_equiv(x: LensSpace, y: LensSpace, mode: Mode = Mode.ORIENTED) -> bool:
     ORIENTED: p = p' and q' congruent to q or to the inverse of q mod p
     (the comparing diffeomorphism may exchange the two solid tori).
     FIXED_CORES: p = p' and q = q' mod p, used when the two cores carry
-    distinct singularity indices and may not be exchanged.
+    distinct singularity indices and may not be exchanged.  A mode may be
+    given by its value, such as "fixed-cores"; ValueError for an unknown
+    one.
     """
+    mode = Mode(mode)
     if x.p != y.p:
         return False
     p = x.p

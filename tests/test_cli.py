@@ -10,6 +10,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -992,37 +993,37 @@ _GENERATED_TEXTS = st.one_of(
 @given(_GENERATED_TEXTS)
 def test_parser_matches_reference_on_generated_texts(text):
     assert_parses_like_reference(text)
-    read_like_walker(text)
+    read_like_reference(text)
 
 
 # `parse_fibration` reads a text with the pattern reader `_read_fibration`
-# and, when that declines, with the field walker `_walk_fibration`.
+# alone; when that declines, `_explain_rejection` raises the error.
 
 
-def read_like_walker(text):
+def read_like_reference(text):
     """Whether the pattern reader took `text`; when it did, its value is
-    the walker's, field for field and type for type, or it raised the
-    walker's error."""
+    the reference parser's, field for field and type for type, or it
+    raised the reference parser's error."""
     try:
         got = cli._read_fibration(text)
     except ParseError as exc:
-        with pytest.raises(ParseError) as walked:
-            cli._walk_fibration(text)
-        assert str(exc) == str(walked.value), text
+        with pytest.raises(ParseError) as want:
+            _ref_parse_fibration(text)
+        assert str(exc) == str(want.value), text
         return True
     if got is None:
         return False
-    want = cli._walk_fibration(text)
+    want = _ref_parse_fibration(text)
     assert _fields(got) == _fields(want), text
     assert type(got.euler) is Fraction and type(got.xi) is tuple, text
     assert all(type(x) is int for x in got.xi + got.base.cone_labels + got.base.corner_labels)
     return True
 
 
-def test_pattern_reader_agrees_with_walker_on_grid_and_named_texts():
+def test_pattern_reader_agrees_with_reference_on_grid_and_named_texts():
     grid = [_grid_text(*args) for args in itertools.product(
         ("S2", "RP2", "D2"), _GRID_CONES, _GRID_CORNERS, _GRID_EULER, _GRID_XI, (False, True))]
-    taken = Counter(read_like_walker(text) for text in grid + list(_MALFORMED.values()))
+    taken = Counter(read_like_reference(text) for text in grid + list(_MALFORMED.values()))
     assert taken[True] > 500 and taken[False] > 5000
 
 
@@ -1060,9 +1061,9 @@ def test_pattern_reader_takes_every_printed_value():
     classes, rows = cli._atlas_classes(200)
     printed = [row[4] for row in rows]
     printed += [member for cls in classes.values() for member in cls[1] or ()]
-    values = set(grid()) | {cli._walk_fibration(text) for text in printed}
+    values = set(grid()) | {_ref_parse_fibration(text) for text in printed}
     values |= {reverse_orientation(f) for f in values}
-    missed = [text for f in values for text in _printed_forms(f) if not read_like_walker(text)]
+    missed = [text for f in values for text in _printed_forms(f) if not read_like_reference(text)]
     assert missed == []
 
 
@@ -1074,7 +1075,55 @@ def test_pattern_reader_takes_every_readme_expression():
                                 "diffeo", "lens"):
             exprs += argv[1:]
     assert len(exprs) >= 8
-    assert [text for text in exprs if not read_like_walker(text)] == []
+    assert [text for text in exprs if not read_like_reference(text)] == []
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("S2(03,02); 01/03,1/02; -05/6", "(S2(2,3); 1/3,1/2; -5/6)"),
+    ("(RP2(03); 1/003; -2/03)", "(RP2(3); 1/3; -2/3)"),
+    ("D2(;03,03); ; 01/03,1/003; -1/03; 0", "(D2(;3,3); ; 1/3,1/3; -1/3; 0)"),
+    # the two golden inputs with a leading 0
+    ("(RP2(5); 2/5; -7/05)", "(RP2(5); 2/5; -7/5)"),
+    ("(D2(;2,2,6); ; 1/02,1/2,5/6; 1/12; 0)", "(D2(;2,2,6); ; 1/2,1/2,5/6; 1/12; 0)"),
+])
+def test_pattern_reader_takes_leading_zeros(text, printed):
+    f = cli._read_fibration(text)
+    assert str(f) == printed
+    assert _fields(f) == _fields(cli._read_fibration(printed))
+    assert read_like_reference(text)
+
+
+def explained_if_declined(text):
+    """Whether the pattern reader declines `text`; when it does,
+    `_explain_rejection` raises a ParseError, never its AssertionError,
+    and `parse_fibration` raises that error."""
+    try:
+        declined = cli._read_fibration(text) is None
+    except ParseError:
+        return False
+    except ValueError:  # a number int() does not convert
+        declined = True
+    if declined:
+        with pytest.raises(ParseError) as explained:
+            cli._explain_rejection(text)
+        with pytest.raises(ParseError) as parsed:
+            parse_fibration(text)
+        assert str(parsed.value) == str(explained.value), text
+    return declined
+
+
+def test_every_declined_golden_and_named_text_is_explained():
+    inputs = json.loads((Path(__file__).with_name("golden") / "inputs.json").read_text())
+    texts = [text for name in ("fibrations", "malformed", "nonspherical", "mutations", "long")
+             for text in inputs[name]] + list(_MALFORMED.values())
+    declined = Counter(explained_if_declined(text) for text in texts)
+    assert declined[True] > 400 and declined[False] > 1800
+
+
+@settings(max_examples=500, deadline=None)
+@given(fibration_texts)
+def test_every_declined_generated_text_is_explained(text):
+    explained_if_declined(text)
 
 
 @pytest.mark.parametrize("text, position", [
@@ -1175,3 +1224,21 @@ def test_blank_beside_a_separator_keeps_the_value(data):
     want = parse_fibration(text)
     got = parse_fibration(_insert_blank(data, text, points))
     assert got == want and str(got) == str(want) and repr(got) == repr(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_leading_zeros_keep_the_value(data):
+    """0s written before any label, order or Euler-class number, and before
+    a numerator, leave the value as it was, and the pattern still takes
+    the text; a disk's boundary bit takes no 0."""
+    text = data.draw(st.sampled_from(_valid_texts()))
+    notation = cli._fibration_patterns()[0]
+    bit = notation.fullmatch(text).start(11)
+    starts = [m.start() for m in re.finditer("(?<![0-9A-Z])[0-9]", text) if m.start() != bit]
+    padded = text
+    for at in sorted(data.draw(st.sets(st.sampled_from(starts), min_size=1)), reverse=True):
+        padded = padded[:at] + "0" * data.draw(st.integers(1, 3)) + padded[at:]
+    want = parse_fibration(text)
+    got = cli._read_fibration(padded)
+    assert got == want and str(got) == str(want) and repr(got) == repr(want), padded

@@ -14,6 +14,7 @@ from seifert_orbifolds.core import (
     TwoOrbifold,
     ValidationResult,
     s3_fibration,
+    solve_xi,
 )
 from seifert_orbifolds.groups import (
     NO_INVARIANT_FIBRATION,
@@ -24,6 +25,7 @@ from seifert_orbifolds.groups import (
 from seifert_orbifolds.lens import (
     ClassicalSeifert,
     LensSpace,
+    Mode,
     classical_from_fibration,
     lens_equiv,
 )
@@ -46,6 +48,71 @@ def test_a_wrong_type_raises_value_error(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+_S2_2 = TwoOrbifold(Surface.SPHERE, (2,))
+
+
+@pytest.mark.parametrize("build, message", [
+    # a triple or a dict was read through its first two items or keys, as 1/2
+    (lambda: FiberedOrbifold(_S2_2, [(1, 2, 3)], [], F(-1, 2)),
+     "cone invariants must be LocalInvariants or (a, b) pairs, got (1, 2, 3)"),
+    (lambda: FiberedOrbifold(_S2_2, [{0: 1, 1: 2}], [], F(-1, 2)),
+     "cone invariants must be LocalInvariants or (a, b) pairs, got {0: 1, 1: 2}"),
+    # TypeError
+    (lambda: FiberedOrbifold(_S2_2, [5], [], F(-1, 2)),
+     "cone invariants must be LocalInvariants or (a, b) pairs, got 5"),
+    (lambda: FiberedOrbifold(_S2_2, 5, [], F(-1, 2)),
+     "cone invariants must be a tuple or list, got 5"),
+    # IndexError
+    (lambda: FiberedOrbifold(_S2_2, "12", [], F(-1, 2)),
+     "cone invariants must be LocalInvariants or (a, b) pairs, got '1'"),
+    (lambda: FiberedOrbifold(TwoOrbifold("D2", (), (2,)), (), [(1,)], F(-1, 4), (0,)),
+     "corner invariants must be LocalInvariants or (a, b) pairs, got (1,)"),
+    (lambda: FiberedOrbifold.from_data("S2", [(1, 2, 3)], [], F(-1, 2)),
+     "cone invariants must be LocalInvariants or (a, b) pairs, got (1, 2, 3)"),
+    (lambda: solve_xi([], [[1, 2, 3]], F(-1, 4)),
+     "corner invariants must be LocalInvariants or (a, b) pairs, got [1, 2, 3]"),
+    # TypeError
+    (lambda: TwoOrbifold("S2", 3), "cone labels must be a tuple or list, got 3"),
+    (lambda: TwoOrbifold("D2", (), 3), "corner labels must be a tuple or list, got 3"),
+    (lambda: FiberedOrbifold(TwoOrbifold("D2"), (), (), -1, 1),
+     "xi must be a tuple or list, got 1"),
+    # the key 0 was read as the bit
+    (lambda: FiberedOrbifold(TwoOrbifold("D2"), (), (), -1, {0: 1}),
+     "xi must be a tuple or list, got {0: 1}"),
+])
+def test_a_malformed_field_is_refused_by_name(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("xi, message", [
+    # the dict's key 0 was taken as the bit
+    ({0: 1}, "xi entries must be integers, got {0: 1}"),
+    ((2,), "xi entries must be bits"),
+    ([0, 1], "xi must have one entry per boundary component (1 expected, 2 given)"),
+])
+def test_from_data_checks_a_given_xi_like_the_constructor(xi, message):
+    with pytest.raises(ValueError) as info:
+        FiberedOrbifold.from_data("D2", [], [(1, 2)], F(-1, 4), xi=xi)
+    assert str(info.value) == message
+    solved = FiberedOrbifold.from_data("D2", [], [(1, 2)], F(-3, 4))
+    for bits in ((1,), [1], 1):
+        f = FiberedOrbifold.from_data("D2", [], [(1, 2)], F(-3, 4), xi=bits)
+        assert f == solved and f.xi == (1,) and type(f.xi) is tuple
+
+
+@pytest.mark.parametrize("xi", [1, (0,), [1]])
+def test_from_data_refuses_a_bit_on_a_closed_base(xi):
+    """A given xi on S2 or RP2 was dropped silently."""
+    for surface in ("S2", "RP2"):
+        with pytest.raises(ValueError) as info:
+            FiberedOrbifold.from_data(surface, [(1, 2)], [], F(-1, 2), xi=xi)
+        assert str(info.value) == (
+            "xi must have one entry per boundary component (0 expected, 1 given)")
+    assert FiberedOrbifold.from_data("S2", [(1, 2)], [], F(-1, 2), xi=()).xi == ()
 
 
 def test_a_surface_given_by_name_is_converted():
@@ -84,6 +151,16 @@ def test_lens_space_needs_coprime_p_and_q(p, q):
 def test_lens_space_of_a_unit_is_kept():
     assert LensSpace(1, 0) == LensSpace(1, 7) == LensSpace(-1, 3)
     assert lens_equiv(LensSpace(5, 2), LensSpace(-5, 2))
+
+
+def test_lens_equiv_reads_a_mode_given_by_name():
+    """A mode given by name was read as oriented, whatever the name."""
+    x, y = LensSpace(5, 2), LensSpace(5, 3)  # 2 * 3 = 1 mod 5: oriented only
+    assert lens_equiv(x, y, "oriented") is lens_equiv(x, y, Mode.ORIENTED) is True
+    assert lens_equiv(x, y, "fixed-cores") is lens_equiv(x, y, Mode.FIXED_CORES) is False
+    with pytest.raises(ValueError) as info:
+        lens_equiv(x, y, "nonsense")
+    assert str(info.value) == "'nonsense' is not a valid Mode"
 
 
 # -- error branches ------------------------------------------------------------

@@ -89,18 +89,21 @@ FLAGS = ["--json", "--anti-hopf", "--max-order", "-h"]
 @settings(max_examples=500, deadline=None)
 def test_parse_fibration_raises_only_value_errors(text):
     """`parse_fibration` reads a text with `_read_fibration` and, when that
-    returns None, with the field walker: the first reader may decline any
-    text, but a value it returns or an error it raises is the walker's."""
+    returns None, raises the error of `_explain_rejection`: the pattern
+    reader may decline any text, but a value it returns or an error it
+    raises is the reference parser's, and so is the explained error."""
+    from test_cli import _ref_parse_fibration  # test_cli imports this module
+
     def outcome(read):
         try:
             return read(text)
         except ValueError as exc:  # ParseError is a ValueError
             return "%s: %s" % (type(exc).__name__, exc)
 
-    got, walked = outcome(cli._read_fibration), outcome(cli._walk_fibration)
-    assert outcome(parse_fibration) == walked, text
+    got, want = outcome(cli._read_fibration), outcome(_ref_parse_fibration)
+    assert outcome(parse_fibration) == want, text
     if got is not None:
-        assert got == walked and str(got) == str(walked), text
+        assert got == want and str(got) == str(want), text
         if not isinstance(got, str):
             assert type(got.euler) is Fraction and all(type(x) is int for x in got.xi), text
 

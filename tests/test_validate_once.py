@@ -378,21 +378,21 @@ _LENS_TEXTS = (
     "(D2(;8,3805); ; 1/8,3473/3805; -1149/60880; 1)",
     "(S2(2,2,3); 0/2,0/2,1/3; -1/3)",  # read through its bridge target
 )
-# the same values with a number written with a leading 0, which only the
-# field walker reads
-_WALKED_TEXTS = (
+# the same values with a number written with a leading 0, which the
+# pattern reader takes too
+_LEADING_ZERO_TEXTS = (
     "(S2(05,3811); 1/5,3484/3811; -2176/19055)",
     "S2(5,3811); 1/5,3484/3811; ; -2176/019055",
 )
 
 
 @pytest.mark.parametrize("argv", [["lens"], ["--json", "lens"], ["diffeo", _LENS_TEXTS[1]]])
-@pytest.mark.parametrize("text", _LENS_TEXTS + _WALKED_TEXTS)
+@pytest.mark.parametrize("text", _LENS_TEXTS + _LEADING_ZERO_TEXTS)
 def test_command_converts_and_checks_each_expression_once(monkeypatch, argv, text):
     """The parser builds the value from the numbers it has converted and
     checked, so no constructor converts them again; the pattern reader
-    takes each expression written as usual, so the field walker splits
-    only the others, each once; and the guard normalizes each once."""
+    takes each expression, leading 0s or not, so the field walker splits
+    none; and the guard normalizes each once."""
     calls = Counter()
 
     def counting(name, original):
@@ -421,9 +421,7 @@ def test_command_converts_and_checks_each_expression_once(monkeypatch, argv, tex
     assert code in (0, 3)  # 3: diffeo answered "not diffeomorphic"
     assert out.getvalue().startswith(("L(", "{", "diffeomorphic", "not diffeomorphic"))
     expressions = 2 if argv[0] == "diffeo" else 1
-    walked = text in _WALKED_TEXTS
-    assert calls == Counter(_read_fibration=expressions - walked, declined=walked,
-                            _split_top=walked, normalize=expressions)
+    assert calls == Counter(_read_fibration=expressions, normalize=expressions)
 
 
 BROKEN = "S2(2,2,3); 0/2,0/2,1/3; ; -1/2"  # fails the sum relation
