@@ -84,10 +84,20 @@ the command line's reports and the atlas sweep read it, and
 `_are_diffeomorphic` compares the signatures of two invariants.  The
 text atlas reads a row's key past the memo, which the sweep has filled.
 `fibration_class` and `single_step` ask only whether a class is finite
-and build no closure.  `diffeo_key`, the `lens` command, the parser and
-the guard do not read the memo: lens recognitions seldom repeat their
-input, and a miss pays to hash a large value and then keeps it alive (a
-memo on those paths cost 13% of the benchmark's `lens` throughput).
+and build no closure.
+
+The command line keeps a second memo of the same bound, `cli._reading`:
+from an expression text as written to its parsed value and its verdict
+(normal form, ValidationResult, spherical).  `validate`, `normalize`,
+`classify`, `fibrations` and `diffeo` read it, so a repeated text is
+neither parsed, normalized nor decided again, and its normal form, the
+same object on every hit, keeps its hash and its text.  Those commands
+hand the kept verdict to `_guard`, the guard's second half, so its two
+messages still come from one place.  `diffeo_key`, the `lens` command,
+the parser and `_require_normal_spherical` read neither memo: lens
+recognitions seldom repeat their input, and a miss pays to hash a large
+value and then keeps it alive.  The invariant memo on those paths cost
+13% of the benchmark's `lens` throughput, and the reading memo about 8%.
 """
 
 from __future__ import annotations
@@ -99,6 +109,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .core import (
+    _MEMO_MAXSIZE,
     FiberedOrbifold,
     LocalInvariant,
     Surface,
@@ -148,10 +159,16 @@ _NOT_SPHERICAL = "not spherical: chi(base) <= 0 or e = 0"
 
 
 def _require_normal_spherical(f: FiberedOrbifold) -> FiberedOrbifold:
-    """The guard of the public functions and of the command line: the
-    normal form of f, by `core._verdict`, or the ValueError of an invalid
-    f, which is reported before that of a non-spherical one."""
-    g, res, spherical = _verdict(f)
+    """The guard of the public functions, of the atlas's anti-Hopf rows and
+    of the `lens` command: `_guard` on the verdict of f by `core._verdict`."""
+    return _guard(*_verdict(f))
+
+
+def _guard(g: FiberedOrbifold, res, spherical: bool) -> FiberedOrbifold:
+    """The guard on a verdict (g, res, spherical) of `core._verdict`: g, or
+    the ValueError of an invalid fibration, reported before that of a
+    non-spherical one.  The command line hands it the verdicts its reading
+    memo keeps."""
     if not res.ok:
         raise ValueError("invalid fibration: %s" % "; ".join(res.problems))
     if not spherical:
@@ -568,11 +585,6 @@ def _key(g: FiberedOrbifold) -> DiffeoKey:
     cores, iota = _cores(invariants)
     mode = Mode.ORIENTED if iota[0] == iota[1] else Mode.FIXED_CORES
     return DiffeoKey(side, _lens_label(cores, n, d), iota, mode)
-
-
-# 2,000 queries rounds of the benchmark (114k queries) met 483 distinct
-# normal forms; 1024 leaves twice that.
-_MEMO_MAXSIZE = 1024
 
 
 @lru_cache(maxsize=_MEMO_MAXSIZE)

@@ -26,6 +26,10 @@ that puts corners on S2 or RP2, goes to the field walker, which builds
 nothing: it finds the first bad piece and raises its positioned
 ParseError.
 
+The expression commands but `lens` read a text through `_reading`, a
+per-process memo from the text as written to its value and verdict, so
+a repeated text is read once; a text that does not parse is not kept.
+
 Only `core` is imported here.  Each command imports `classify` (which
 loads `lens`) or `groups` when it runs, `argparse` is imported only for an
 argv the command table does not read, and `json` only where JSON is
@@ -42,6 +46,7 @@ from types import SimpleNamespace
 from typing import NoReturn
 
 from .core import (
+    _MEMO_MAXSIZE,
     _VALID,
     FiberedOrbifold,
     LocalInvariant,
@@ -55,7 +60,6 @@ from .core import (
     euler_characteristic,
     format_rational,
     is_spherical,
-    normalize,
     solve_xi,
 )
 
@@ -109,9 +113,10 @@ def _at(text: str, offset: int) -> int:
 
 def _number(m: re.Match, group: int, at: int) -> int:
     """int() of the digits of group `group` of m, a match of a piece found
-    at `at`; a ParseError at the number when it has more digits than int()
+    at `at`, without their leading 0s, as `_read_fibration` reads them; a
+    ParseError at the number when what is left has more digits than int()
     converts."""
-    digits = m[group]
+    digits = m[group].lstrip("0") or "0"
     try:
         return int(digits)
     except ValueError:
@@ -230,16 +235,20 @@ def _fibration_patterns():
     The notation's groups: outer '(', surface, disk surface, cone labels,
     corner labels, cone invariants, corner invariants, then the Euler
     class's sign, numerator and denominator and the boundary bit.  Blanks
-    stand where `_LABEL` and `_RATIONAL` let them.  A label or an order
-    may be written with leading 0s but is not 0.  On a disk the corner
-    slot is required and the bit optional; on S2 and RP2 the corner slot
-    may be left out or left blank, and there is no bit.
+    stand where `_LABEL` and `_RATIONAL` let them.  Any number may be
+    written with leading 0s, and a label or an order is not 0.  A group a
+    number is read from holds its digits without their leading 0s, as
+    `_number` converts them, so that the reader and the walker refuse the
+    same numbers as too long.  On a disk the corner slot is required and
+    the bit optional; on S2 and RP2 the corner slot may be left out or
+    left blank, and there is no bit.
 
     Each run of blanks is taken by one term only, and spaces follow a sign
     only when there is one, so a text the pattern declines is declined in
     time linear in its length: with two terms sharing a run, each invariant
     of a long list would double the ways to try."""
     natural = r"0*[1-9][0-9]*"
+    number = r"0*([1-9][0-9]*|0)"
     above_1 = r"0*([1-9][0-9]+|[2-9])"
     labels = r"(\s*(?:{0}\s*(?:,\s*{0}\s*)*)?)".format(natural)
     invariant = r"(?:[+-] *)?[0-9]+ */ *" + natural
@@ -247,16 +256,18 @@ def _fibration_patterns():
     notation = (
         r"\s*(?:(\()\s*)?((D2)|S2|RP2)(?:\({L}(?:;{L})?\))?\s*;{I};"
         r"(?(3){I};|(?:\s*;)?)"
-        r"\s*(?:([+-]) *)?([0-9]+)(?: */ *({N}))?\s*"
+        r"\s*(?:([+-]) *)?{W}(?: */ *0*([1-9][0-9]*))?\s*"
         r"(?(3)(?:;\s*([01])\s*)?)(?(1)\)\s*)"
-    ).format(L=labels, I=invariants, N=natural)
-    return (re.compile(notation), re.compile(above_1),
-            re.compile(r"([+-]?) *([0-9]+) */ *" + above_1))
+    ).format(L=labels, I=invariants, W=number)
+    return (re.compile(notation), re.compile(r"(?<![0-9])" + above_1),
+            re.compile(r"(?<![0-9])([+-]?) *%s */ *%s" % (number, above_1)))
 
 
 # The `findall` patterns take a label or an order above 1 without its
 # leading 0s: an order-1 point or invariant, which the value drops, is
-# skipped by the match itself.
+# skipped by the match itself.  No match starts after a digit, so that
+# skipping an item costs time linear in its length, not one scan of the
+# rest of a number from each of its digits.
 def _labels(pattern: re.Pattern, span: str) -> tuple[int, ...]:
     return tuple(sorted([int(n) for n in pattern.findall(span)])) if span else ()
 
@@ -358,14 +369,25 @@ def _key_json(k):
     }
 
 
-def _answer(f: FiberedOrbifold):
-    """(normal form, its ValidationResult, invariant) of f, from the
-    verdict of `core._verdict`; the invariant, the fibration set or
-    DiffeoKey, is None unless f is valid and spherical."""
+@functools.lru_cache(maxsize=_MEMO_MAXSIZE)
+def _reading(text: str) -> tuple:
+    """(value f, normal form g, ValidationResult, spherical) of the
+    expression `text`: `parse_fibration(text)` and the verdict
+    `core._verdict(f)`, memoized per process by the text as written.  A
+    ParseError is raised afresh each time, not kept.  The `validate`,
+    `normalize`, `classify`, `fibrations` and `diffeo` commands read it;
+    `lens` does not."""
+    f = parse_fibration(text)
+    return (f, *_verdict(f))
+
+
+def _answer(f, g, res, spherical) -> tuple:
+    """The reading (f, g, res, spherical) with the invariant of g, the
+    fibration set or DiffeoKey, in place of `spherical`; None unless g is
+    valid and spherical."""
     import seifert_orbifolds.classify as classify
 
-    g, res, spherical = _verdict(f)
-    return g, res, classify._invariant(g) if spherical else None
+    return f, g, res, classify._invariant(g) if spherical else None
 
 
 def _report(f, g, res, invariant) -> dict:
@@ -395,33 +417,33 @@ def _report(f, g, res, invariant) -> dict:
 
 def expression_report(f: FiberedOrbifold) -> dict:
     """The documented JSON object for a single fibration expression."""
-    return _report(f, *_answer(f))
+    return _report(*_answer(f, *_verdict(f)))
 
 
 def _cmd_validate(args):
-    f = parse_fibration(args.expr)
+    reading = _reading(args.expr)
     if args.json:
-        report = expression_report(f)
+        report = _report(*_answer(*reading))
         return (0 if report["valid"] else 1), report
-    g, res, _ = _verdict(f)
+    f, g, res, _ = reading
     if res.ok:
         return 0, "ok: %s" % g
     return 1, "\n".join(["invalid: %s" % f] + ["  " + p for p in res.problems])
 
 
 def _cmd_normalize(args):
-    f = parse_fibration(args.expr)
-    return 0, expression_report(f) if args.json else str(normalize(f))
+    reading = _reading(args.expr)
+    return 0, _report(*_answer(*reading)) if args.json else str(reading[1])
 
 
 def _cmd_classify(args):
-    f = parse_fibration(args.expr)
+    reading = _reading(args.expr)
     if args.json:
-        report = expression_report(f)
+        report = _report(*_answer(*reading))
         return (0 if report["valid"] else 1), report
     import seifert_orbifolds.classify as classify
 
-    g, res, invariant = _answer(f)
+    _, _, res, invariant = _answer(*reading)
     if not res.ok:
         return 1, "invalid: %s" % "; ".join(res.problems)
     if invariant is None:
@@ -439,8 +461,8 @@ def _cmd_chi(args):
 def _cmd_fibrations(args):
     import seifert_orbifolds.classify as classify
 
-    f = parse_fibration(args.expr)
-    g = classify._require_normal_spherical(f)
+    f, *verdict = _reading(args.expr)
+    g = classify._guard(*verdict)
     invariant = classify._invariant(g)
     if args.json:
         return 0, _report(f, g, _VALID, invariant)
@@ -454,8 +476,8 @@ def _cmd_fibrations(args):
 def _cmd_diffeo(args):
     import seifert_orbifolds.classify as classify
 
-    f = classify._require_normal_spherical(parse_fibration(args.expr1))
-    g = classify._require_normal_spherical(parse_fibration(args.expr2))
+    f = classify._guard(*_reading(args.expr1)[1:])
+    g = classify._guard(*_reading(args.expr2)[1:])
     same = classify._are_diffeomorphic(f, g)
     return (0 if same else 3), (
         {"left": str(f), "right": str(g), "diffeomorphic": bool(same)} if args.json

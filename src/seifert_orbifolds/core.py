@@ -541,6 +541,13 @@ def _valid_spherical(f: FiberedOrbifold) -> bool | None:
     return chi > 0 and e.numerator != 0
 
 
+# The bound of each per-process memo: classify's `_invariant` and the
+# command line's `_reading`.  2,000 queries rounds of the benchmark (114k
+# queries) met 483 distinct normal forms, and 985 distinct texts that
+# parse in the commands that read `_reading`; 1024 holds both.
+_MEMO_MAXSIZE = 1024
+
+
 def _verdict(f: FiberedOrbifold) -> tuple[FiberedOrbifold, ValidationResult, bool]:
     """(normal form g of f, its ValidationResult, whether g is valid and
     spherical): the one verdict of every public boundary, from one

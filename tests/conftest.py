@@ -2,16 +2,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from seifert_orbifolds import classify
+from seifert_orbifolds import classify, cli
 from seifert_orbifolds.core import FiberedOrbifold, Surface, normalize
 
 
 @pytest.fixture(autouse=True)
-def _cold_invariant_memo():
-    """Start each test with an empty classify._invariant memo, so a test
-    that counts the work behind an answer sees it done, not recalled from
-    an earlier test."""
+def _cold_memos():
+    """Start each test with an empty classify._invariant memo and an empty
+    cli._reading memo, so a test that counts the work behind an answer
+    sees it done, not recalled from an earlier test."""
     classify._invariant.cache_clear()
+    cli._reading.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -574,6 +574,57 @@ def test_a_base_label_longer_than_int_converts_is_positioned():
         % (limit + 1, limit))
 
 
+def test_a_padded_number_does_not_take_the_blame_of_a_long_one():
+    """The walker counts a number's digits without its leading 0s, as the
+    reader does, so the error names the number that is really too long,
+    not an order padded with 0s that reads as 2."""
+    _, limit = _over_the_digit_limit()
+    if limit >= 5000:
+        pytest.skip("int() converts a 5,000-digit number here")
+    text = "S2(2); 1/%s2; ; -%s" % ("0" * 5000, "7" * 5000)
+    assert run("classify", text) == (
+        1, "", "error: position 5015: number too long: 5000 digits, at most %d\n" % limit)
+
+
+@pytest.mark.parametrize("template", [
+    "S2(2); {}1/2; ; -1/2",  # a numerator
+    "S2(2); 1/{}2; ; -1/2",  # an order
+    "S2({}2); 1/2; ; -1/2",  # a label
+    "S2(2); 1/2; ; -{}1/2",  # the Euler class
+    "S2(2); 1/2; ; -1/{}2",  # its denominator
+    "S2(2); {}0/2; ; -0{}",  # numbers that are 0
+])
+def test_a_number_padded_past_the_digit_limit_reads_as_its_value(template):
+    digits, _ = _over_the_digit_limit()
+    zeros = "0" * len(digits)
+    value = "(S2(2); 0/2; 0)" if "-0" in template else "(S2(2); 1/2; -1/2)"
+    assert run("normalize", template.format(zeros, zeros)) == (0, value, "")
+    # a text the pattern declines for another piece: the walker passes the
+    # padded number and names that piece
+    code, out, err = run("normalize", template.format(zeros, zeros) + " x")
+    assert (code, out) == (1, "") and "bad rational" in err and "too long" not in err
+
+
+@pytest.mark.parametrize("template", [
+    "S2(2); {}1/1, 1/2; ; -1/2",  # an order-1 invariant, which the value drops
+    "S2({}1, 2); 1/2; ; -1/2",  # an order-1 point
+])
+def test_an_order_1_item_with_a_long_number_is_skipped_quickly(template):
+    """The reader skips an order-1 item without a scan of the rest of its
+    number from each of its digits (12 s for 40,000 digits when it did)."""
+    start = time.perf_counter()
+    f = parse_fibration(template.format("0" * 40000))
+    assert time.perf_counter() - start < 1.0
+    assert str(normalize(f)) == "(S2(2); 1/2; -1/2)"
+
+
+def test_a_base_label_padded_past_the_digit_limit_reads_as_its_value():
+    digits, _ = _over_the_digit_limit()
+    assert run("chi", "S2(%s2)" % ("0" * len(digits))) == (0, "chi(S2(2)) = 3/2", "")
+    assert run("--json", "chi", "D2(%s3;)" % ("0" * len(digits))) == (
+        0, '{"base": "D2(3;)", "chi": "1/3"}', "")
+
+
 def test_a_max_order_longer_than_int_converts_exits_1():
     digits, limit = _over_the_digit_limit()
     assert run("atlas", "--max-order", digits) == (

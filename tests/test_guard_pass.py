@@ -131,8 +131,8 @@ def check_guard(f):
         assert str(info.value) == classify._NOT_SPHERICAL
     else:
         assert _require_normal_spherical(f) == g
-    h, res, invariant = cli._answer(f)
-    assert h == g
+    same, h, res, invariant = cli._answer(f, *core._verdict(f))
+    assert same is f and h == g
     assert res == validate(g)
     assert (res is _VALID) is (want is not None)
     assert (invariant is not None) is bool(want)
@@ -260,7 +260,8 @@ def _two_fraction_route(f):
         lens.classical_from_fibration(f)
 
 
-@pytest.mark.parametrize("boundary", [_guard, cli._answer, _text_validate, _two_fraction_route])
+@pytest.mark.parametrize("boundary", [_guard, cli.expression_report, _text_validate,
+                                      _two_fraction_route])
 @pytest.mark.parametrize("text, invalid", [
     ("S2(3,2); 1/3,1/2; ; -5/6", False),  # unsorted, valid and spherical
     ("S2(3,3); 1/3,2/3; ; 0", False),  # valid, e = 0

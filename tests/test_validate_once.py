@@ -392,7 +392,8 @@ def test_command_converts_and_checks_each_expression_once(monkeypatch, argv, tex
     """The parser builds the value from the numbers it has converted and
     checked, so no constructor converts them again; the pattern reader
     takes each expression, leading 0s or not, so the field walker splits
-    none; and the guard normalizes each once."""
+    none; and each text is read and normalized once: diffeo given the same
+    text twice reads it once, from the reading memo the second time."""
     calls = Counter()
 
     def counting(name, original):
@@ -414,13 +415,13 @@ def test_command_converts_and_checks_each_expression_once(monkeypatch, argv, tex
     monkeypatch.setattr(cli, "_split_top", counting("_split_top", cli._split_top))
     monkeypatch.setattr(cli, "_read_fibration", reading(cli._read_fibration))
     wrapped = counting("normalize", core.normalize)
-    for mod in (core, classify, cli):
+    for mod in (core, classify):
         monkeypatch.setattr(mod, "normalize", wrapped)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = run_command(argv + [text])
     assert code in (0, 3)  # 3: diffeo answered "not diffeomorphic"
     assert out.getvalue().startswith(("L(", "{", "diffeomorphic", "not diffeomorphic"))
-    expressions = 2 if argv[0] == "diffeo" else 1
+    expressions = len({text, *argv[1:]}) if argv[0] == "diffeo" else 1
     assert calls == Counter(_read_fibration=expressions, normalize=expressions)
 
 
@@ -450,7 +451,9 @@ def test_text_mode_computes_only_what_it_prints(monkeypatch, argv, text_calls):
     pass (validity and sphericity in one), one validate only for an
     invalid fibration, to word its problems, and, for a valid spherical
     fibration, one _invariant call, counted in every module that holds
-    them (fibrations checks its input through the guard in classify)."""
+    them (fibrations checks its input through the guard in classify).  The
+    reading memo is cleared between the two runs, so the --json run reads
+    its text afresh."""
     calls = Counter()
 
     def counting(name, original):
@@ -467,6 +470,7 @@ def test_text_mode_computes_only_what_it_prints(monkeypatch, argv, text_calls):
         text_code = run_command(argv)
     assert calls == text_calls
     calls.clear()
+    cli._reading.cache_clear()
     for name in ("normalize", "validate", "_valid_spherical"):
         wrapped = counting(name, getattr(core, name))
         for mod in (core, cli, classify):
@@ -571,11 +575,85 @@ def test_invariant_memo_is_bounded():
 
 def test_lens_paths_leave_the_invariant_memo_alone():
     """diffeo_key and seifert lens read the key on paths of their own: their
-    inputs seldom repeat, and a memo entry would keep a large value alive."""
-    before = classify._invariant.cache_info()
+    inputs seldom repeat, and a memo entry would keep a large value alive.
+    Neither the invariant memo nor the reading memo is read or filled."""
+    memos = (classify._invariant, cli._reading)
+    before = [memo.cache_info() for memo in memos]
     for text in _LENS_TEXTS:
         diffeo_key(parse_fibration(text))
         with contextlib.redirect_stdout(io.StringIO()):
             assert run_command(["lens", text]) == 0
             assert run_command(["--json", "lens", text]) == 0
-    assert classify._invariant.cache_info() == before
+    assert [memo.cache_info() for memo in memos] == before
+
+
+# One text of each kind the expression commands read, with whether it
+# parses: a text that does not is not kept, and is read afresh each time.
+_EXPRESSIONS = (
+    (str(FINITE), True),
+    (str(INFINITE), True),
+    (BROKEN, True),  # the relation fails
+    ("S2(3,3); 1/3,2/3; ; 0", True),  # valid, not spherical
+    ("S2(2,2,04); 0/2,00/2,02/4; ; -1/02", True),  # FINITE with leading 0s
+    ("S2(2,2; 1/2,1/2; ; -1", False),  # bad syntax
+)
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]])
+@pytest.mark.parametrize("command", ["validate", "normalize", "classify", "fibrations",
+                                     "diffeo"])
+@pytest.mark.parametrize("text, parses", _EXPRESSIONS)
+def test_a_repeated_expression_reads_the_reading_memo(monkeypatch, flag, command, text,
+                                                      parses):
+    """Run twice in one process, an expression command prints the same
+    bytes, to stdout and stderr, and exits with the same code; the second
+    run of a text that parsed neither parses, normalizes nor decides it
+    again.  A bad-syntax text is read afresh and gets the field walker's
+    positioned message again."""
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "_read_fibration", counting("_read_fibration",
+                                                          cli._read_fibration))
+    monkeypatch.setattr(cli, "_explain_rejection", counting("_explain_rejection",
+                                                             cli._explain_rejection))
+    monkeypatch.setattr(core, "_valid_spherical", counting("_valid_spherical",
+                                                            core._valid_spherical))
+    wrapped = counting("normalize", core.normalize)
+    for mod in (core, classify):
+        monkeypatch.setattr(mod, "normalize", wrapped)
+    argv = flag + [command, text] + ([PARTNER] if command == "diffeo" else [])
+
+    def run():
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run_command(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    first = run()
+    assert calls["_read_fibration"] and (calls["normalize"] or not parses)
+    second = run()
+    assert second == first
+    if parses:
+        assert calls == {}
+    else:
+        assert first[0] == 1 and first[2].startswith("error: position ")
+        assert calls == {"_read_fibration": 1, "_explain_rejection": 1}
+
+
+def test_reading_memo_is_bounded_like_the_invariant_memo():
+    """The reading memo holds at most as many texts as the invariant memo
+    holds normal forms, and drops the least recently read beyond that."""
+    assert cli._reading.cache_info().maxsize == classify._MEMO_MAXSIZE
+    for k in range(classify._MEMO_MAXSIZE + 1):
+        cli._reading("S2; ; -%d" % (k + 1))
+    info = cli._reading.cache_info()
+    assert info.currsize == info.maxsize and info.misses == classify._MEMO_MAXSIZE + 1
+    cli._reading("S2; ; -1")
+    assert cli._reading.cache_info().misses == info.misses + 1
