@@ -87,13 +87,14 @@ text atlas reads a row's key past the memo, which the sweep has filled.
 and build no closure.
 
 The command line keeps a second memo of the same bound, `cli._reading`:
-from an expression text as written to its parsed value and its verdict
-(normal form, ValidationResult, spherical).  `validate`, `normalize`,
-`classify`, `fibrations` and `diffeo` read it, so a repeated text is
-neither parsed, normalized nor decided again, and its normal form, the
-same object on every hit, keeps its hash and its text.  Those commands
-hand the kept verdict to `_guard`, the guard's second half, so its two
-messages still come from one place.  `diffeo_key`, the `lens` command,
+from an expression text as written and the digit limit of `int()` to
+its parsed value and its verdict (normal form, ValidationResult,
+spherical).  `validate`, `normalize`, `classify`, `fibrations` and
+`diffeo` read it, so a repeated text is neither parsed, normalized nor
+decided again, and its normal form, the same object on every hit, keeps
+its hash and its text.  Those commands hand the kept verdict to
+`_guard`, the guard's second half, so its two messages still come from
+one place.  `diffeo_key`, the `lens` command,
 the parser and `_require_normal_spherical` read neither memo: lens
 recognitions seldom repeat their input, and a miss pays to hash a large
 value and then keeps it alive.  The invariant memo on those paths cost

@@ -27,8 +27,9 @@ nothing: it finds the first bad piece and raises its positioned
 ParseError.
 
 The expression commands but `lens` read a text through `_reading`, a
-per-process memo from the text as written to its value and verdict, so
-a repeated text is read once; a text that does not parse is not kept.
+per-process memo from the text as written and the digit limit of `int()`
+to its value and verdict, so a repeated text is read once; a text that
+does not parse is not kept.
 
 Only `core` is imported here.  Each command imports `classify` (which
 loads `lens`) or `groups` when it runs, `argparse` is imported only for an
@@ -369,16 +370,26 @@ def _key_json(k):
     }
 
 
-@functools.lru_cache(maxsize=_MEMO_MAXSIZE)
 def _reading(text: str) -> tuple:
     """(value f, normal form g, ValidationResult, spherical) of the
     expression `text`: `parse_fibration(text)` and the verdict
-    `core._verdict(f)`, memoized per process by the text as written.  A
-    ParseError is raised afresh each time, not kept.  The `validate`,
-    `normalize`, `classify`, `fibrations` and `diffeo` commands read it;
-    `lens` does not."""
+    `core._verdict(f)`, memoized per process by the text as written and
+    `sys.get_int_max_str_digits()`, since a text can read under one limit
+    and be too long under another.  A ParseError is raised afresh each
+    time, not kept.  The `validate`, `normalize`, `classify`, `fibrations`
+    and `diffeo` commands read it; `lens` does not.  Its `cache_info` and
+    `cache_clear` are the memo's."""
+    return _read_under(text, sys.get_int_max_str_digits())
+
+
+@functools.lru_cache(maxsize=_MEMO_MAXSIZE)
+def _read_under(text: str, limit: int) -> tuple:
+    """`_reading(text)` under the digit limit `limit`, which keys the memo."""
     f = parse_fibration(text)
     return (f, *_verdict(f))
+
+
+_reading.cache_info, _reading.cache_clear = _read_under.cache_info, _read_under.cache_clear
 
 
 def _answer(f, g, res, spherical) -> tuple:

@@ -422,7 +422,7 @@ def test_decorated_core_keys_agree_across_fibrations():
     # singularity indices through several of its fibrations and compare
     from math import gcd
 
-    from seifert_orbifolds.lens import _match_fibration
+    from lens_oracle import match_fibration
 
     def manifold_fibrations(p, q, bound=4):
         out = []
@@ -436,8 +436,8 @@ def test_decorated_core_keys_agree_across_fibrations():
                 e = F(-p, w1 * w2)
                 for a1 in range(w1):
                     for a2 in range(abs(w2)):
-                        if _match_fibration(p, q, ((a1, w1), (a2, abs(w2))), e.numerator,
-                                            e.denominator):
+                        if match_fibration(p, q, ((a1, w1), (a2, abs(w2))), e.numerator,
+                                           e.denominator):
                             out.append(((a1, w1), (a2, abs(w2)), e))
         return out
 

@@ -7,7 +7,8 @@ invalid g), and the guard and `cli._answer` must act on it as they did on
 the two calls.  `classify._key` hands `_lens_label` the Euler class, or 2e
 on the disk side, as integers; its key must be the one the Fraction
 arithmetic below builds, which is the key's code before it read integers,
-kept here as the oracle.
+kept here as the oracle; it checks its candidate q with the shared
+matcher of `lens_oracle`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from seifert_orbifolds.core import (
     validate,
 )
 from seifert_orbifolds.lens import LensSpace, Mode
+from lens_oracle import match_fibration
 
 S2, RP2, D2 = Surface.SPHERE, Surface.PROJECTIVE_PLANE, Surface.DISK
 
@@ -46,28 +48,6 @@ def oracle_cores(invariants):
     keyed = sorted([(gcd(i.a, i.b), i.b, i.a) for i in invariants], reverse=True)
     keyed += [(1, 1, 0)] * (2 - len(keyed))
     return tuple((a // i, b // i) for i, b, a in keyed), tuple(i for i, _, _ in keyed)
-
-
-def oracle_match(p, q, cores, euler):
-    (a1, b1), (a2, b2) = cores
-    n, d = euler.numerator, euler.denominator
-    w1 = b1
-    w2, rem = divmod(-p * d, n * w1)
-    if rem or abs(w2) != b2 or (w2 - q * w1) % p != 0:
-        return False
-    beta = (w2 - q * w1) // p
-    alpha = w1
-    if gcd(alpha, beta) != 1:
-        return False
-    x = -pow(beta, -1, alpha)
-    y = (1 + x * beta) // alpha
-    if (-x) % b1 != a1 % b1:
-        return False
-    t = x * q + y * p
-    a2x = t % b2 if w2 > 0 else (-t) % b2
-    if a2x != a2 % b2:
-        return False
-    return (n * b1 * b2 + ((-x) % b1) * d * b2 + a2x * d * b1) % (d * b1 * b2) == 0
 
 
 def oracle_label(cores, e: F) -> LensSpace:
@@ -83,8 +63,8 @@ def oracle_label(cores, e: F) -> LensSpace:
     if not rem and gcd(a1, b1) == 1:
         q, rem = divmod(w2 - pow(a1, -1, b1) * p, b1)
         q %= p
-        if not rem and gcd(q, p) == 1 and oracle_match(
-                p, q, ((a1 % b1, b1), (a2 % b2, b2)), e):
+        if not rem and gcd(q, p) == 1 and match_fibration(
+                p, q, ((a1 % b1, b1), (a2 % b2, b2)), e.numerator, e.denominator):
             return LensSpace(p, q)
     raise ValueError(
         "no lens space carries the fibration (%s/%s, %s/%s; %s)" % (a1, b1, a2, b2, e))

@@ -4,19 +4,21 @@ from math import gcd
 
 import pytest
 
+from seifert_orbifolds import classify
+from seifert_orbifolds.classify import diffeo_key
 from seifert_orbifolds.core import FiberedOrbifold, Surface, normalize
 from seifert_orbifolds.lens import (
     ClassicalSeifert,
     LensSpace,
     Mode,
     _lens_label,
-    _match_fibration,
     classical_from_fibration,
     lens_equiv,
     lens_from_classical,
 )
+from lens_oracle import match_fibration
 
-S2 = Surface.SPHERE
+S2, D2 = Surface.SPHERE, Surface.DISK
 
 
 def mk(cones, e):
@@ -25,7 +27,7 @@ def mk(cones, e):
 
 def scan_label(cores, euler):
     """The O(p) search `_lens_label` used to run, kept as its oracle: the
-    first unit q < p that `_match_fibration` accepts, or None.
+    first unit q < p that `match_fibration` accepts, or None.
 
     The q with w2 != q*b1 (mod p) are passed over before the matcher,
     which rejects them at its first test; this only keeps the scan fast.
@@ -43,7 +45,7 @@ def scan_label(cores, euler):
     reduced = ((a1 % b1, b1), (a2 % b2, b2))
     for q in range(p):
         if (w2 - q * b1) % p == 0 and gcd(q, p) == 1:
-            if _match_fibration(p, q, reduced, e.numerator, e.denominator):
+            if match_fibration(p, q, reduced, e.numerator, e.denominator):
                 return LensSpace(p, q)
     return None
 
@@ -200,9 +202,14 @@ class TestRecognizerRoundTrip:
                         for a1 in range(w1):
                             for a2 in range(abs(w2)):
                                 cores = ((a1, w1), (a2, abs(w2)))
-                                if _match_fibration(p, q, cores, e.numerator, e.denominator):
+                                if match_fibration(p, q, cores, e.numerator, e.denominator):
                                     lab = _lens_label(cores, e.numerator, e.denominator)
                                     assert lab == LensSpace(p, q), (p, q, w1, w2)
+
+
+# the label bound and the windings of e of the two-side grid below
+GRID_LABEL = 9
+KS = range(-2, 3)
 
 
 class TestClosedFormLabel:
@@ -226,9 +233,11 @@ class TestClosedFormLabel:
                         cases += 1
         assert cases > 300000
 
-    def test_raises_where_scan_finds_nothing(self):
-        # small tuples, lens or not: the label agrees with the scan, and
-        # raises exactly where the scan finds no q
+    def test_agrees_with_scan_where_scan_finds_a_label(self):
+        # small tuples, lens or not: the scan finds a label exactly where
+        # p = 1, or the cores are reduced and the sum relation holds (the
+        # contract of the module docstring's proof), and there the closed
+        # form gives the same label
         misses = hits = 0
         for b1 in range(1, 8):
             for b2 in range(1, 8):
@@ -238,14 +247,55 @@ class TestClosedFormLabel:
                             for e in (F(-m, b1 * b2), F(m, b1 * b2), F(-m, b1)):
                                 cores = ((a1, b1), (a2, b2))
                                 want = scan_label(cores, e)
+                                in_contract = (
+                                    gcd(a1, b1) == gcd(a2, b2) == 1
+                                    and (e + F(a1, b1) + F(a2, b2)).denominator == 1)
+                                p = abs(e) * b1 * b2
+                                assert (want is not None) == (p == 1 or in_contract), (cores, e)
                                 if want is None:
-                                    with pytest.raises(ValueError, match="no lens space"):
-                                        _lens_label(cores, e.numerator, e.denominator)
                                     misses += 1
                                 else:
                                     assert _lens_label(cores, e.numerator, e.denominator) == want, (cores, e)
                                     hits += 1
         assert misses > 10000 and hits > 1000
+
+    def test_every_key_call_is_in_contract_and_matches_scan(self, monkeypatch):
+        # every valid spherical S2(b1,b2) and D2(;b1,b2) fibration with
+        # labels <= GRID_LABEL (1: no singular point), s the sum of its two
+        # invariants and e = k - s on S2, k - (s + xi)/2 on D2, k in KS:
+        # each `_lens_label` call `diffeo_key` makes gets reduced cores and
+        # an Euler class (2e on a disk) that satisfy the sum relation, and
+        # returns the label the scan finds
+        seen = []
+
+        def recording(cores, n, d):
+            label = original(cores, n, d)
+            seen.append((cores, n, d, label))
+            return label
+
+        original = classify._lens_label
+        monkeypatch.setattr(classify, "_lens_label", recording)
+        sides, cases = set(), 0
+        for b1 in range(1, GRID_LABEL + 1):
+            for b2 in range(b1, GRID_LABEL + 1):
+                for a1 in range(b1):
+                    for a2 in range(b2):
+                        pairs, s = [(a1, b1), (a2, b2)], F(a1, b1) + F(a2, b2)
+                        values = [FiberedOrbifold.from_data(S2, pairs, [], k - s) for k in KS
+                                  if k != s]
+                        values += [FiberedOrbifold.from_data(D2, [], pairs, k - (s + xi) / 2, xi)
+                                   for k in KS for xi in (0, 1) if 2 * k != s + xi]
+                        for f in values:
+                            seen.clear()
+                            key = diffeo_key(f)
+                            assert len(seen) == 1, f
+                            ((c1, c2), n, d, label), = seen
+                            assert gcd(*c1) == gcd(*c2) == 1, (f, seen)
+                            assert (F(n, d) + F(*c1) + F(*c2)).denominator == 1, (f, seen)
+                            assert label == key.lens == scan_label((c1, c2), F(n, d)), f
+                            sides.add(key.orbifold_class)
+                            cases += 1
+        assert len(sides) == 2 and cases > 17000
 
     @pytest.mark.parametrize("p, q, alpha, beta", [
         (1000000007, 1, 1, 0),

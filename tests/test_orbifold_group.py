@@ -1,18 +1,20 @@
 """
 An oracle that shares no code with the classifier, the group module or the
-lens key: the orbifold fundamental group of a fibration over S2, counted
-by Todd-Coxeter coset enumeration over the trivial subgroup, from the
-Seifert presentation (Seifert 1933; Scott, "The geometries of
+lens key: the orbifold fundamental group of a fibration over S2 or RP2,
+counted by Todd-Coxeter coset enumeration over the trivial subgroup, from
+the Seifert presentation (Seifert 1933; Scott, "The geometries of
 3-manifolds", 1983).
 
 The generators are c_1 ... c_n, one per cone point with invariant a_i/b_i,
-and the fibre h.  With b0 = -(e + sum a_i/b_i), an integer on S2, the
-relations are
+the crosscap v over RP2, and the fibre h.  With b0 = -(e + sum a_i/b_i),
+an integer on S2 and RP2, the relations are
   - [c_i, h] = 1,
   - c_i^{b_i} h^{a_i} = 1,
-  - c_1 ... c_n = h^{b0},
-whose abelianization is the S2 case of `test_h1_oracle.relations`.  The
-enumerator is the Hopcroft-Leech-Trotter strategy with the coincidence
+  - over S2: c_1 ... c_n = h^{b0},
+  - over RP2: v h v^-1 = h^-1 and c_1 ... c_n v^2 = h^{b0},
+whose abelianization is the S2 and RP2 case of `test_h1_oracle.relations`
+(checked below, with the group order, on every RP2 row).  D2 is not
+covered.  The enumerator is the Hopcroft-Leech-Trotter strategy with the coincidence
 procedure of Holt, Eick and O'Brien, "Handbook of computational group
 theory" (2005), section 5.1.  Only `core` values and the parser are used:
 the atlas is read as the command line prints it.
@@ -27,6 +29,7 @@ import pytest
 
 from seifert_orbifolds.cli import parse_fibration, run_command
 from seifert_orbifolds.core import Surface
+from test_h1_oracle import relations
 
 MAX_ORDER = 100  # the atlas bound of these checks
 # the largest label of the grid fibrations checked against their key: all
@@ -36,12 +39,14 @@ MAX_COSETS = 200_000  # a runaway enumeration fails instead of hanging
 
 
 def presentation(f):
-    """(number of generators, relators) of the orbifold group of the S2
-    fibration f.  A letter is 2k for generator k and 2k + 1 for its
-    inverse; the cone generators come first and h is the last."""
+    """(number of generators, relators) of the orbifold group of the S2 or
+    RP2 fibration f.  A letter is 2k for generator k and 2k + 1 for its
+    inverse; the cone generators come first, then the crosscap v over RP2,
+    and h is the last."""
     cones = f.cone_invariants
     n = len(cones)
-    h = 2 * n
+    crosscap = f.base.surface is Surface.PROJECTIVE_PLANE
+    h = 2 * (n + crosscap)
     b0 = -(f.euler + sum(Fraction(i.a, i.b) for i in cones))
     assert b0.denominator == 1, f
 
@@ -53,8 +58,13 @@ def presentation(f):
         c = 2 * k
         relators.append([c, h, c ^ 1, h ^ 1])
         relators.append(power(c, i.b) + power(h, i.a))
-    relators.append([2 * k for k in range(n)] + power(h, -int(b0)))
-    return n + 1, [r for r in relators if r]
+    product = [2 * k for k in range(n)]
+    if crosscap:
+        v = 2 * n
+        relators.append([v, h, v ^ 1, h])
+        product += [v, v]
+    relators.append(product + power(h, -int(b0)))
+    return n + crosscap + 1, [r for r in relators if r]
 
 
 def coset_table(gens, relators):
@@ -188,6 +198,8 @@ def atlas():
     ("S2(2,3,3); 1/2,1/3,1/3; ; -1/6", 24),  # binary tetrahedral
     ("S2(2,3,5); 1/2,1/3,1/5; ; -1/30", 120),  # Poincare homology sphere
     ("S2(2,2,3); 0/2,0/2,1/3; ; -1/3", 12),  # an orbifold, not a manifold
+    ("RP2; ; 2", 8),  # the quaternion space again, over RP2
+    ("RP2(3); 1/3; 2/3", 24),  # a prism manifold
 ])
 def test_known_groups(text, order):
     assert group_size(parse_fibration(text)) == order
@@ -201,6 +213,42 @@ def test_group_order_is_the_atlas_order(atlas):
     assert len(rows) > 200
     wrong = [(q, order, size) for q, order in rows
              if (size := group_size(parse_fibration(q))) != order]
+    assert wrong == []
+
+
+def abelianization(gens, relators):
+    """The relators as integer rows: each generator's exponent sum."""
+    rows = []
+    for word in relators:
+        row = [0] * gens
+        for letter in word:
+            row[letter // 2] += -1 if letter & 1 else 1
+        rows.append(row)
+    return rows
+
+
+def test_abelianization_is_the_h1_relation_matrix(atlas):
+    """On every S2- and RP2-base row of the atlas, the presentation
+    abelianizes to `test_h1_oracle`'s relation rows: the two oracles share
+    one convention for the crosscap and for b0."""
+    rows = [parse_fibration(m["quotient"]) for obj in atlas for m in obj["members"]
+            if m["quotient"].startswith(("(S2", "(RP2"))]
+    assert sum(f.base.surface is Surface.PROJECTIVE_PLANE for f in rows) > 100
+    for f in rows:
+        gens, relators = presentation(f)
+        mine = sorted(r for r in abelianization(gens, relators) if any(r))
+        theirs, n = relations(f)
+        assert n == gens and mine == sorted(r for r in theirs if any(r)), f
+
+
+def test_rp2_group_order_is_the_atlas_order(atlas):
+    """|pi_1^orb| of every RP2-base row of the atlas, with and without cone
+    points, is the order of its group."""
+    rows = [(parse_fibration(m["quotient"]), m["order"]) for obj in atlas
+            for m in obj["members"] if m["quotient"].startswith("(RP2")]
+    assert len(rows) > 100 and sum(bool(f.cone_invariants) for f, _ in rows) > 50
+    wrong = [(str(f), order, size) for f, order in rows
+             if (size := group_size(f)) != order]
     assert wrong == []
 
 

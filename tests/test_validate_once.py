@@ -5,6 +5,7 @@ class once."""
 import contextlib
 import io
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -645,6 +646,37 @@ def test_a_repeated_expression_reads_the_reading_memo(monkeypatch, flag, command
     else:
         assert first[0] == 1 and first[2].startswith("error: position ")
         assert calls == {"_read_fibration": 1, "_explain_rejection": 1}
+
+
+@pytest.mark.parametrize("limits", [(6000, 4300), (4300, 6000)])
+def test_the_reading_memo_is_keyed_by_the_digit_limit(limits):
+    """A text with a 5,000-digit Euler class reads under a digit limit of
+    6,000 and is too long under 4,300.  Run under one limit and then the
+    other in one process, `classify` prints what a fresh read prints under
+    each: the kept reading of one limit is not served under the other."""
+    argv = ["classify", "S2(2); 1/2; ; -" + "7" * 5000]
+
+    def run(limit):
+        sys.set_int_max_str_digits(limit)
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run_command(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    saved = sys.get_int_max_str_digits()
+    try:
+        fresh = []
+        for limit in limits:
+            cli._reading.cache_clear()
+            fresh.append(run(limit))
+        cli._reading.cache_clear()
+        in_turn = [run(limit) for limit in limits]
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert in_turn == fresh
+    by_limit = dict(zip(limits, fresh))
+    assert by_limit[6000][:2] == (1, "invalid: invariant relation fails with residue -1/2\n")
+    assert by_limit[4300][0] == 1 and "position 15: number too long" in by_limit[4300][2]
 
 
 def test_reading_memo_is_bounded_like_the_invariant_memo():
