@@ -86,19 +86,14 @@ text atlas reads a row's key past the memo, which the sweep has filled.
 `fibration_class` and `single_step` ask only whether a class is finite
 and build no closure.
 
-The command line keeps a second memo of the same bound, `cli._reading`:
-from an expression text as written and the digit limit of `int()` to
-its parsed value and its verdict (normal form, ValidationResult,
-spherical).  `validate`, `normalize`, `classify`, `fibrations` and
-`diffeo` read it, so a repeated text is neither parsed, normalized nor
-decided again, and its normal form, the same object on every hit, keeps
-its hash and its text.  Those commands hand the kept verdict to
-`_guard`, the guard's second half, so its two messages still come from
-one place.  `diffeo_key`, the `lens` command,
-the parser and `_require_normal_spherical` read neither memo: lens
-recognitions seldom repeat their input, and a miss pays to hash a large
-value and then keeps it alive.  The invariant memo on those paths cost
-13% of the benchmark's `lens` throughput, and the reading memo about 8%.
+The commands that read their input through the command line's memo,
+`cli._reading`, hand its kept verdict to `_guard`, the guard's second
+half, so its two messages still come from one place.  `diffeo_key`, the
+`lens` command, the parser and `_require_normal_spherical` read neither
+memo: lens recognitions seldom repeat their input, and a miss pays to
+hash a large value and then keeps it alive.  The invariant memo on those
+paths cost 13% of the benchmark's `lens` throughput, and the reading memo
+about 8%.
 """
 
 from __future__ import annotations
@@ -119,7 +114,7 @@ from .core import (
     check_valid,
     normalize,
 )
-from .lens import LensSpace, Mode, _cores, _lens_label
+from .lens import LensSpace, Mode, _cores, _exchanged, _lens_label
 
 
 class FibrationClass(Enum):
@@ -613,7 +608,8 @@ def diffeo_signature(f: FiberedOrbifold):
     """Hashable complete invariant of the oriented diffeomorphism type.
 
     Finite class: the frozen set of all fibrations.  Infinite class: the
-    key with q canonicalized under the allowed torus exchange, the two
+    key with q reduced under the core exchange its mode allows (the rule
+    of `lens._exchanged`, which `lens_equiv` applies too), the two
     sphere/disk crossover orbifolds folded onto one value.
     """
     return _signature(_invariant(_require_normal_spherical(f)))
@@ -634,8 +630,5 @@ def _signature(invariant):
     if not isinstance(invariant, DiffeoKey):
         return invariant
     k = invariant
-    q = k.lens.q
-    if k.mode is Mode.ORIENTED and q > 1:
-        q = min(q, pow(q, -1, k.lens.p))
-    sig = (k.orbifold_class.value, k.lens.p, q, k.iota)
+    sig = (k.orbifold_class.value, k.lens.p, _exchanged(k.lens, k.mode), k.iota)
     return _CROSS.get(sig, sig)

@@ -392,51 +392,46 @@ def _read_under(text: str, limit: int) -> tuple:
 _reading.cache_info, _reading.cache_clear = _read_under.cache_info, _read_under.cache_clear
 
 
-def _answer(f, g, res, spherical) -> tuple:
-    """The reading (f, g, res, spherical) with the invariant of g, the
-    fibration set or DiffeoKey, in place of `spherical`; None unless g is
-    valid and spherical."""
-    import seifert_orbifolds.classify as classify
-
-    return f, g, res, classify._invariant(g) if spherical else None
-
-
-def _report(f, g, res, invariant) -> dict:
-    """The expression report of f from its `_answer`."""
-    import seifert_orbifolds.classify as classify
-
+def _report(f, g, res, spherical) -> dict:
+    """The expression report of f from its reading (f, g, res, spherical):
+    the value, its normal form, ValidationResult and verdict, as
+    `_reading` and `core._verdict` give them.  The invariant of g, its
+    fibration set or DiffeoKey, is computed only when g is valid and
+    spherical; the `lens` object is the one in the key's JSON."""
     report = {
         "input": str(f),
         "normalized": str(g),
         "valid": bool(res.ok),
         "chi": format_rational(euler_characteristic(g.base)),
-        "spherical": invariant is not None,
+        "spherical": spherical,
         "count": None,
         "fibrations": [],
     }
     if not res.ok:
         report["problems"] = list(res.problems)
-    elif isinstance(invariant, classify.DiffeoKey):
-        report["count"] = "infinite"
-        report["diffeo_key"] = _key_json(invariant)
-        report["lens"] = {"p": invariant.lens.p, "q": invariant.lens.q}
-    elif invariant is not None:
-        report["count"] = len(invariant)
-        report["fibrations"] = sorted(str(x) for x in invariant)
+    elif spherical:
+        import seifert_orbifolds.classify as classify
+
+        invariant = classify._invariant(g)
+        if isinstance(invariant, classify.DiffeoKey):
+            report["count"] = "infinite"
+            report["diffeo_key"] = key = _key_json(invariant)
+            report["lens"] = key["lens"]
+        else:
+            report["count"] = len(invariant)
+            report["fibrations"] = sorted(str(x) for x in invariant)
     return report
 
 
 def expression_report(f: FiberedOrbifold) -> dict:
     """The documented JSON object for a single fibration expression."""
-    return _report(*_answer(f, *_verdict(f)))
+    return _report(f, *_verdict(f))
 
 
 def _cmd_validate(args):
-    reading = _reading(args.expr)
+    f, g, res, _ = reading = _reading(args.expr)
     if args.json:
-        report = _report(*_answer(*reading))
-        return (0 if report["valid"] else 1), report
-    f, g, res, _ = reading
+        return (0 if res.ok else 1), _report(*reading)
     if res.ok:
         return 0, "ok: %s" % g
     return 1, "\n".join(["invalid: %s" % f] + ["  " + p for p in res.problems])
@@ -444,21 +439,20 @@ def _cmd_validate(args):
 
 def _cmd_normalize(args):
     reading = _reading(args.expr)
-    return 0, _report(*_answer(*reading)) if args.json else str(reading[1])
+    return 0, _report(*reading) if args.json else str(reading[1])
 
 
 def _cmd_classify(args):
-    reading = _reading(args.expr)
+    _, g, res, spherical = reading = _reading(args.expr)
     if args.json:
-        report = _report(*_answer(*reading))
-        return (0 if report["valid"] else 1), report
-    import seifert_orbifolds.classify as classify
-
-    _, _, res, invariant = _answer(*reading)
+        return (0 if res.ok else 1), _report(*reading)
     if not res.ok:
         return 1, "invalid: %s" % "; ".join(res.problems)
-    if invariant is None:
+    if not spherical:
         return 0, "not spherical; fibration count undetermined here"
+    import seifert_orbifolds.classify as classify
+
+    invariant = classify._invariant(g)
     return 0, "spherical; fibrations: %s" % (
         "infinite" if isinstance(invariant, classify.DiffeoKey) else len(invariant))
 
@@ -474,9 +468,9 @@ def _cmd_fibrations(args):
 
     f, *verdict = _reading(args.expr)
     g = classify._guard(*verdict)
-    invariant = classify._invariant(g)
     if args.json:
-        return 0, _report(f, g, _VALID, invariant)
+        return 0, _report(f, g, _VALID, True)
+    invariant = classify._invariant(g)
     if isinstance(invariant, classify.DiffeoKey):
         k = invariant
         return 0, ("infinitely many fibrations; key: class=%s lens=%s iota=(%d,%d) mode=%s"

@@ -10,6 +10,14 @@ route through two-fraction data (`classical_from_fibration`, then
 `lens_from_classical`, which hands its Fraction's numerator and
 denominator to the same `_lens_label`) gives the same label.
 
+The exchange rule is this module's too.  L(p, q) and L(p, q^-1), the
+inverse taken mod p, are one oriented lens space, by a diffeomorphism
+that exchanges the two solid tori.  Two keys may use it in Mode.ORIENTED,
+where the cores carry equal singularity indices, and not in
+Mode.FIXED_CORES.  `_exchanged` reduces q to min(q, q^-1 mod p) when the
+mode allows the exchange; `lens_equiv` and `classify`'s diffeomorphism
+signature both compare that reduced q, so the rule has one home.
+
 Lens spaces are named by the quotient model
 
     L(p, q) = S^3 / < (z1, z2) -> (exp(2*pi*i/p) z1, exp(2*pi*i*q/p) z2) >
@@ -206,22 +214,23 @@ def lens_from_classical(c: ClassicalSeifert) -> LensSpace:
     return _lens_label(((a1, b1), (a2, b2)), e.numerator, e.denominator)
 
 
-def lens_equiv(x: LensSpace, y: LensSpace, mode: Mode = Mode.ORIENTED) -> bool:
-    """Oriented equivalence of lens spaces.
+def _exchanged(lens: LensSpace, mode: Mode) -> int:
+    """q of `lens` reduced under the core exchange `mode` allows:
+    min(q, q^-1 mod p) when ORIENTED, where the two solid tori may be
+    exchanged, else q itself."""
+    q = lens.q
+    return min(q, pow(q, -1, lens.p)) if mode is Mode.ORIENTED and q > 1 else q
 
-    ORIENTED: p = p' and q' congruent to q or to the inverse of q mod p
-    (the comparing diffeomorphism may exchange the two solid tori).
-    FIXED_CORES: p = p' and q = q' mod p, used when the two cores carry
-    distinct singularity indices and may not be exchanged.  A mode may be
-    given by its value, such as "fixed-cores"; ValueError for an unknown
-    one.
+
+def lens_equiv(x: LensSpace, y: LensSpace, mode: Mode = Mode.ORIENTED) -> bool:
+    """Oriented equivalence of lens spaces: p = p' and the same q under
+    `_exchanged`.
+
+    ORIENTED: q' congruent to q or to the inverse of q mod p (the
+    comparing diffeomorphism may exchange the two solid tori).
+    FIXED_CORES: q = q' mod p, used when the two cores carry distinct
+    singularity indices and may not be exchanged.  A mode may be given by
+    its value, such as "fixed-cores"; ValueError for an unknown one.
     """
     mode = Mode(mode)
-    if x.p != y.p:
-        return False
-    p = x.p
-    if (x.q - y.q) % p == 0:
-        return True
-    if mode is Mode.FIXED_CORES:
-        return False
-    return (x.q * y.q - 1) % p == 0
+    return x.p == y.p and _exchanged(x, mode) == _exchanged(y, mode)

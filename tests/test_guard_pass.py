@@ -3,12 +3,12 @@ they replace.
 
 `core._valid_spherical` decides "valid and spherical" in one integer pass;
 its verdict must be `validate(g).ok and is_spherical(g)` (None for an
-invalid g), and the guard and `cli._answer` must act on it as they did on
-the two calls.  `classify._key` hands `_lens_label` the Euler class, or 2e
-on the disk side, as integers; its key must be the one the Fraction
-arithmetic below builds, which is the key's code before it read integers,
-kept here as the oracle; it checks its candidate q with the shared
-matcher of `lens_oracle`.
+invalid g), and the guard and `cli.expression_report` must act on it as
+they did on the two calls.  `classify._key` hands `_lens_label` the Euler
+class, or 2e on the disk side, as integers; its key must be the one the
+Fraction arithmetic below builds, which is the key's code before it read
+integers, kept here as the oracle; it checks its candidate q with the
+shared matcher of `lens_oracle`.
 """
 
 from __future__ import annotations
@@ -95,8 +95,9 @@ def expected_verdict(g):
 
 
 def check_guard(f):
-    """The pass, the guard and `cli._answer` on f agree with validate and
-    is_spherical, and the errors keep their wording and order."""
+    """The pass, the guard, `core._verdict` and `cli.expression_report` on
+    f agree with validate and is_spherical, and the errors keep their
+    wording and order."""
     g = normalize(f)
     want = expected_verdict(g)
     assert _valid_spherical(g) is want, g
@@ -111,11 +112,16 @@ def check_guard(f):
         assert str(info.value) == classify._NOT_SPHERICAL
     else:
         assert _require_normal_spherical(f) == g
-    same, h, res, invariant = cli._answer(f, *core._verdict(f))
-    assert same is f and h == g
+    h, res, spherical = core._verdict(f)
+    assert h == g
     assert res == validate(g)
     assert (res is _VALID) is (want is not None)
-    assert (invariant is not None) is bool(want)
+    assert spherical is bool(want)
+    report = cli.expression_report(f)
+    assert report["input"] == str(f) and report["normalized"] == str(g)
+    assert report["valid"] is (want is not None)
+    assert report["spherical"] is bool(want)
+    assert (report["count"] is not None) is bool(want)
 
 
 def with_labels(f, cone_labels, corner_labels=()):

@@ -183,6 +183,30 @@ class TestLensEquiv:
                     got = lens_equiv(LensSpace(p, q1), LensSpace(p, q2))
                     assert got == expected, (p, q1, q2)
 
+    def test_three_branch_reference(self):
+        # the three-branch rule, q' = q or, where the cores may be
+        # exchanged, q*q' = 1 (mod p), against lens_equiv's comparison of
+        # the reduced q: every pair of units mod p for p <= 60, in both
+        # modes, each given as a Mode and by name
+        def reference(x, y, mode):
+            if x.p != y.p:
+                return False
+            p = x.p
+            if (x.q - y.q) % p == 0:
+                return True
+            if mode is Mode.FIXED_CORES:
+                return False
+            return (x.q * y.q - 1) % p == 0
+
+        for p in range(1, 61):
+            spaces = [LensSpace(p, q) for q in range(p) if gcd(p, q) == 1]
+            for x in spaces:
+                for y in spaces:
+                    for mode in Mode:
+                        want = reference(x, y, mode)
+                        assert lens_equiv(x, y, mode) is want, (x, y, mode)
+                        assert lens_equiv(x, y, mode.value) is want, (x, y, mode)
+
 
 class TestRecognizerRoundTrip:
     def test_all_small_lens_fibrations(self):

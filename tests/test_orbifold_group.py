@@ -1,29 +1,52 @@
 """
 An oracle that shares no code with the classifier, the group module or the
-lens key: the orbifold fundamental group of a fibration over S2 or RP2,
-counted by Todd-Coxeter coset enumeration over the trivial subgroup, from
-the Seifert presentation (Seifert 1933; Scott, "The geometries of
+lens key: the orbifold fundamental group of a fibration over S2, RP2 or
+D2, counted by Todd-Coxeter coset enumeration over the trivial subgroup,
+from the Seifert presentation (Seifert 1933; Scott, "The geometries of
 3-manifolds", 1983).
 
 The generators are c_1 ... c_n, one per cone point with invariant a_i/b_i,
-the crosscap v over RP2, and the fibre h.  With b0 = -(e + sum a_i/b_i),
-an integer on S2 and RP2, the relations are
+the crosscap v over RP2, the mirror edges s_0 ... s_{k-1} over D2 with k
+corners (one edge s_0 when k = 0), and the fibre h.  With
+b0 = -(e + sum a_i/b_i), an integer on S2 and RP2, the relations are
   - [c_i, h] = 1,
   - c_i^{b_i} h^{a_i} = 1,
   - over S2: c_1 ... c_n = h^{b0},
-  - over RP2: v h v^-1 = h^-1 and c_1 ... c_n v^2 = h^{b0},
-whose abelianization is the S2 and RP2 case of `test_h1_oracle.relations`
-(checked below, with the group order, on every RP2 row).  D2 is not
-covered.  The enumerator is the Hopcroft-Leech-Trotter strategy with the coincidence
-procedure of Holt, Eick and O'Brien, "Handbook of computational group
-theory" (2005), section 5.1.  Only `core` values and the parser are used:
-the atlas is read as the command line prints it.
+  - over RP2: v h v^-1 = h^-1 and c_1 ... c_n v^2 = h^{b0}.
+Over D2, with corners m_j carrying a'_j/m_j and the boundary bit xi,
+b0 = -(e + sum a_i/b_i + (sum a'_j/m_j + xi)/2) is an integer by the sum
+relation, and the boundary loop is w = c_1 ... c_n h^-b0.  Then
+  - each reflection inverts h: s_j h s_j^-1 = h^-1,
+  - each reflection has order 2: s_j^2 = 1 (a lift s_j h^t of the same
+    reflection squares to the same, since s_j inverts h),
+  - one corner relation per corner: (s_{j+1} s_j)^{m_j} = h^{a'_j}, where
+    the edge after the last is s_k = w s_0 w^-1 h^xi, the last edge
+    twisted by the boundary bit,
+  - with no corner, s_0 = w s_0 w^-1 h^xi.
+With no cone point, c'_j = s_j s_{j+1} are the cone generators of the
+double cover over S2, with c'_j^{m_j} h^{a'_j} = 1 and
+c'_0 ... c'_{k-1} = s_0 s_k = h^{2 b0 + xi}: the S2 relations of the
+doubled Euler class 2e.
+The abelianization of each surface's presentation is
+`test_h1_oracle.relations`, and these conventions are pinned, not assumed:
+the abelianization and the group order are checked below on every RP2 and
+D2 row of the atlas.  Of the 16 ways to order the corner product, to
+conjugate by w from either side and to sign the twist and the power of h
+in w, two give every D2 row its group order: this one, and the one that
+reverses the corner product, the conjugation and the twist together.  Each
+other way misses at least 30 of the 512 rows.  The enumerator is the
+Hopcroft-Leech-Trotter strategy with the coincidence procedure of Holt,
+Eick and O'Brien, "Handbook of computational group theory" (2005), section
+5.1.  Only `core` values and the parser are used: the atlas is read as the
+command line prints it.
 """
 
 import contextlib
 import io
 import json
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -39,32 +62,50 @@ MAX_COSETS = 200_000  # a runaway enumeration fails instead of hanging
 
 
 def presentation(f):
-    """(number of generators, relators) of the orbifold group of the S2 or
-    RP2 fibration f.  A letter is 2k for generator k and 2k + 1 for its
-    inverse; the cone generators come first, then the crosscap v over RP2,
-    and h is the last."""
-    cones = f.cone_invariants
+    """(number of generators, relators) of the orbifold group of f.  A
+    letter is 2k for generator k and 2k + 1 for its inverse; the cone
+    generators come first, then the crosscap v over RP2 or the mirror
+    edges over D2, and h is the last."""
+    cones, corners = f.cone_invariants, f.corner_invariants
     n = len(cones)
-    crosscap = f.base.surface is Surface.PROJECTIVE_PLANE
-    h = 2 * (n + crosscap)
-    b0 = -(f.euler + sum(Fraction(i.a, i.b) for i in cones))
+    surface = f.base.surface
+    extra = (max(len(corners), 1) if surface is Surface.DISK
+             else int(surface is Surface.PROJECTIVE_PLANE))  # v, or the edges
+    h = 2 * (n + extra)
+    mirror = sum((Fraction(i.a, i.b) for i in corners), Fraction(sum(f.xi)))
+    b0 = -(f.euler + sum(Fraction(i.a, i.b) for i in cones) + mirror / 2)
     assert b0.denominator == 1, f
 
     def power(letter, k):
         return [letter if k > 0 else letter ^ 1] * abs(k)
+
+    def inverse(word):
+        return [letter ^ 1 for letter in reversed(word)]
 
     relators = []
     for k, i in enumerate(cones):
         c = 2 * k
         relators.append([c, h, c ^ 1, h ^ 1])
         relators.append(power(c, i.b) + power(h, i.a))
-    product = [2 * k for k in range(n)]
-    if crosscap:
+    loop = [2 * k for k in range(n)] + power(h, -int(b0))
+    if surface is Surface.SPHERE:
+        relators.append(loop)
+    elif surface is Surface.PROJECTIVE_PLANE:
         v = 2 * n
         relators.append([v, h, v ^ 1, h])
-        product += [v, v]
-    relators.append(product + power(h, -int(b0)))
-    return n + crosscap + 1, [r for r in relators if r]
+        relators.append(loop[:n] + [v, v] + loop[n:])
+    else:
+        edges = [[2 * (n + j)] for j in range(extra)]
+        for s in edges:
+            relators.append(s + [h] + inverse(s) + [h])
+            relators.append(s + s)
+        last = loop + edges[0] + inverse(loop) + power(h, f.xi[0])
+        if not corners:
+            relators.append(last + inverse(edges[0]))
+        for j, i in enumerate(corners):
+            after = edges[j + 1] if j + 1 < len(corners) else last
+            relators.append((after + edges[j]) * i.b + power(h, -i.a))
+    return n + extra + 1, [r for r in relators if r]
 
 
 def coset_table(gens, relators):
@@ -151,8 +192,23 @@ def coset_table(gens, relators):
     return [[number[table[c][x]] for x in range(letters)] for c in live]
 
 
+@cache
+def group(f):
+    """(number of generators, coset table) of the orbifold group of f,
+    enumerated once per value: the order and the element-order checks of
+    one atlas row share it."""
+    gens, relators = presentation(f)
+    return gens, coset_table(gens, relators)
+
+
 def group_size(f):
-    return len(coset_table(*presentation(f)))
+    return len(group(f)[1])
+
+
+def order_profile(f):
+    """The number of elements of each order in the group of f."""
+    gens, table = group(f)
+    return tuple(sorted(Counter(element_orders(table, gens)).items()))
 
 
 def element_orders(table, gens):
@@ -250,6 +306,51 @@ def test_rp2_group_order_is_the_atlas_order(atlas):
     wrong = [(str(f), order, size) for f, order in rows
              if (size := group_size(f)) != order]
     assert wrong == []
+
+
+def _d2_rows(atlas):
+    rows = [(parse_fibration(m["quotient"]), m["order"]) for obj in atlas
+            for m in obj["members"] if m["quotient"].startswith("(D2")]
+    assert len(rows) == 512
+    return rows
+
+
+def test_d2_abelianization_is_the_h1_relation_matrix(atlas):
+    """On every D2-base row of the atlas, the presentation abelianizes to
+    `test_h1_oracle`'s relation rows, with no corner, with two or three
+    and with a cone point besides.  Each mirror edge's inversion of h
+    gives the row 2h, which `relations` holds once, so the distinct rows
+    are compared."""
+    rows = [f for f, _ in _d2_rows(atlas)]
+    assert sum(not f.corner_invariants for f in rows) > 50
+    assert sum(len(f.corner_invariants) > 1 for f in rows) > 50
+    assert sum(bool(f.cone_invariants) and bool(f.corner_invariants) for f in rows) > 50
+    for f in rows:
+        gens, relators = presentation(f)
+        mine = {tuple(r) for r in abelianization(gens, relators) if any(r)}
+        theirs, n = relations(f)
+        assert n == gens and mine == {tuple(r) for r in theirs if any(r)}, f
+
+
+def test_d2_group_order_is_the_atlas_order(atlas):
+    """|pi_1^orb| of every D2-base row of the atlas is the order of its
+    group: this pins the order of the corner product, the side w
+    conjugates from and the signs of the twist and of b0."""
+    wrong = [(str(f), order, size) for f, order in _d2_rows(atlas)
+             if (size := group_size(f)) != order]
+    assert wrong == []
+
+
+def test_every_class_has_one_element_order_profile(atlas):
+    """Every member of an atlas class, over S2, RP2 or D2, gives one
+    multiset of element orders: a finer invariant than the group order,
+    and one that shares no code with the classifier."""
+    spanning = 0
+    for obj in atlas:
+        members = [parse_fibration(m["quotient"]) for m in obj["members"]]
+        assert len({order_profile(f) for f in members}) == 1, obj["class"]
+        spanning += len({f.base.surface for f in members}) > 1
+    assert (len(atlas), spanning) == (551, 383)
 
 
 def _report(f):

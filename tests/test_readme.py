@@ -10,7 +10,8 @@ import pytest
 
 from seifert_orbifolds.cli import run_command
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _block(heading, language):
@@ -61,3 +62,17 @@ def test_command_line_example(argv, comment):
 
 def test_command_line_examples_are_found():
     assert len(_EXAMPLES) >= 5
+
+
+def test_python_floor_has_the_digit_limit():
+    """`requires-python` admits no interpreter without
+    `sys.get_int_max_str_digits`, which the expression commands read: it
+    came with CPython 3.10.7.  The README's install section names the same
+    floor.  The file is read as text, since `tomllib` needs 3.11."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    spec = re.search(r'^requires-python\s*=\s*"([^"]*)"$', pyproject, re.M)[1]
+    floor = re.fullmatch(r">=([0-9]+(?:\.[0-9]+)*)", spec)
+    assert floor, spec
+    assert tuple(int(n) for n in floor[1].split(".")) >= (3, 10, 7), spec
+    install = README.split("\n## Install and test\n", 1)[1].split("\n## ", 1)[0]
+    assert "Python %s or later" % floor[1] in install
