@@ -54,16 +54,54 @@ Each input is read once.  `_read_class(f, filed)` is the one test of
 "small base, or a bridge row holds": a small-base f is its own
 representative and is neither shaped nor read; any other f is read once,
 its readings filed, and the first bridge row of those readings that holds
-gives its representative.  The class check, `_representative`,
-`_still_finite` and `single_step` all go through it.  A closure starts
-from the readings and the filed dict of its input's class check, reads
-each other member once, when it joins, and files each reading:
-(pattern, (x, y)) to the member that pattern reads with (x, y), in a dict
-that lives for that closure only.  The same readings check that the
-member is still finite (`_still_finite`) and give its moves.  A move
-whose target (pattern, parameters) is filed takes that member; only an
-unfiled target is built.  So each member, the input included, is shaped
-and read once, and each but the input is built once.
+gives its representative.  The class check, `_representative` and
+`single_step` all go through it.  A closure starts from the readings and
+the filed dict of its input's class check, reads each other member once,
+when it joins, and files each reading: (pattern, (x, y)) to the member
+that pattern reads with (x, y), in a dict that lives for that closure
+only.  Those readings give the member's moves; its class is its input's
+(below), so it is not decided again.  A move whose target (pattern,
+parameters) is filed takes that member; only an unfiled target is built.
+So each member, the input included, is shaped and read once, and each but
+the input is built once.  The paper's bound of three fibrations is the
+closure's one run-time stop.
+
+Three properties of the tables hold for all parameters, so no run-time
+check re-tests them; `tests/test_rule_table.py` and `tests/test_groups.py`
+test each once, over values that the argument shows stand for all cases.
+
+- A bridge lands on a small base: every `_BRIDGES` target is S2 with two
+  cone invariants, or D2 with two corner invariants and no cone
+  invariant, and `_normal_form` drops only invariants of order 1.
+- A move from a finite-class fibration stays in the finite class.  Let
+  it take the reading (x, y) to the target pattern T at (x', y').  T's
+  base is not small: S2(2,2,x), D2(;2,2,x) and D2(x;) are small only at
+  x = 1, and every domain makes x' >= 2 there; RP2(x), D2(2;x) and the
+  sporadic bases are never small.  Nor does a bridge row hold for the
+  target.  A row holds only for a reading (x_Q, y_Q) with |y_Q| = 1 by
+  its source Q, which is filed under the target's shape, and the Euler
+  class gives y_Q = (k_Q*x_Q)/(k'*x') * y'.  When x' > 2 an invariant of
+  order x' is there, which only Q's free one can be, so x_Q = x' and
+  |y'| <= 4; else x_Q >= 1 and |y'| <= 8.  A swap takes (x, y) to
+  (|y|, -+x), so it needs x <= 8, and x <= 4 unless |y| <= 2; a halving
+  has |y| <= 2 by its domain.  So a case is bounded but for t, the |y|
+  of a swap with x <= 4 or the x of a halving.  The domains compare t
+  with constants up to 6 and take it mod 2 or mod 4, and x' is t, t/2
+  or 2t.  A reading tests the free numerator, -y or (x-y)/2, against
+  -y_Q or (x-y_Q)/2 modulo the free order x; doubled, the two differ by
+  0 or x plus at most 2(|y| + |y_Q|), so once x exceeds that the test is
+  an equation in y and y_Q or fails, and the rest of the reading sees x
+  only through its parity.  A swap's source with |y| = t > 8 has no
+  bridge row, as it is read with |y_Q| >= t/8, and a halving's source is
+  read as its target is, with |y| <= 2.  So from t = 14 on, the source's
+  class, the domain and the target's readings depend on t mod 4 alone,
+  and the pattern values with x, |y| <= 17 stand for every case.  The
+  sporadic fibrations are read by no pattern, since no pattern is filed
+  under their shapes, and their bases are not small.
+- A Hopf quotient is spherical: every `groups._TABLE` row has
+  e = -m/c with m >= 1, and a base with chi > 0 for all parameters:
+  S2(2,2,n), S2(2,3,3), S2(2,3,4), S2(2,3,5), RP2(n), D2(n;), D2(2;n),
+  D2(3;2), D2(;2,2,n) or D2(;2,3,b) for b in 3, 4, 5, a label 1 dropped.
 
 Each public function validates its arguments once, through
 `_require_normal_spherical`, and hands the normal form to a private core
@@ -109,6 +147,7 @@ from .core import (
     FiberedOrbifold,
     LocalInvariant,
     Surface,
+    _core_labels,
     _normal_form,
     _verdict,
     check_valid,
@@ -347,10 +386,8 @@ _BRIDGES = (
 def _small_base(f: FiberedOrbifold) -> bool:
     """Sphere with at most two cone points, or disk with no cone points and
     at most two corners: the bases of the lens-space representatives."""
-    base = f.base
-    if base.surface is _S2:
-        return len(base.cone_labels) <= 2
-    return base.surface is _D2 and not base.cone_labels and len(base.corner_labels) <= 2
+    labels = _core_labels(f.base)
+    return labels is not None and len(labels) <= 2
 
 
 # -- the matcher -------------------------------------------------------------
@@ -424,16 +461,14 @@ def _moves(f: FiberedOrbifold, readings, filed: dict):
 
 def single_step(f: FiberedOrbifold) -> set[FiberedOrbifold]:
     """All fibrations one displayed move away from f (finite class only).
-    f is read once, for its class and for its moves."""
+    f is read once, for its class and for its moves; a move stays in the
+    finite class (module docstring), so its targets are not read."""
     f = _require_normal_spherical(f)
     filed = {}
     g, readings = _read_class(f, filed)
     if g is not None:
         raise InfiniteClassError("single_step requires a finite-class fibration")
-    out = {h for _, h in _moves(f, readings, filed) if h != f}
-    for h in out:
-        _still_finite(f, h, filed)
-    return out
+    return {h for _, h in _moves(f, readings, filed) if h != f}
 
 
 def _read_class(f: FiberedOrbifold, filed: dict):
@@ -441,7 +476,9 @@ def _read_class(f: FiberedOrbifold, filed: dict):
     fibration of f's class (f itself when its base is small, else the
     target of its first bridge row that holds), or None when the class is
     finite.  readings are f's `_readings`, filed in `filed`, or () for a
-    small base, which is neither shaped nor read."""
+    small base, which is neither shaped nor read.  A closure's members
+    other than its input are not given to it: they share the input's
+    class (module docstring)."""
     if _small_base(f):
         return f, ()
     readings = _readings(f, filed)
@@ -449,26 +486,14 @@ def _read_class(f: FiberedOrbifold, filed: dict):
     return (None if hit is None else hit[1]), readings
 
 
-def _still_finite(f: FiberedOrbifold, g: FiberedOrbifold, filed: dict):
-    """g's readings, filed in `filed`, for g a rewrite of f; AssertionError
-    if g left the finite class: its base is small or a bridge row holds."""
-    h, readings = _read_class(g, filed)
-    if h is not None:
-        raise AssertionError("rewrite left the finite class: %s -> %s" % (f, g))
-    return readings
-
-
 def _bridge(f: FiberedOrbifold, readings):
     """(row name, target) of the first bridge row of f's readings whose
-    domain holds, or None; it reads nothing itself.  AssertionError if the
-    target's base is not small."""
+    domain holds, or None; it reads nothing itself.  The target's base is
+    small by the table's construction (module docstring)."""
     for xy, _, bridges in readings:
         for name, _, domain, target in bridges:
             if domain(*xy):
-                g = _normal_form(*target(*xy, f.euler))
-                if not _small_base(g):
-                    raise AssertionError("bridge of %s landed in the finite class" % (f,))
-                return name, g
+                return name, _normal_form(*target(*xy, f.euler))
     return None
 
 
@@ -516,9 +541,11 @@ def _enumerate_fibrations(f: FiberedOrbifold, readings, filed: dict) -> set[Fibe
     from the readings of f that its class check filed in `filed`.
 
     Each other member is read by the source patterns filed under its shape
-    once, when it joins, and those readings check it finite and give its
-    moves; a move whose target is already filed reuses that member, so
-    each member but f is built once."""
+    once, when it joins, and those readings give its moves; it is in f's
+    class (module docstring), so its class is not decided again.  A move
+    whose target is already filed reuses that member, so each member but f
+    is built once.  The paper's bound of three fibrations is the one stop:
+    a larger closure is an AssertionError."""
     seen = {f}
     frontier = [(f, readings)]
     while frontier:
@@ -526,7 +553,7 @@ def _enumerate_fibrations(f: FiberedOrbifold, readings, filed: dict) -> set[Fibe
         for _, h in _moves(g, readings, filed):
             if h not in seen:
                 seen.add(h)
-                frontier.append((h, _still_finite(g, h, filed)))
+                frontier.append((h, _readings(h, filed)))
         if len(seen) > 3:
             raise AssertionError("rewrite closure exceeded three fibrations: %s" % seen)
     return seen

@@ -54,13 +54,12 @@ from .core import (
     Surface,
     TwoOrbifold,
     UnsupportedFamilyError,
-    _too_long,
+    _natural,
     _trusted,
     _trusted_base,
     _verdict,
     euler_characteristic,
     format_rational,
-    is_spherical,
     solve_xi,
 )
 
@@ -71,7 +70,6 @@ class ParseError(ValueError):
 
 # Numbers are ASCII digits only: str.isdigit, int() and Fraction() also
 # read other scripts' digits, underscores and exponents.
-_NATURAL = re.compile(r"[0-9]+")
 _LABEL = re.compile(r"\s*([0-9]+)\s*")
 # an invariant a/b or the Euler class a(/b): any blank at the ends, spaces
 # only after the sign and around the '/', none between two digits
@@ -113,16 +111,14 @@ def _at(text: str, offset: int) -> int:
 
 
 def _number(m: re.Match, group: int, at: int) -> int:
-    """int() of the digits of group `group` of m, a match of a piece found
-    at `at`, without their leading 0s, as `_read_fibration` reads them; a
-    ParseError at the number when what is left has more digits than int()
-    converts."""
-    digits = m[group].lstrip("0") or "0"
+    """The value of the digits of group `group` of m, a match of a piece
+    found at `at`, by `core._natural`, as `_read_fibration` reads them; a
+    ParseError at the number when it has more digits than int() converts,
+    leading 0s not counted."""
     try:
-        return int(digits)
-    except ValueError:
-        raise ParseError("position %d: %s"
-                         % (at + m.start(group), _too_long("number", digits))) from None
+        return _natural(m[group], "number")
+    except ValueError as exc:
+        raise ParseError("position %d: %s" % (at + m.start(group), exc)) from None
 
 
 def _parse_labels(text: str, offset: int, zero: int | None) -> tuple[list[int], int | None]:
@@ -533,15 +529,15 @@ def _atlas_classes(max_order: int):
     its Hopf quotient: `member_of` maps every member of an enumerated
     fibration set to its class, and a Hopf quotient it does not hold is
     classified.  Each finite class is thus enumerated and sorted once.  A
-    Hopf quotient is a check_valid normal form, so a Hopf row checks only
-    sphericity.  An anti-Hopf value is a checked normal form too, and is
-    never classified, yet it still passes the full guard
+    Hopf quotient is a check_valid normal form, spherical for every row of
+    the table (classify's module docstring), so a Hopf row checks nothing.
+    An anti-Hopf value is a checked normal form too, and is never
+    classified, yet it still passes the full guard
     `_require_normal_spherical`, the atlas's only `core.normalize` call:
     the benchmark's self-check fails an atlas that makes none.  A group's
     name and order are read once for both of its rows.
     """
-    from .classify import (_NOT_SPHERICAL, DiffeoKey, _invariant,
-                           _require_normal_spherical, _signature)
+    from .classify import DiffeoKey, _invariant, _require_normal_spherical, _signature
     from .groups import (NO_INVARIANT_FIBRATION, enumerate_quotient_groups, group_order,
                          quotient_antihopf, quotient_hopf)
 
@@ -550,8 +546,6 @@ def _atlas_classes(max_order: int):
     rows = []
     for g in enumerate_quotient_groups(max_order):
         h = quotient_hopf(g)
-        if not is_spherical(h):
-            raise ValueError(_NOT_SPHERICAL)
         cls = member_of.get(h)
         if cls is None:
             invariant = _invariant(h)
@@ -578,11 +572,7 @@ def _atlas_classes(max_order: int):
 
 
 def _cmd_atlas(args):
-    bound = args.max_order.strip()
-    try:
-        max_order = int(bound) if _NATURAL.fullmatch(bound) else 0
-    except ValueError:
-        raise ValueError(_too_long("--max-order", bound)) from None
+    max_order = _natural(args.max_order.strip(), "--max-order") or 0
     if max_order < 1:
         raise ValueError("--max-order must be a positive integer, got %r" % args.max_order)
     if args.out is None:

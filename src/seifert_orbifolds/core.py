@@ -70,6 +70,20 @@ def _too_long(what: str, digits: str) -> str:
                                                   sys.get_int_max_str_digits())
 
 
+def _natural(text: str, what: str) -> int | None:
+    """The value of `text` when it is ASCII digits, leading 0s allowed
+    (`str.isdigit` and `int()` alone also read other scripts' digits), else
+    None; a ValueError naming `what` when the digits left after the 0s are
+    more than int() converts."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    digits = text.lstrip("0") or "0"
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(_too_long(what, digits)) from None
+
+
 def _as_rational(q, what: str = "the Euler class") -> Fraction:
     """q as a Fraction; ValueError for a float, which is not exact, and for
     anything Fraction() cannot read, such as None, a list or "1/0"."""
@@ -357,6 +371,17 @@ def orbifold_order(f: FiberedOrbifold) -> Fraction:
     return Fraction(16 * common * common * abs(e.numerator), e.denominator * n * n)
 
 
+def _core_labels(base: TwoOrbifold) -> tuple[int, ...] | None:
+    """A sphere's cone labels or a cone-free disk's corner labels, else
+    None: the labels over the two cores of a base that has at most two of
+    them, the base of a lens-space representative."""
+    if base.surface is Surface.SPHERE:
+        return base.cone_labels
+    if base.surface is Surface.DISK and not base.cone_labels:
+        return base.corner_labels
+    return None
+
+
 def is_bad(base: TwoOrbifold) -> bool:
     """Whether a positively curved base is a bad 2-orbifold.
 
@@ -366,13 +391,8 @@ def is_bad(base: TwoOrbifold) -> bool:
     """
     if _twice_chi(base)[0] <= 0:
         raise ValueError("is_bad is only defined for chi > 0")
-    if base.surface is Surface.SPHERE:
-        labels = base.cone_labels
-    elif base.surface is Surface.DISK and not base.cone_labels:
-        labels = base.corner_labels
-    else:
-        return False
-    if len(labels) > 2 or not labels:
+    labels = _core_labels(base)
+    if not labels or len(labels) > 2:
         return False
     padded = (labels + (1, 1))[:2]
     return padded[0] != padded[1]

@@ -23,14 +23,13 @@ elsewhere).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .core import (Surface, UnsupportedFamilyError, _IdentityEnum, _integer, _normal_form,
-                   _too_long)
+from .core import (Surface, UnsupportedFamilyError, _IdentityEnum, _integer, _natural,
+                   _normal_form)
 
 
 class NoInvariantFibration:
@@ -305,16 +304,13 @@ def parse_group(text: str) -> GroupFamily:
             key, val = key.strip(), val.strip()
             if key in params:
                 raise ValueError("group parameter %s is given twice" % key)
-            # ASCII digits only: int() also reads other scripts' digits
-            if not re.fullmatch("[0-9]+", val):
+            value = _natural(val, "group parameter %s" % key)
+            if value is None:
                 raise ValueError(
                     "group parameter %s must be written in ASCII digits, got %r"
                     % (key, val)
                 )
-            try:
-                params[key] = int(val)
-            except ValueError:
-                raise ValueError(_too_long("group parameter %s" % key, val)) from None
+            params[key] = value
     return GroupFamily(name.strip(), params)
 
 

@@ -631,6 +631,20 @@ def test_a_max_order_longer_than_int_converts_exits_1():
         1, "", "error: --max-order too long: %d digits, at most %d\n" % (limit + 1, limit))
 
 
+def test_a_max_order_padded_past_the_digit_limit_reads_as_its_value():
+    """`--max-order` is read as an expression's numbers are: leading 0s do
+    not count toward the digit limit, and a long number names the option
+    with its digits after the 0s."""
+    digits, limit = _over_the_digit_limit()
+    zeros = "0" * len(digits)
+    code, out, err = run("atlas", "--max-order", zeros + "4")
+    assert (code, out, err) == run("atlas", "--max-order", "4") and out.count("\nclass") == 2
+    assert run("atlas", "--max-order", zeros) == (
+        1, "", "error: --max-order must be a positive integer, got %r\n" % zeros)
+    assert run("atlas", "--max-order", zeros + digits) == (
+        1, "", "error: --max-order too long: %d digits, at most %d\n" % (limit + 1, limit))
+
+
 def _answer_too_long():
     """A valid input whose every number int() converts, but whose lens p,
     9 * (10**limit - 1), has one digit more than str() prints; and the

@@ -21,6 +21,7 @@ from seifert_orbifolds.classify import (
     _read_class,
     _readings,
     _shape,
+    _small_base,
     are_diffeomorphic,
     diffeo_signature,
     fibration_class,
@@ -101,7 +102,35 @@ def bridge(f):
     return _bridge(f, _readings(f, {}))
 
 
+def moves_out_of_the_finite_class(values):
+    """(rule name, f, g) for each move of a finite-class f among `values`
+    whose target g is not in the finite class: g's base is small or a
+    bridge row holds for g.  Closures do not decide a member's class, so
+    this is what would show a table that breaks the property."""
+    return [(name, f, g) for f in values if fibration_class(f) is FibrationClass.FINITE
+            for name, g in rewrites(f) if _read_class(g, {})[0] is not None]
+
+
+def pattern_values(limit):
+    """The value build(x, y) of each rule-side pattern for x, |y| <= limit,
+    y != 0 (a mixed pattern has none at odd x - y)."""
+    patterns = {id(p): p for _, left, right, _, _ in _RULES for p in (left, right)}
+    ys = [y for y in range(-limit, limit + 1) if y]
+    out = set()
+    for pattern, x, y in product(patterns.values(), range(1, limit + 1), ys):
+        if not (pattern.mixed and (x - y) % 2):
+            f = pattern.build(x, y)
+            assert reference_read(pattern, f) == (x, y), (pattern, x, y)
+            out.add(f)
+    return out
+
+
 def test_every_move_and_bridge_keeps_the_orbifold_order():
+    """Each move and bridge keeps the orbifold order; each bridge target has
+    a small base; and each move of a finite-class fibration stays in the
+    finite class.  The last two hold for every parameter by the argument
+    of classify's module docstring, which shows that the pattern values
+    with x, |y| <= 17, all in the grid, stand for every case."""
     fired = Counter()
     for f in grid():
         if fibration_class(f) is FibrationClass.FINITE:
@@ -112,7 +141,13 @@ def test_every_move_and_bridge_keeps_the_orbifold_order():
         if hit is not None:
             name, g = hit
             assert orbifold_order(g) == orbifold_order(f), (name, f, g)
+            assert _small_base(g), (name, f, g)
             fired[name] += 1
+    assert pattern_values(17) <= grid()
+    assert moves_out_of_the_finite_class(grid()) == []
+    sporadic = [f for pair in SPORADIC_PAIRS for f in pair]
+    assert all(fibration_class(f) is FibrationClass.FINITE for f in sporadic)
+    assert moves_out_of_the_finite_class(sporadic) == []
     # no dead rows: every rule and every bridge row fires on this grid
     names = [row[0] for row in _RULES + _BRIDGES]
     assert len(set(names)) == len(names)

@@ -30,6 +30,7 @@ from seifert_orbifolds.groups import (
     quotient_hopf,
     swapped_group,
 )
+from test_rule_table import moves_out_of_the_finite_class
 
 FINITE = parse_fibration("S2(2,2,4); 0/2,0/2,2/4; ; -1/2")  # three fibrations
 INFINITE = parse_fibration("S2(2,2,3); 0/2,0/2,1/3; ; -1/3")  # bridged to a lens key
@@ -246,16 +247,30 @@ def test_atlas_runs_no_group_constructor_check(monkeypatch):
     assert len(checks) == 1
 
 
-def test_closures_check_each_added_member_once(monkeypatch):
-    """A closure asks whether a fibration stays in the finite class once
-    for each member it adds, not for every rewrite output (884 calls for
-    398 added members in an atlas-100 sweep)."""
-    checked = _count_calls(monkeypatch, "_still_finite")
-    enumerations = _count_calls(monkeypatch, "_enumerate_fibrations")
+def test_closures_read_each_added_member_once(monkeypatch):
+    """A closure reads each member it adds exactly once, when it adds it,
+    and does not decide that member's class again: the moves keep the
+    finite class (classify's module docstring), which
+    `tests/test_rule_table.py` checks over a grid that stands for every
+    case."""
+    read = _count_calls(monkeypatch, "_readings")
+    classed = _count_calls(monkeypatch, "_read_class")
+    original = classify._enumerate_fibrations
+    closures = []
+
+    def counted(f, *rest):
+        before, classes = len(read), len(classed)
+        members = original(f, *rest)
+        closures.append((f, members, [args[0] for args, _ in read[before:]],
+                         len(classed) - classes))
+        return members
+
+    monkeypatch.setattr(classify, "_enumerate_fibrations", counted)
     _atlas_json(60)
-    added = [h for (f, *_), members in enumerations for h in members if h != f]
-    assert added
-    assert sorted(map(str, (g for (_, g, _), _ in checked))) == sorted(map(str, added))
+    assert sum(len(members) - 1 for _, members, _, _ in closures) > 50
+    assert [(f, members, got) for f, members, got, _ in closures
+            if sorted(map(str, got)) != sorted(str(h) for h in members if h != f)] == []
+    assert sum(n for *_, n in closures) == 0
 
 
 def test_closures_shape_each_member_once(monkeypatch):
@@ -356,9 +371,11 @@ def test_closures_build_each_member_once(monkeypatch):
     assert any(m & sporadic for m, _ in closures)
 
 
-def test_closure_still_refuses_a_rewrite_that_leaves_the_finite_class(monkeypatch):
-    """With a bridge row holding for every fibration but FINITE itself, the
-    first member the closure would add fails the check."""
+def test_the_grid_check_flags_a_rewrite_that_leaves_the_finite_class(monkeypatch):
+    """With a bridge row holding for every fibration but FINITE itself,
+    each of FINITE's moves leaves the finite class.  No closure re-checks
+    its members at run time, so a table broken that way is caught by the
+    grid check of `tests/test_rule_table.py`, which flags those moves."""
     original = classify._bridge
 
     def bridged_but_seed(f, readings):
@@ -367,10 +384,26 @@ def test_closure_still_refuses_a_rewrite_that_leaves_the_finite_class(monkeypatc
         return "a bridge", f
 
     monkeypatch.setattr(classify, "_bridge", bridged_but_seed)
-    with pytest.raises(AssertionError, match="rewrite left the finite class"):
-        classify._invariant.__wrapped__(FINITE)  # the closure, past the memo
-    with pytest.raises(AssertionError, match="rewrite left the finite class"):
-        single_step(FINITE)
+    flagged = moves_out_of_the_finite_class([FINITE])
+    assert {f for _, f, _ in flagged} == {FINITE}
+    assert {g for _, _, g in flagged} == single_step(FINITE) and len(single_step(FINITE)) == 2
+
+
+def test_the_closure_stops_past_three_fibrations(monkeypatch):
+    """The paper's bound of three fibrations is the closure's one run-time
+    stop: with moves that yield four fresh fibrations, the closure raises
+    it, past the memo and through enumerate_fibrations."""
+    fresh = list(classify._SPORADIC)[:4]
+    assert FINITE not in fresh
+
+    def four_moves(f, readings, filed):
+        return (("a move", h) for h in fresh)
+
+    monkeypatch.setattr(classify, "_moves", four_moves)
+    with pytest.raises(AssertionError, match="rewrite closure exceeded three fibrations"):
+        classify._invariant.__wrapped__(FINITE)
+    with pytest.raises(AssertionError, match="rewrite closure exceeded three fibrations"):
+        enumerate_fibrations(FINITE)
 
 
 _LENS_TEXTS = (
