@@ -26,10 +26,15 @@ that puts corners on S2 or RP2, goes to the field walker, which builds
 nothing: it finds the first bad piece and raises its positioned
 ParseError.
 
-The expression commands but `lens` read a text through `_reading`, a
-per-process memo from the text as written and the digit limit of `int()`
-to its value and verdict, so a repeated text is read once; a text that
-does not parse is not kept.
+Two per-process memos, each keyed by its operand as written and the digit
+limit of `int()`, answer a repeated operand with one lookup.  The
+expression commands but `lens` read a text through `_reading`, which
+keeps its value and verdict and, once `--json validate`, `normalize`,
+`classify` or `fibrations` has printed it, the text of its report.
+`quotient` reads a (spec, side) through `_quotient`, which keeps the group
+and the printed quotient.  An operand that raises is not kept.  `lens`
+reads past both: its inputs seldom repeat, and a memo cost it 4-5% of its
+throughput.
 
 Only `core` is imported here.  Each command imports `classify` (which
 loads `lens`) or `groups` when it runs, `argparse` is imported only for an
@@ -48,7 +53,6 @@ from typing import NoReturn
 
 from .core import (
     _MEMO_MAXSIZE,
-    _VALID,
     FiberedOrbifold,
     LocalInvariant,
     Surface,
@@ -348,8 +352,9 @@ def _explain_rejection(text: str) -> NoReturn:
 
 # -- commands ---------------------------------------------------------------
 #
-# Each command returns (exit code, output): a JSON payload under --json,
-# else its text, or None when it prints nothing.  `run_command` prints it.
+# Each command returns (exit code, output): under --json a JSON payload,
+# or the JSON text a memo keeps, else its text, or None when it prints
+# nothing.  `run_command` prints it, a str as it is.
 # A command imports `classify` or `groups` when it runs, as a module: each
 # call pays for that import statement, and `import seifert_orbifolds.X as X`
 # is cheaper than a relative `from .X import ...`, which resolves the
@@ -366,26 +371,39 @@ def _key_json(k):
     }
 
 
-def _reading(text: str) -> tuple:
-    """(value f, normal form g, ValidationResult, spherical) of the
-    expression `text`: `parse_fibration(text)` and the verdict
-    `core._verdict(f)`, memoized per process by the text as written and
-    `sys.get_int_max_str_digits()`, since a text can read under one limit
-    and be too long under another.  A ParseError is raised afresh each
-    time, not kept.  The `validate`, `normalize`, `classify`, `fibrations`
-    and `diffeo` commands read it; `lens` does not.  Its `cache_info` and
-    `cache_clear` are the memo's."""
+def _reading(text: str) -> list:
+    """[value f, normal form g, ValidationResult, spherical, report] of the
+    expression `text`: `parse_fibration(text)`, the verdict
+    `core._verdict(f)`, and the JSON text of its report, None until
+    `_json_report` builds it.  Memoized per process by the text as written
+    and `sys.get_int_max_str_digits()`, since a text can read under one
+    limit and be too long under another.  A ParseError is raised afresh
+    each time, not kept.  Every caller gets the memo's own list, which only
+    `_json_report` writes, in its last slot.  The `validate`, `normalize`,
+    `classify`, `fibrations` and `diffeo` commands read it; `lens` does
+    not.  Its `cache_info` and `cache_clear` are the memo's."""
     return _read_under(text, sys.get_int_max_str_digits())
 
 
 @functools.lru_cache(maxsize=_MEMO_MAXSIZE)
-def _read_under(text: str, limit: int) -> tuple:
+def _read_under(text: str, limit: int) -> list:
     """`_reading(text)` under the digit limit `limit`, which keys the memo."""
     f = parse_fibration(text)
-    return (f, *_verdict(f))
+    return [f, *_verdict(f), None]
 
 
 _reading.cache_info, _reading.cache_clear = _read_under.cache_info, _read_under.cache_clear
+
+
+def _json_report(reading: list) -> str:
+    """The report of an entry of `_reading` as `--json` prints it, built on
+    first use and kept in the entry's last slot, so that `validate`,
+    `normalize`, `classify` and `fibrations` build it once per text."""
+    if reading[4] is None:
+        import json
+
+        reading[4] = json.dumps(_report(*reading[:4]), sort_keys=True)
+    return reading[4]
 
 
 def _report(f, g, res, spherical) -> dict:
@@ -425,9 +443,9 @@ def expression_report(f: FiberedOrbifold) -> dict:
 
 
 def _cmd_validate(args):
-    f, g, res, _ = reading = _reading(args.expr)
+    f, g, res, _, _ = reading = _reading(args.expr)
     if args.json:
-        return (0 if res.ok else 1), _report(*reading)
+        return (0 if res.ok else 1), _json_report(reading)
     if res.ok:
         return 0, "ok: %s" % g
     return 1, "\n".join(["invalid: %s" % f] + ["  " + p for p in res.problems])
@@ -435,13 +453,13 @@ def _cmd_validate(args):
 
 def _cmd_normalize(args):
     reading = _reading(args.expr)
-    return 0, _report(*reading) if args.json else str(reading[1])
+    return 0, _json_report(reading) if args.json else str(reading[1])
 
 
 def _cmd_classify(args):
-    _, g, res, spherical = reading = _reading(args.expr)
+    _, g, res, spherical, _ = reading = _reading(args.expr)
     if args.json:
-        return (0 if res.ok else 1), _report(*reading)
+        return (0 if res.ok else 1), _json_report(reading)
     if not res.ok:
         return 1, "invalid: %s" % "; ".join(res.problems)
     if not spherical:
@@ -462,10 +480,10 @@ def _cmd_chi(args):
 def _cmd_fibrations(args):
     import seifert_orbifolds.classify as classify
 
-    f, *verdict = _reading(args.expr)
-    g = classify._guard(*verdict)
-    if args.json:
-        return 0, _report(f, g, _VALID, True)
+    reading = _reading(args.expr)
+    g = classify._guard(*reading[1:4])
+    if args.json:  # the guard passed, so this is the report of a valid spherical input
+        return 0, _json_report(reading)
     invariant = classify._invariant(g)
     if isinstance(invariant, classify.DiffeoKey):
         k = invariant
@@ -477,25 +495,50 @@ def _cmd_fibrations(args):
 def _cmd_diffeo(args):
     import seifert_orbifolds.classify as classify
 
-    f = classify._guard(*_reading(args.expr1)[1:])
-    g = classify._guard(*_reading(args.expr2)[1:])
+    f = classify._guard(*_reading(args.expr1)[1:4])
+    g = classify._guard(*_reading(args.expr2)[1:4])
     same = classify._are_diffeomorphic(f, g)
     return (0 if same else 3), (
         {"left": str(f), "right": str(g), "diffeomorphic": bool(same)} if args.json
         else "diffeomorphic" if same else "not diffeomorphic")
 
 
-def _cmd_quotient(args):
+def _quotient(spec: str, anti_hopf: bool) -> tuple:
+    """(group, printed quotient) of the group spec `spec` on the anti-Hopf
+    side or the Hopf side, the quotient None when the group preserves no
+    fibration on that side.  Memoized per process like `_reading`, by the
+    spec as written, the side and the digit limit; a ValueError is raised
+    afresh each time.  Computes no group order, which only `--json`
+    prints.  Its `cache_info` and `cache_clear` are the memo's."""
+    return _quotient_under(spec, anti_hopf, sys.get_int_max_str_digits())
+
+
+@functools.lru_cache(maxsize=_MEMO_MAXSIZE)
+def _quotient_under(spec: str, anti_hopf: bool, limit: int) -> tuple:
+    """`_quotient(spec, anti_hopf)` under the digit limit `limit`, which
+    keys the memo."""
     import seifert_orbifolds.groups as groups
 
-    g = groups.parse_group(args.group)
-    out = (groups.quotient_antihopf if args.anti_hopf else groups.quotient_hopf)(g)
+    g = groups.parse_group(spec)
+    out = (groups.quotient_antihopf if anti_hopf else groups.quotient_hopf)(g)
+    return g, None if out is groups.NO_INVARIANT_FIBRATION else str(out)
+
+
+_quotient.cache_info, _quotient.cache_clear = (_quotient_under.cache_info,
+                                               _quotient_under.cache_clear)
+
+
+def _cmd_quotient(args):
+    g, out = _quotient(args.group, args.anti_hopf)
     side = "anti-Hopf" if args.anti_hopf else "Hopf"
-    if out is groups.NO_INVARIANT_FIBRATION:
+    if out is None:
         return 0, ({"group": str(g), "side": side, "fibration": None} if args.json
                    else "%s preserves no fibration on the %s side" % (g, side))
-    return 0, ({"group": str(g), "side": side, "order": groups.group_order(g),
-                "fibration": str(out)} if args.json else str(out))
+    if not args.json:
+        return 0, out
+    import seifert_orbifolds.groups as groups
+
+    return 0, {"group": str(g), "side": side, "order": groups.group_order(g), "fibration": out}
 
 
 def _cmd_lens(args):

@@ -562,9 +562,11 @@ def _valid_spherical(f: FiberedOrbifold) -> bool | None:
 
 
 # The bound of each per-process memo: classify's `_invariant` and the
-# command line's `_reading`.  2,000 queries rounds of the benchmark (114k
-# queries) met 483 distinct normal forms, and 985 distinct texts that
-# parse in the commands that read `_reading`; 1024 holds both.
+# command line's `_reading` and `_quotient`.  2,000 queries rounds of the
+# benchmark (114k queries) met 483 distinct normal forms, and 985 distinct
+# texts that parse in the commands that read `_reading`.  960 rounds, of
+# seed 1 or of seed 61, kept 917 or 920 `--json` report texts and 460
+# (spec, side) pairs of `_quotient`.  1024 holds each.
 _MEMO_MAXSIZE = 1024
 
 

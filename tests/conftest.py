@@ -8,11 +8,12 @@ from seifert_orbifolds.core import FiberedOrbifold, Surface, normalize
 
 @pytest.fixture(autouse=True)
 def _cold_memos():
-    """Start each test with an empty classify._invariant memo and an empty
-    cli._reading memo, so a test that counts the work behind an answer
-    sees it done, not recalled from an earlier test."""
+    """Start each test with an empty classify._invariant memo and empty
+    cli._reading and cli._quotient memos, so a test that counts the work
+    behind an answer sees it done, not recalled from an earlier test."""
     classify._invariant.cache_clear()
     cli._reading.cache_clear()
+    cli._quotient.cache_clear()
 
 
 @pytest.fixture(scope="session")

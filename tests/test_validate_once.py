@@ -486,8 +486,11 @@ def test_text_mode_computes_only_what_it_prints(monkeypatch, argv, text_calls):
     invalid fibration, to word its problems, and, for a valid spherical
     fibration, one _invariant call, counted in every module that holds
     them (fibrations checks its input through the guard in classify).  The
-    reading memo is cleared between the two runs, so the --json run reads
-    its text afresh."""
+    reading and quotient memos are cleared between the two runs, so the
+    --json run reads its operand afresh.  Run again, --json prints the same
+    bytes from the memos: the report text the reading memo keeps, or the
+    quotient the quotient memo keeps, which costs the group order alone; a
+    repeated text-mode quotient computes nothing."""
     calls = Counter()
 
     def counting(name, original):
@@ -505,15 +508,21 @@ def test_text_mode_computes_only_what_it_prints(monkeypatch, argv, text_calls):
     assert calls == text_calls
     calls.clear()
     cli._reading.cache_clear()
+    cli._quotient.cache_clear()
     for name in ("normalize", "validate", "_valid_spherical"):
         wrapped = counting(name, getattr(core, name))
         for mod in (core, cli, classify):
             if getattr(mod, name, None) is getattr(core, name):
                 monkeypatch.setattr(mod, name, wrapped)
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        json_code = run_command(["--json"] + argv)
+
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = run_command(argv)
+        return code, out.getvalue()
+
+    json_code, json_out = run(["--json"] + argv)
     assert json_code == text_code
-    payload = json.loads(out.getvalue())
+    payload = json.loads(json_out)
     del calls["str"]
     if argv[0] == "quotient":
         assert calls == {"group_order": 1} and payload["order"] == 24
@@ -521,6 +530,18 @@ def test_text_mode_computes_only_what_it_prints(monkeypatch, argv, text_calls):
         assert calls == Counter(normalize=1, _valid_spherical=1,
                                 validate=int(not payload["valid"]),
                                 _invariant=int(payload["count"] is not None))
+    monkeypatch.setattr(cli, "_read_fibration", counting("_read_fibration",
+                                                          cli._read_fibration))
+    for name in ("parse_group", "quotient_hopf", "quotient_antihopf"):
+        monkeypatch.setattr(groups, name, counting(name, getattr(groups, name)))
+    calls.clear()
+    assert run(["--json"] + argv) == (json_code, json_out)
+    if argv[0] == "quotient":
+        assert calls == {"group_order": 1}
+        calls.clear()
+        assert run(argv)[0] == text_code and calls == {}
+    else:
+        assert calls == {}
 
 
 # The README's three-member closure and one of its other members.
@@ -534,9 +555,12 @@ PARTNER = "D2(2;); 0/2; ; 2; 0"
 ])
 def test_a_repeated_command_reads_the_invariant_memo(monkeypatch, argv):
     """The second run of a command in one process enumerates no closure and
-    reads no representative, and answers with the same bytes and code."""
+    reads no representative, and answers with the same bytes and code.  A
+    text-mode command asks the invariant memo again; a --json report is
+    printed from the text the reading memo keeps, and asks it nothing."""
     enumerations = _count_calls(monkeypatch, "_enumerate_fibrations")
     representatives = _count_calls(monkeypatch, "_read_class")
+    invariants = _count_calls(monkeypatch, "_invariant")
 
     def run():
         with contextlib.redirect_stdout(io.StringIO()) as out, \
@@ -545,10 +569,11 @@ def test_a_repeated_command_reads_the_invariant_memo(monkeypatch, argv):
         return code, out.getvalue(), err.getvalue()
 
     first = run()
-    assert enumerations and representatives
-    del enumerations[:], representatives[:]
+    assert enumerations and representatives and invariants
+    del enumerations[:], representatives[:], invariants[:]
     assert run() == first
     assert enumerations == [] and representatives == []
+    assert bool(invariants) is (argv[0] != "--json")
 
 
 def test_invariant_memo_values_are_immutable():
@@ -642,8 +667,9 @@ def test_a_repeated_expression_reads_the_reading_memo(monkeypatch, flag, command
     """Run twice in one process, an expression command prints the same
     bytes, to stdout and stderr, and exits with the same code; the second
     run of a text that parsed neither parses, normalizes nor decides it
-    again.  A bad-syntax text is read afresh and gets the field walker's
-    positioned message again."""
+    again, and under --json does not classify it either: the report is
+    the text the reading memo keeps.  A bad-syntax text is read afresh and
+    gets the field walker's positioned message again."""
     calls = Counter()
 
     def counting(name, original):
@@ -658,6 +684,7 @@ def test_a_repeated_expression_reads_the_reading_memo(monkeypatch, flag, command
                                                              cli._explain_rejection))
     monkeypatch.setattr(core, "_valid_spherical", counting("_valid_spherical",
                                                             core._valid_spherical))
+    monkeypatch.setattr(classify, "_invariant", counting("_invariant", classify._invariant))
     wrapped = counting("normalize", core.normalize)
     for mod in (core, classify):
         monkeypatch.setattr(mod, "normalize", wrapped)
@@ -674,8 +701,8 @@ def test_a_repeated_expression_reads_the_reading_memo(monkeypatch, flag, command
     assert calls["_read_fibration"] and (calls["normalize"] or not parses)
     second = run()
     assert second == first
-    if parses:
-        assert calls == {}
+    if parses:  # text-mode classify, fibrations and diffeo read the invariant memo
+        assert calls == {} if flag and command != "diffeo" else calls.keys() <= {"_invariant"}
     else:
         assert first[0] == 1 and first[2].startswith("error: position ")
         assert calls == {"_read_fibration": 1, "_explain_rejection": 1}
@@ -722,3 +749,111 @@ def test_reading_memo_is_bounded_like_the_invariant_memo():
     assert info.currsize == info.maxsize and info.misses == classify._MEMO_MAXSIZE + 1
     cli._reading("S2; ; -1")
     assert cli._reading.cache_info().misses == info.misses + 1
+
+
+def test_every_memo_is_bounded_like_the_invariant_memo():
+    """The quotient memo, like the reading memo, holds at most as many
+    keys as the invariant memo holds normal forms, and drops the least
+    recently read beyond that."""
+    for memo in (classify._invariant, cli._reading, cli._quotient):
+        assert memo.cache_info().maxsize == classify._MEMO_MAXSIZE
+    for k in range(classify._MEMO_MAXSIZE + 1):
+        cli._quotient("F5(m=%d)" % (k + 1), False)
+    info = cli._quotient.cache_info()
+    assert info.currsize == info.maxsize and info.misses == classify._MEMO_MAXSIZE + 1
+    cli._quotient("F5(m=1)", False)
+    assert cli._quotient.cache_info().misses == info.misses + 1
+
+
+def _run(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run_command(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _clear_memos():
+    for memo in (classify._invariant, cli._reading, cli._quotient):
+        memo.cache_clear()
+
+
+def test_a_memo_hit_prints_what_a_cold_run_prints():
+    """Every --json expression argv and every quotient argv of the golden
+    corpus (16,365 of its 31,792 argvs, about 2 s), run with every memo
+    cleared and then again, exits with the same code and prints the same
+    bytes to stdout and stderr."""
+    from test_golden_corpus import EXPRESSION_COMMANDS, GOLDEN, argvs
+
+    with open(GOLDEN / "inputs.json", encoding="utf-8") as fh:
+        corpus = argvs(json.load(fh))
+    chosen = [argv for argv in corpus if "quotient" in argv[:2]
+              or argv[0] == "--json" and argv[1] in EXPRESSION_COMMANDS]
+    assert len(chosen) == 16365
+    differ = []
+    for argv in chosen:
+        _clear_memos()
+        cold = _run(argv)
+        if _run(argv) != cold:
+            differ.append(argv)
+    assert differ == []
+
+
+@pytest.mark.parametrize("argv, code, memo", [
+    (["quotient", "F1(m=1,n=1,r=1,s=1)"], 2, "_quotient"),  # an UnsupportedFamilyError
+    (["quotient", "F2(m=3)"], 1, "_quotient"),  # a ValueError
+    (["--json", "validate", "S2(2,2; 1/2,1/2; ; -1"], 1, "_reading"),  # a ParseError
+])
+def test_an_error_is_not_kept(argv, code, memo):
+    """An operand that raises prints its error each time it is run, and
+    its memo keeps nothing."""
+    memo = getattr(cli, memo)
+    first = _run(argv)
+    assert first[0] == code and first[1] == "" and first[2].startswith("error: ")
+    assert _run(argv) == first
+    assert memo.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    (BROKEN, "error: invalid fibration: invariant relation fails"),
+    ("S2(3,3); 1/3,2/3; ; 0", "error: not spherical"),
+])
+def test_a_kept_report_does_not_skip_the_guard(text, message):
+    """Once `--json validate` has kept the report of an invalid or
+    non-spherical text, `--json fibrations` of that text still exits 1
+    with the guard's message, each time."""
+    assert _run(["--json", "validate", text])[1]
+    for _ in range(2):
+        code, out, err = _run(["--json", "fibrations", text])
+        assert (code, out) == (1, "") and err.startswith(message)
+
+
+@pytest.mark.parametrize("limits", [(6000, 4300), (4300, 6000)])
+@pytest.mark.parametrize("argv, read", [
+    (["--json", "classify", "S2(2); 1/2; ; -" + "7" * 5000], (1, '{"chi": "3/2"')),
+    (["quotient", "F2(m=%s,n=2)" % ("7" * 5000)], (0, "(S2(2,2,2); 1/2,1/2,1/2; -")),
+])
+def test_the_report_and_quotient_memos_are_keyed_by_the_digit_limit(limits, argv, read):
+    """A --json report and a quotient of an operand with a 5,000-digit
+    number read under a digit limit of 6,000, and the number is too long
+    under 4,300.  Run under one limit and then the other in one process,
+    each prints what a fresh run prints under each: the kept answer of one
+    limit is not served under the other."""
+    saved = sys.get_int_max_str_digits()
+    try:
+        fresh = []
+        for limit in limits:
+            _clear_memos()
+            sys.set_int_max_str_digits(limit)
+            fresh.append(_run(argv))
+        _clear_memos()
+        in_turn = []
+        for limit in limits:
+            sys.set_int_max_str_digits(limit)
+            in_turn.append(_run(argv))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert in_turn == fresh
+    by_limit = dict(zip(limits, fresh))
+    assert by_limit[6000][0] == read[0] and by_limit[6000][1].startswith(read[1])
+    assert by_limit[4300][:2] == (1, "")
+    assert "too long: 5000 digits, at most 4300" in by_limit[4300][2]
